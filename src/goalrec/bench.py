@@ -82,6 +82,19 @@ def parse_hypothesis_line(line: str) -> frozenset[Literal]:
     return frozenset(_parse_atom(atom) for atom in atoms)
 
 
+def parse_observations(text: str) -> tuple[str, ...]:
+    """Canonical ground action names, one per non-blank obs.dat line."""
+    names = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        lit = _parse_atom(line.strip())
+        if lit.negated:
+            raise DatasetError(f"unparsable observation line: {line!r}")
+        names.append(lit.canonical())
+    return tuple(names)
+
+
 def _normalize_hypothesis(hyp: frozenset[Literal]) -> tuple[str, ...]:
     return tuple(sorted(lit.canonical() for lit in hyp))
 
@@ -112,14 +125,7 @@ def load_instance(directory: str | Path) -> RecognitionInstance:
         raise DatasetError(f"{path.name}: real hypothesis not found among hyps.dat")
     true_index = normalized.index(real)
 
-    observations = []
-    for line in files["obs.dat"].splitlines():
-        if not line.strip():
-            continue
-        lit = _parse_atom(line.strip())
-        if lit.negated:
-            raise DatasetError(f"{path.name}: unparsable observation line: {line!r}")
-        observations.append(lit.canonical())
+    observations = parse_observations(files["obs.dat"])
     if not observations:
         raise DatasetError(f"{path.name}: empty obs.dat")
 
@@ -129,7 +135,7 @@ def load_instance(directory: str | Path) -> RecognitionInstance:
         template_text=files["template.pddl"],
         hypotheses=hypotheses,
         true_goal_index=true_index,
-        observations=tuple(observations),
+        observations=observations,
     )
 
 

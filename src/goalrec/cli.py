@@ -18,6 +18,7 @@ from .bench import (
     build_problem,
     estimate_tables,
     parse_hypothesis_line,
+    parse_observations,
     run_benchmark,
 )
 from .errors import GoalRecError, SearchCapExceededError
@@ -27,7 +28,6 @@ from .probability import (
     DEFAULT_STATE_CAP,
     EMPIRICAL_UNION,
     NOISY_OR,
-    estimate,
     exact_oracle,
 )
 from .recognition import ObservationEvent, recognize_online
@@ -72,10 +72,9 @@ def _write_tables(problem, tables, out_dir: str) -> list[Path]:
 def cmd_estimate(args) -> int:
     hypotheses = _load_hypotheses(args.hyps)
     problem = build_problem(_read(args.domain), _read(args.template), hypotheses)
-    tables = [
-        estimate(problem, i, args.n_samples, args.seed, args.aggregation)
-        for i in range(len(problem.goals))
-    ]
+    tables = estimate_tables(
+        problem, args.n_samples, args.seed, args.aggregation, args.threads
+    )
     for path in _write_tables(problem, tables, args.output):
         print(path)
     return EXIT_OK
@@ -95,11 +94,10 @@ def cmd_oracle(args) -> int:
 def cmd_recognize(args) -> int:
     hypotheses = _load_hypotheses(args.hyps)
     problem = build_problem(_read(args.domain), _read(args.template), hypotheses)
-    obs_names = [line.strip() for line in _read(args.obs).splitlines() if line.strip()]
-    events = []
-    for name in obs_names:
-        (lit,) = parse_hypothesis_line(name)
-        events.append(ObservationEvent.action(problem.action_id(lit.canonical())))
+    events = [
+        ObservationEvent.action(problem.action_id(name))
+        for name in parse_observations(_read(args.obs))
+    ]
 
     tables = estimate_tables(
         problem, args.n_samples, args.seed, args.aggregation, args.threads

@@ -87,6 +87,22 @@ class ProblemAst:
     goal: frozenset[Literal]
 
 
+def type_ancestors(domain: DomainAst) -> dict[str, set[str]]:
+    """Map each type to itself plus all its ancestors (up to object)."""
+    parents = domain.type_parents()
+    out: dict[str, set[str]] = {}
+    for typ in parents:
+        chain = set()
+        cur: str | None = typ
+        while cur is not None:
+            if cur in chain:
+                raise ValidationError(f"type {typ} is its own ancestor")
+            chain.add(cur)
+            cur = parents.get(cur)
+        out[typ] = chain
+    return out
+
+
 # ── Tokenizer / s-expression reader ──────────────────────────────────────
 
 
@@ -216,7 +232,7 @@ def parse_domain(text: str) -> DomainAst:
 
     Raises PddlSyntaxError on malformed input, UnsupportedRequirementError
     on requirement tags outside the supported subset, and ValidationError
-    on arity mismatches and undeclared names.
+    on arity mismatches, undeclared names and cyclic type declarations.
     """
     sexp = _read_single(text)
     if len(sexp) < 2 or sexp[0] != "define":
@@ -320,10 +336,10 @@ def _validate_domain(domain: DomainAst) -> None:
             raise ValidationError(f"duplicate action schema name: {schema.name}")
         seen.add(schema.name)
 
-    parents = domain.type_parents()
+    known_types = type_ancestors(domain)
     for pred in domain.predicates:
         for _, typ in pred.params:
-            if typ not in parents:
+            if typ not in known_types:
                 raise ValidationError(f"unknown type {typ} in predicate {pred.name}")
 
     preds = domain.predicate_map()
@@ -332,7 +348,7 @@ def _validate_domain(domain: DomainAst) -> None:
         if len(declared) != len(schema.params):
             raise ValidationError(f"duplicate parameter in schema {schema.name}")
         for _, typ in schema.params:
-            if typ not in parents:
+            if typ not in known_types:
                 raise ValidationError(f"unknown type {typ} in schema {schema.name}")
         for lit in schema.pre + schema.add + schema.delete:
             pred = preds.get(lit.predicate)
@@ -406,11 +422,14 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
 
 
 def _validate_problem(problem: ProblemAst, domain: DomainAst) -> None:
-    parents = domain.type_parents()
+    ancestors = type_ancestors(domain)
+    object_type: dict[str, str] = {}
     for obj, typ in problem.objects:
-        if typ not in parents:
+        if typ not in ancestors:
             raise ValidationError(f"object {obj} has unknown type {typ}")
-    known_objects = {obj for obj, _ in problem.objects}
+        if obj in object_type:
+            raise ValidationError(f"object {obj} is declared more than once")
+        object_type[obj] = typ
     preds = domain.predicate_map()
     for where, literals in (("init", problem.init), ("goal", problem.goal)):
         for lit in literals:
@@ -421,9 +440,14 @@ def _validate_problem(problem: ProblemAst, domain: DomainAst) -> None:
                 raise ValidationError(
                     f"arity mismatch for {lit.predicate} in {where}"
                 )
-            for arg in lit.args:
-                if arg not in known_objects:
+            for arg, (_, typ) in zip(lit.args, pred.params):
+                if arg not in object_type:
                     raise ValidationError(f"undeclared object {arg} in {where}")
+                if typ not in ancestors[object_type[arg]]:
+                    raise ValidationError(
+                        f"object {arg} of type {object_type[arg]} does not fit "
+                        f"{typ} in {where} atom {lit.canonical()}"
+                    )
 
 
 # ── Printing (round-trip subset) ─────────────────────────────────────────

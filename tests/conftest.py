@@ -50,6 +50,19 @@ TABLE1 = {
 }
 
 
+# c is a subtype of a; b is unrelated.
+TYPED_DOMAIN = """\
+(define (domain typed)
+  (:requirements :strips :typing)
+  (:types a b - object c - a)
+  (:predicates (at ?x - a) (near ?x - c ?y - object))
+  (:action go
+    :parameters (?x - a ?y - a)
+    :precondition (at ?x)
+    :effect (and (at ?y) (not (at ?x)))))
+"""
+
+
 @pytest.fixture(scope="session")
 def grid_instance():
     return load_instance(FIXTURES / "grid")

@@ -8,6 +8,7 @@ import pytest
 from goalrec.bench import (
     DEFAULT_LAMBDAS,
     load_instance,
+    parse_observations,
     precision,
     prefix_length,
     prepare_instance,
@@ -59,6 +60,17 @@ class TestLoadInstance:
         (tmp_path / "broken" / "obs.dat").write_text("m c23 c22\n")
         with pytest.raises(DatasetError):
             load_instance(tmp_path / "broken")
+
+    def test_observations_parse_to_canonical_names(self):
+        assert parse_observations("(M c23  c22)\n\n (m c22 c21)\n") == (
+            "(m c23 c22)",
+            "(m c22 c21)",
+        )
+
+    @pytest.mark.parametrize("line", ["(m c23 c22) (m c22 c21)", "(not (m c23 c22))"])
+    def test_malformed_observation_line_raises(self, line):
+        with pytest.raises(DatasetError):
+            parse_observations(line + "\n")
 
     def test_empty_hyps_raises(self, tmp_path):
         shutil.copytree(FIXTURES / "grid", tmp_path / "broken")

@@ -7,7 +7,7 @@ import pytest
 from goalrec.bench import DEFAULT_LAMBDAS
 from goalrec.cli import EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR, EXIT_OK, main
 
-from conftest import FIXTURES, TABLE1
+from conftest import FIXTURES, TABLE1, TYPED_DOMAIN
 
 GRID = FIXTURES / "grid"
 
@@ -79,6 +79,53 @@ class TestEstimate:
         assert header == "# aggregation: noisy-or"
 
 
+    def test_thread_count_does_not_change_csv(self, tmp_path, capsys):
+        for threads in ("1", "2"):
+            code = main(
+                _grid_args("estimate", "--threads", threads, "--output", str(tmp_path / threads))
+            )
+            assert code == EXIT_OK
+        for i in range(2):
+            name = f"goal_{i}.csv"
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_repeated_object_exits_one(self, tmp_path, capsys):
+        template = tmp_path / "template.pddl"
+        template.write_text(
+            (GRID / "template.pddl").read_text().replace("(:objects c1 ", "(:objects c1 c1 ", 1)
+        )
+        code = main(
+            [
+                "estimate",
+                "--domain", str(GRID / "domain.pddl"),
+                "--template", str(template),
+                "--hyps", str(GRID / "hyps.dat"),
+                "--output", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "c1 is declared more than once" in capsys.readouterr().err
+
+    def test_mistyped_init_atom_exits_one(self, tmp_path, capsys):
+        (tmp_path / "domain.pddl").write_text(TYPED_DOMAIN)
+        (tmp_path / "template.pddl").write_text(
+            "(define (problem p) (:domain typed) (:objects x1 - a y1 - b)\n"
+            "  (:init (at y1)) (:goal (and <HYPOTHESIS>)))\n"
+        )
+        (tmp_path / "hyps.dat").write_text("(at x1)\n")
+        code = main(
+            [
+                "estimate",
+                "--domain", str(tmp_path / "domain.pddl"),
+                "--template", str(tmp_path / "template.pddl"),
+                "--hyps", str(tmp_path / "hyps.dat"),
+                "--output", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "(at y1)" in capsys.readouterr().err
+
+
 class TestRecognize:
     def test_final_recognized_is_goal_zero(self, capsys):
         code = main(_grid_args("recognize", "--obs", str(GRID / "obs.dat")))
@@ -103,6 +150,13 @@ class TestRecognize:
         first = capsys.readouterr().out
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    def test_two_atoms_on_one_obs_line_exits_one(self, tmp_path, capsys):
+        obs = tmp_path / "obs.dat"
+        obs.write_text("(m c23 c22) (m c22 c21)\n")
+        code = main(_grid_args("recognize", "--obs", str(obs)))
+        assert code == EXIT_INPUT_ERROR
+        assert "unparsable" in capsys.readouterr().err
 
     def test_text_format(self, capsys):
         code = main(

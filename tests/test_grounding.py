@@ -1,13 +1,29 @@
 """Grounding: dense ids, static-predicate handling, determinism."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goalrec.bench import build_problem, parse_hypothesis_line
+from goalrec import bench, grounding
+from goalrec.bench import build_problem, load_instance, parse_hypothesis_line, prepare_instance
 from goalrec.errors import GroundingError
-from goalrec.gridgen import DOMAIN_TEXT, example_grid, template_text
-from goalrec.grounding import ground
+from goalrec.gridgen import DOMAIN_TEXT, example_grid, random_grid, template_text
+from goalrec.grounding import ground, ground_instantiations, objects_by_type, static_predicates
 from goalrec.negation import compile_negations
-from goalrec.pddl import Literal, parse_domain, parse_problem
+from goalrec.pddl import (
+    ROOT_TYPE,
+    ActionSchema,
+    DomainAst,
+    Literal,
+    Predicate,
+    ProblemAst,
+    parse_domain,
+    parse_problem,
+)
+
+from conftest import FIXTURES
+from exhaustive_grounding import ground_exhaustive
 
 SPEC = example_grid()
 
@@ -188,3 +204,135 @@ class TestTypedGrounding:
         assert not any(n.startswith("(link") for n in names)
         # at-truck: 1x3, at-pkg: 2x3, in: 2x1
         assert problem.fact_count == 3 + 6 + 2
+
+
+# ── Join grounder against the exhaustive reference ──────────────────────
+
+
+def _checked_against_reference(monkeypatch):
+    """Make bench's ground() assert equality with the reference on every call."""
+    calls = []
+
+    def both(domain, problem, hypotheses=None):
+        joined = ground(domain, problem, hypotheses)
+        assert joined == ground_exhaustive(domain, problem, hypotheses)
+        calls.append(joined)
+        return joined
+
+    monkeypatch.setattr(bench, "ground", both)
+    return calls
+
+
+class TestReferenceEquality:
+    @pytest.mark.parametrize("name", ["grid", "chain", "logistics"])
+    def test_fixture_identical_to_reference(self, monkeypatch, name):
+        calls = _checked_against_reference(monkeypatch)
+        prepare_instance(load_instance(FIXTURES / name))
+        assert len(calls) == 1 and calls[0].actions
+
+    def test_random_grid_identical_to_reference(self, monkeypatch):
+        calls = _checked_against_reference(monkeypatch)
+        spec = random_grid(np.random.default_rng(3), width=9, height=8, n_goals=4)
+        hyps = tuple(parse_hypothesis_line(f"(is-at {g})") for g in spec.goal_cells)
+        build_problem(DOMAIN_TEXT, template_text(spec), hyps)
+        assert len(calls) == 1
+
+    def test_bindings_are_facts_plus_actions(self, monkeypatch):
+        yielded = []
+        original = grounding.ground_instantiations
+
+        def counted(*args, **kwargs):
+            items = list(original(*args, **kwargs))
+            yielded.append(len(items))
+            return iter(items)
+
+        monkeypatch.setattr(grounding, "ground_instantiations", counted)
+        problem = _grid_problem()
+        assert sum(yielded) == problem.fact_count + len(problem.actions)
+
+
+def _subset(draw, pool):
+    pool = list(pool)
+    return draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+
+
+@st.composite
+def typed_tasks(draw):
+    """Small random typed domains with static preconditions of every shape.
+
+    Types form a hierarchy under object.  Static predicates have arity 0-3
+    and random parameter types; the last one never has init atoms.  Schema
+    literals draw their variables independently, so a variable may repeat
+    within a literal and a parameter may be bound by no static literal.
+    Negated static preconditions are compiled away before grounding.
+    """
+    n_types = draw(st.integers(0, 3))
+    types = tuple(
+        (f"t{i}", draw(st.sampled_from([ROOT_TYPE] + [f"t{j}" for j in range(i)])))
+        for i in range(n_types)
+    )
+    type_of = st.sampled_from([ROOT_TYPE] + [name for name, _ in types])
+
+    def predicate(name, max_arity, typ):
+        arity = draw(st.integers(0, max_arity))
+        return Predicate(name, tuple((f"?a{j}", draw(typ)) for j in range(arity)))
+
+    statics = [predicate(f"s{i}", 3, type_of) for i in range(draw(st.integers(1, 3)))]
+    statics.append(predicate("empty", 2, type_of))
+    fluents = [
+        predicate(f"f{i}", 2, st.just(ROOT_TYPE)) for i in range(draw(st.integers(1, 2)))
+    ]
+
+    schemas = []
+    for k in range(draw(st.integers(1, 3))):
+        params = tuple(
+            (f"?v{j}", draw(type_of)) for j in range(draw(st.integers(0, 3)))
+        )
+        variables = [var for var, _ in params]
+
+        def literals(preds, max_count, negatable=False):
+            usable = [p for p in preds if p.arity == 0 or variables]
+            if not usable:
+                return []
+            out = []
+            for _ in range(draw(st.integers(0, max_count))):
+                pred = draw(st.sampled_from(usable))
+                args = tuple(draw(st.sampled_from(variables)) for _ in pred.params)
+                negated = negatable and draw(st.booleans())
+                out.append(Literal(pred.name, args, negated))
+            return out
+
+        pre = literals(statics, 3, negatable=True) + literals(fluents, 2)
+        schemas.append(
+            ActionSchema(
+                f"act{k}", params, tuple(pre), tuple(literals(fluents, 2)),
+                tuple(literals(fluents, 1)),
+            )
+        )
+
+    domain = DomainAst(
+        "random",
+        frozenset({":strips", ":typing", ":negative-preconditions"}),
+        types,
+        tuple(statics + fluents),
+        tuple(schemas),
+    )
+    objects = tuple((f"o{i}", draw(type_of)) for i in range(draw(st.integers(0, 5))))
+    universe = objects_by_type(domain, ProblemAst("p", "random", objects, frozenset(), frozenset()))
+
+    def atoms(pred):
+        return [Literal(pred.name, args) for args in ground_instantiations(pred.params, universe)]
+
+    init = [lit for pred in statics[:-1] + fluents for lit in _subset(draw, atoms(pred))]
+    changing = [p for p in fluents if p.name not in static_predicates(domain)]
+    goal = _subset(draw, [lit for pred in changing for lit in atoms(pred)])
+    problem = ProblemAst("p", "random", objects, frozenset(init), frozenset(goal))
+    return compile_negations(domain, problem)
+
+
+class TestReferenceProperty:
+    @given(task=typed_tasks())
+    @settings(max_examples=300, deadline=None)
+    def test_identical_to_reference(self, task):
+        domain, problem = task
+        assert ground(domain, problem) == ground_exhaustive(domain, problem)

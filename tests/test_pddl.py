@@ -19,6 +19,8 @@ from goalrec.pddl import (
     print_problem,
 )
 
+from conftest import TYPED_DOMAIN
+
 MINIMAL_DOMAIN = """\
 (define (domain grid-nav)
   (:predicates (is-at ?x) (adj ?x ?y))
@@ -98,6 +100,14 @@ class TestParseDomain:
         with pytest.raises(ValidationError, match="near"):
             parse_domain(text)
 
+    @pytest.mark.parametrize("types", ["a - b b - a", "a - a"])
+    def test_cyclic_types_rejected(self, types):
+        text = MINIMAL_DOMAIN.replace(
+            "(:predicates", f"(:requirements :typing)\n  (:types {types})\n  (:predicates"
+        )
+        with pytest.raises(ValidationError, match="own ancestor"):
+            parse_domain(text)
+
     def test_identifiers_lowercased(self):
         domain = parse_domain(MINIMAL_DOMAIN.replace("is-at", "IS-AT"))
         assert domain.predicates[0].name == "is-at"
@@ -146,6 +156,70 @@ class TestParseProblem:
   (:goal (is-at c99)))
 """
             )
+
+    def test_repeated_object_rejected(self):
+        with pytest.raises(ValidationError, match="c1 is declared more than once"):
+            _problem(
+                """\
+(define (problem p)
+  (:domain grid-nav)
+  (:objects c1 c2 c1)
+  (:init (is-at c2) (adj c1 c2))
+  (:goal (is-at c1)))
+"""
+            )
+
+    def test_object_repeated_under_another_type_rejected(self):
+        with pytest.raises(ValidationError, match="x1 is declared more than once"):
+            _problem(
+                """\
+(define (problem p)
+  (:domain typed)
+  (:objects x1 x2 - a x1 - b)
+  (:init (at x1))
+  (:goal (at x2)))
+""",
+                TYPED_DOMAIN,
+            )
+
+    def test_mistyped_init_atom_rejected(self):
+        with pytest.raises(ValidationError, match=r"y1 of type b does not fit a in init atom \(at y1\)"):
+            _problem(
+                """\
+(define (problem p)
+  (:domain typed)
+  (:objects x1 - a y1 - b)
+  (:init (at y1))
+  (:goal (at x1)))
+""",
+                TYPED_DOMAIN,
+            )
+
+    def test_mistyped_goal_atom_rejected(self):
+        with pytest.raises(ValidationError, match=r"goal atom \(at y1\)"):
+            _problem(
+                """\
+(define (problem p)
+  (:domain typed)
+  (:objects x1 - a y1 - b)
+  (:init (at x1))
+  (:goal (at y1)))
+""",
+                TYPED_DOMAIN,
+            )
+
+    def test_subtype_fits_supertype_parameter(self):
+        _, problem = _problem(
+            """\
+(define (problem p)
+  (:domain typed)
+  (:objects x1 - a z1 - c)
+  (:init (at z1) (near z1 x1))
+  (:goal (at x1)))
+""",
+            TYPED_DOMAIN,
+        )
+        assert Literal("near", ("z1", "x1")) in problem.init
 
     def test_goal_equal_to_init_is_valid(self):
         _, problem = _problem(
