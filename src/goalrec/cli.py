@@ -19,6 +19,7 @@ from .bench import (
     estimate_tables,
     parse_hypothesis_line,
     parse_observations,
+    prefix_length,
     run_benchmark,
 )
 from .errors import GoalRecError, SearchCapExceededError
@@ -98,13 +99,12 @@ def cmd_recognize(args) -> int:
         ObservationEvent.action(problem.action_id(name))
         for name in parse_observations(_read(args.obs))
     ]
+    if args.at_lambda is not None:
+        events = events[: prefix_length(len(events), args.at_lambda)]
 
     tables = estimate_tables(
         problem, args.n_samples, args.seed, args.aggregation, args.threads
     )
-    if args.at_lambda is not None:
-        cut = int(np.floor(len(events) * args.at_lambda))
-        events = events[:cut]
     trace = recognize_online(problem, tables, events)
     steps = trace.steps
     if not steps:

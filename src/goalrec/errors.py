@@ -24,6 +24,10 @@ class UnsupportedRequirementError(GoalRecError):
         super().__init__(f"unsupported requirement: {tag}")
 
 
+class ParameterError(GoalRecError, ValueError):
+    """A numeric option or argument outside its valid range."""
+
+
 class ValidationError(GoalRecError):
     """AST-level consistency violation (arity, undeclared names, ...)."""
 

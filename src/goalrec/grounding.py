@@ -18,9 +18,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .errors import GroundingError
 from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, type_ancestors
+
+if TYPE_CHECKING:
+    from .relaxed import RelaxedFixpoint
 
 
 def objects_by_type(domain: DomainAst, problem: ProblemAst) -> dict[str, list[str]]:
@@ -163,6 +167,11 @@ class GroundProblem:
     goals: list[frozenset[int]]
     fact_ids: dict[str, int] = field(repr=False, default_factory=dict)
     action_ids: dict[str, int] = field(repr=False, default_factory=dict)
+    # The goal-independent relaxed planning graph, filled in by
+    # relaxed.fixpoint on first use and freed together with the problem.
+    relaxed_fixpoint: RelaxedFixpoint | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def fact_count(self) -> int:

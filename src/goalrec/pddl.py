@@ -8,6 +8,7 @@ spaces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -113,65 +114,79 @@ class _Token:
     column: int
 
 
+# A comment, running to the end of its line, or a token: a parenthesis or
+# a run of symbol characters.  Blanks (space, tab, carriage return) and
+# newlines match nothing and are skipped.
+_TOKEN_RE = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
+
+
+def _token_texts(text: str) -> list[str]:
+    """The lowercased tokens of text, without their positions."""
+    return [token.lower() for token in _TOKEN_RE.findall(text) if token]
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text with their 1-based line and column."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i].lower(), line, start_col))
+    line, line_start, prev = 1, 0, 0
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group(1)
+        if token is None:
+            continue
+        start = match.start()
+        newlines = text.count("\n", prev, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", prev, start) + 1
+        prev = start
+        tokens.append(_Token(token.lower(), line, start - line_start + 1))
     return tokens
 
 
-def _read_sexp(tokens: list[_Token], pos: int) -> tuple[object, int]:
+class _Malformed(Exception):
+    """A syntax error at a token index; positions are looked up only then."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.message = message
+        self.index = index
+
+
+def _read_sexp(tokens: list[str], pos: int) -> tuple[object, int]:
     if pos >= len(tokens):
-        raise PddlSyntaxError("unexpected end of input")
+        raise _Malformed("unexpected end of input")
     tok = tokens[pos]
-    if tok.text == "(":
+    if tok == "(":
         items: list[object] = []
+        start = pos
         pos += 1
         while True:
             if pos >= len(tokens):
-                raise PddlSyntaxError("unclosed parenthesis", tok.line, tok.column)
-            if tokens[pos].text == ")":
+                raise _Malformed("unclosed parenthesis", start)
+            if tokens[pos] == ")":
                 return items, pos + 1
             item, pos = _read_sexp(tokens, pos)
             items.append(item)
-    if tok.text == ")":
-        raise PddlSyntaxError("unexpected ')'", tok.line, tok.column)
-    return tok.text, pos + 1
+    if tok == ")":
+        raise _Malformed("unexpected ')'", pos)
+    return tok, pos + 1
 
 
 def _read_single(text: str) -> list:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PddlSyntaxError("empty input", 1, 1)
-    sexp, pos = _read_sexp(tokens, 0)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise PddlSyntaxError("trailing input after top-level form", extra.line, extra.column)
-    if not isinstance(sexp, list):
-        raise PddlSyntaxError("expected a parenthesized form", tokens[0].line, tokens[0].column)
+    tokens = _token_texts(text)
+    try:
+        if not tokens:
+            raise PddlSyntaxError("empty input", 1, 1)
+        sexp, pos = _read_sexp(tokens, 0)
+        if pos != len(tokens):
+            raise _Malformed("trailing input after top-level form", pos)
+        if not isinstance(sexp, list):
+            raise _Malformed("expected a parenthesized form", 0)
+    except _Malformed as exc:
+        if exc.index is None:
+            raise PddlSyntaxError(exc.message) from None
+        tok = _tokenize(text)[exc.index]
+        raise PddlSyntaxError(exc.message, tok.line, tok.column) from None
     return sexp
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SearchCapExceededError, UnknownIdError, UnreachableGoalError
+from .errors import ParameterError, SearchCapExceededError, UnknownIdError, UnreachableGoalError
 from .grounding import GroundProblem
 from .relaxed import build_rpg
 from .sampling import (
@@ -91,7 +91,9 @@ def estimate(
     per-action independence.
     """
     if aggregation not in (EMPIRICAL_UNION, NOISY_OR):
-        raise ValueError(f"unknown aggregation: {aggregation}")
+        raise ParameterError(f"unknown aggregation: {aggregation}")
+    if n < 1:
+        raise ParameterError(f"number of samples must be positive, got {n}")
     combined = sample_combined_sets(problem, goal_index, n, seed)
     p = np.zeros(problem.fact_count)
     if combined is None:

@@ -1,11 +1,15 @@
 """Sampling supporter-action sets per subgoal and combining them per goal.
 
 A supporter of a fact f is an action with f in its add list.  Per subgoal,
-N sets are sampled by scanning the relaxed planning graph from the
-earliest action level upward and picking, among the candidates at the
-first nonempty level, an action selected the fewest times so far (ties
-broken uniformly at random).  The N per-subgoal sets are then combined
-into N per-goal sets by drawing one unconsumed set per subgoal.
+N sets are sampled by walking the relaxed planning graph from the goal
+level down.  The candidates for a demanded fact are its first achievers:
+the supporters at the earliest action level that holds one, looked up in
+the problem's fixpoint (see relaxed.fixpoint) and sorted by id; a level
+above the current one or beyond the graph's last action level yields none.
+Among the candidates an action selected the fewest times so far is
+picked (ties broken uniformly at random).  The N per-subgoal sets are
+then combined into N per-goal sets by drawing one unconsumed set per
+subgoal.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, UnsupportedFactError
+from .errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
 from .grounding import GroundProblem
-from .relaxed import RelaxedPlanningGraph
+from .relaxed import RelaxedPlanningGraph, fixpoint
 
 # Stream tag separating the per-goal combination draw from per-subgoal draws.
 COMBINE_STREAM = 0xC0FFEE
+# Lookup result for a fact that no reachable action adds.
+_NO_ACHIEVERS = (float("inf"), ())
 
 
 @dataclass(frozen=True)
@@ -56,12 +62,16 @@ def sample_subgoal_supporters(
     A subgoal already true in s0 needs no support and yields n empty sets.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ParameterError(f"number of samples must be positive, got {n}")
     if subgoal in s0:
         return [SupporterSampleSet(frozenset(), subgoal) for _ in range(n)]
 
     actions = problem.actions
+    first_achievers = fixpoint(problem).first_achievers
+    last_level = len(rpg.action_levels) - 1  # levels - 1 for a reachable goal
     counts = sampler.counts
+    count_of = counts.get
+    draw = sampler.rng.integers
     samples: list[SupporterSampleSet] = []
 
     for _ in range(n):
@@ -70,30 +80,30 @@ def sample_subgoal_supporters(
         sups: set[int] = set()
 
         for t in range(rpg.levels, -1, -1):
+            if not demanded:
+                break  # nothing is demanded at this or any lower level
+            cap = min(t, last_level)
             new_demanded: set[int] = set()
             while demanded:
                 p = min(demanded)  # deterministic pop order
                 demanded.discard(p)
 
-                candidates: list[int] = []
-                for t2 in range(0, t + 1):
-                    for aid in sorted(rpg.action_level(t2)):
-                        if p in actions[aid].add:
-                            candidates.append(aid)
-                    if candidates:
-                        break
-                if not candidates:
+                level, candidates = first_achievers.get(p, _NO_ACHIEVERS)
+                if level > cap:
                     raise UnsupportedFactError(
                         f"no supporter for demanded fact {problem.fact_name(p)}"
                     )
 
-                min_count = min(counts.get(a, 0) for a in candidates)
-                best = [a for a in candidates if counts.get(a, 0) == min_count]
-                chosen = int(best[sampler.rng.integers(len(best))])
+                if len(candidates) > 1:
+                    min_count = min(count_of(a, 0) for a in candidates)
+                    best = [a for a in candidates if count_of(a, 0) == min_count]
+                else:
+                    best = candidates
+                chosen = int(best[draw(len(best))])
 
                 found.add(p)
                 sups.add(chosen)
-                counts[chosen] = counts.get(chosen, 0) + 1
+                counts[chosen] = count_of(chosen, 0) + 1
 
                 for need in actions[chosen].pre:
                     if need not in s0 and need not in found and need not in demanded:

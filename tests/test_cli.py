@@ -106,6 +106,12 @@ class TestEstimate:
         assert code == EXIT_INPUT_ERROR
         assert "c1 is declared more than once" in capsys.readouterr().err
 
+    def test_zero_samples_exits_one(self, tmp_path, capsys):
+        code = main(_grid_args("estimate", "--n-samples", "0", "--output", str(tmp_path)))
+        assert code == EXIT_INPUT_ERROR
+        assert "number of samples must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_mistyped_init_atom_exits_one(self, tmp_path, capsys):
         (tmp_path / "domain.pddl").write_text(TYPED_DOMAIN)
         (tmp_path / "template.pddl").write_text(
@@ -157,6 +163,15 @@ class TestRecognize:
         code = main(_grid_args("recognize", "--obs", str(obs)))
         assert code == EXIT_INPUT_ERROR
         assert "unparsable" in capsys.readouterr().err
+
+    def test_negative_at_lambda_exits_one(self, capsys):
+        code = main(
+            _grid_args("recognize", "--obs", str(GRID / "obs.dat"), "--at-lambda", "-1")
+        )
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "lambda must lie in [0, 1]" in captured.err
+        assert captured.out == ""
 
     def test_text_format(self, capsys):
         code = main(
@@ -224,6 +239,21 @@ class TestBench:
         assert code == EXIT_OK
         lines = (tmp_path / "precision.csv").read_text().splitlines()
         assert lines[2].startswith("fpv-std,")
+
+    def test_zero_repeats_exits_one(self, tmp_path, capsys):
+        code = main(
+            ["bench", "--dataset", str(FIXTURES), "--repeats", "0", "--output", str(tmp_path)]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "repeats must be positive" in capsys.readouterr().err
+
+    def test_lambda_above_one_exits_one(self, tmp_path, capsys):
+        code = main(
+            ["bench", "--dataset", str(FIXTURES), "--lambdas", "0.5", "1.5",
+             "--output", str(tmp_path)]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "lambda must lie in [0, 1], got 1.5" in capsys.readouterr().err
 
     def test_empty_dataset_exits_one(self, tmp_path, capsys):
         code = main(

@@ -1,8 +1,11 @@
 """Parser, validation, negation compilation, and round-trip printing."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalrec.errors import (
     PddlSyntaxError,
@@ -13,13 +16,15 @@ from goalrec.gridgen import DOMAIN_TEXT
 from goalrec.negation import compile_negations
 from goalrec.pddl import (
     Literal,
+    _token_texts,
+    _tokenize,
     parse_domain,
     parse_problem,
     print_domain,
     print_problem,
 )
 
-from conftest import TYPED_DOMAIN
+from conftest import FIXTURES, TYPED_DOMAIN
 
 MINIMAL_DOMAIN = """\
 (define (domain grid-nav)
@@ -319,3 +324,79 @@ class TestRoundTrip:
 """
         )
         assert parse_problem(print_problem(problem), domain) == problem
+
+
+def _tokenize_by_character(text):
+    """The character-by-character tokenizer the regex replaced, as a reference."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append((ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start = i
+            start_col = col
+            while i < n and text[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            tokens.append((text[start:i].lower(), line, start_col))
+    return tokens
+
+
+def _triples(text):
+    return [(tok.text, tok.line, tok.column) for tok in _tokenize(text)]
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize(
+        "path", sorted(FIXTURES.glob("*/*.pddl")), ids=lambda p: f"{p.parent.name}/{p.name}"
+    )
+    def test_fixture_tokens_match_reference(self, path):
+        text = path.read_text()
+        assert _triples(text) == _tokenize_by_character(text)
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from(list("()(); \t\r\n\f\x0b-?:aZ")), st.characters()
+            )
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_random_text_tokens_match_reference(self, text):
+        expected = _tokenize_by_character(text)
+        assert _triples(text) == expected
+        assert _token_texts(text) == [token for token, _, _ in expected]
+
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            ("", "empty input", 1, 1),
+            ("(define (domain d)", "unclosed parenthesis", 1, 1),
+            ("(a\n  (b ; (c)\n", "unclosed parenthesis", 2, 3),
+            ("; lead\n\t)", "unexpected ')'", 2, 2),
+            ("(a)\n  (b)", "trailing input after top-level form", 2, 3),
+            ("  Foo", "expected a parenthesized form", 1, 3),
+        ],
+    )
+    def test_syntax_errors_carry_token_position(self, text, message, line, column):
+        with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
+            parse_domain(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
+    def test_comment_and_positions(self):
+        assert _triples("(A ;x y)\n  b)") == [("(", 1, 1), ("a", 1, 2), ("b", 2, 3), (")", 2, 4)]

@@ -1,15 +1,27 @@
 """Delete-relaxation semantics and relaxed planning graph levels."""
 
-import pytest
+import gc
+import weakref
 
-from goalrec.errors import InapplicableActionError, UnknownIdError
-from goalrec.gridgen import bfs_distances, example_grid
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from goalrec.bench import build_problem, parse_hypothesis_line
+from goalrec.errors import GoalRecError, InapplicableActionError, UnknownIdError
+from goalrec.gridgen import DOMAIN_TEXT, bfs_distances, example_grid, random_grid, template_text
+from goalrec.grounding import GroundAction, GroundFact, GroundProblem
 from goalrec.relaxed import (
     RelaxedState,
     build_rpg,
+    fixpoint,
     relaxed_apply,
     relaxed_reachable,
 )
+from goalrec.sampling import SamplerState, sample_subgoal_supporters
+
+from reference_rpg import build_rpg_layered, sample_subgoal_supporters_scan
 
 SPEC = example_grid()
 BLOCKED = sorted(SPEC.blocked)
@@ -126,3 +138,122 @@ class TestRelaxedReachable:
         rpg = build_rpg(problem, problem.goals[0])
         with pytest.raises(UnknownIdError):
             relaxed_reachable(rpg, problem.fact_count)
+
+
+class TestFixpoint:
+    def test_computed_once_and_kept_on_the_problem(self, grid):
+        problem, _ = grid
+        first = fixpoint(problem)
+        build_rpg(problem, problem.goals[1])
+        assert fixpoint(problem) is first is problem.relaxed_fixpoint
+
+    def test_not_part_of_equality_or_repr(self):
+        problem = _random_grid_problem(4, 5, 5)
+        other = _random_grid_problem(4, 5, 5)
+        fixpoint(problem)
+        assert problem == other
+        assert "relaxed_fixpoint" not in repr(problem)
+
+    def test_freed_with_its_problem(self):
+        problem = _random_grid_problem(4, 5, 5)
+        ref = weakref.ref(fixpoint(problem))
+        del problem
+        gc.collect()
+        assert ref() is None
+
+    def test_first_achievers_sorted_at_earliest_level(self, grid):
+        problem, _ = grid
+        fp = fixpoint(problem)
+        for f, (level, achievers) in fp.first_achievers.items():
+            assert list(achievers) == sorted(achievers)
+            assert all(f in problem.actions[a].add for a in achievers)
+            assert set(achievers) <= fp.action_levels[level]
+            for earlier in fp.action_levels[:level]:
+                assert not any(f in problem.actions[a].add for a in earlier)
+
+
+# ── Fixpoint and first-achiever lookup against the layered reference ──────
+
+
+@st.composite
+def strips_problems(draw):
+    """Random STRIPS tasks: random pre/add sets, some goals unreachable."""
+    n_facts = draw(st.integers(1, 10))
+    fact = st.integers(0, n_facts - 1)
+    facts = [GroundFact(i, f"(f{i})") for i in range(n_facts)]
+    actions = [
+        GroundAction(
+            i,
+            f"(a{i})",
+            frozenset(draw(st.lists(fact, max_size=3))),
+            frozenset(draw(st.lists(fact, min_size=1, max_size=3))),
+            frozenset(),
+        )
+        for i in range(draw(st.integers(0, 14)))
+    ]
+    s0 = frozenset(draw(st.lists(fact, max_size=3)))
+    goals = draw(st.lists(st.frozensets(fact, max_size=3), min_size=1, max_size=3))
+    return GroundProblem(facts, actions, s0, goals)
+
+
+def _random_grid_problem(seed, width, height):
+    spec = random_grid(np.random.default_rng(seed), width=width, height=height, n_goals=2)
+    hyps = tuple(parse_hypothesis_line(f"(is-at {g})") for g in spec.goal_cells)
+    return build_problem(DOMAIN_TEXT, template_text(spec), hyps)
+
+
+def _outcome(sample, subgoals, rpg, problem, n, seed):
+    """Samples per subgoal, then the selection counts, or the error raised."""
+    sampler = SamplerState.from_seed(seed, 0, 0)
+    try:
+        samples = [sample(f, rpg, problem.s0, n, sampler, problem) for f in subgoals]
+    except GoalRecError as exc:
+        return type(exc), str(exc)
+    return samples, sampler.counts
+
+
+def _assert_matches_reference(problem, subgoals, n, seed):
+    for goal in problem.goals:
+        rpg = build_rpg(problem, goal)
+        ref = build_rpg_layered(problem, goal)
+        assert list(rpg.fact_levels.items()) == list(ref.fact_levels.items())
+        assert rpg.action_levels == ref.action_levels
+        assert rpg.levels == ref.levels
+        assert rpg.unreachable == ref.unreachable
+        assert rpg.unreached_goal_facts == ref.unreached_goal_facts
+        # Subgoals outside the goal reach past the graph's last level.
+        order = sorted(goal) + subgoals
+        assert _outcome(sample_subgoal_supporters, order, rpg, problem, n, seed) == _outcome(
+            sample_subgoal_supporters_scan, order, ref, problem, n, seed
+        )
+
+
+class TestReferenceEquality:
+    @given(
+        problem=strips_problems(),
+        extra=st.lists(st.integers(0, 9), max_size=3),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_strips_identical_to_reference(self, problem, extra, n, seed):
+        subgoals = [f % problem.fact_count for f in extra]
+        _assert_matches_reference(problem, subgoals, n, seed)
+
+    @given(
+        grid_seed=st.integers(0, 10**6),
+        width=st.integers(3, 7),
+        height=st.integers(3, 7),
+        extra=st.lists(st.integers(0, 48), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_grid_identical_to_reference(self, grid_seed, width, height, extra, seed):
+        problem = _random_grid_problem(grid_seed, width, height)
+        subgoals = [f % problem.fact_count for f in extra]
+        _assert_matches_reference(problem, subgoals, 5, seed)
+
+    @pytest.mark.parametrize("name", ["grid", "chain", "logistics"])
+    def test_fixture_identical_to_reference(self, request, name):
+        problem, _ = request.getfixturevalue(name)
+        _assert_matches_reference(problem, [], 20, 11)
