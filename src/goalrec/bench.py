@@ -217,14 +217,14 @@ def spread(recognized_sets: list[frozenset[int]]) -> float:
     return mean(len(s) for s in recognized_sets)
 
 
-def check_lambda(lam: float) -> None:
+def _check_lambda(lam: float) -> None:
     """Reject an observed fraction outside [0, 1] (NaN included)."""
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
 
 
 def prefix_length(total: int, lam: float) -> int:
-    check_lambda(lam)
+    _check_lambda(lam)
     return int(np.floor(total * lam))
 
 
@@ -352,11 +352,9 @@ def run_benchmark(
     if not lambdas:
         raise ParameterError("at least one lambda is required")
     for lam in lambdas:
-        check_lambda(lam)
+        _check_lambda(lam)
     if repeats < 1:
         raise ParameterError(f"repeats must be positive, got {repeats}")
-    if n_samples < 1:
-        raise ParameterError(f"number of samples must be positive, got {n_samples}")
     candidates = sorted(p for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
     if not candidates:
         raise DatasetError(f"no instance directories under {root}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -48,11 +49,6 @@ class RelaxedPlanningGraph:
     unreachable: bool = False
     unreached_goal_facts: frozenset[int] = field(default_factory=frozenset)
 
-    def action_level(self, t: int) -> frozenset[int]:
-        if t >= len(self.action_levels):
-            return frozenset()
-        return self.action_levels[t]
-
     def dump(self, problem: GroundProblem) -> str:
         lines = []
         by_level: dict[int, list[str]] = {}
@@ -96,11 +92,19 @@ class RelaxedFixpoint:
         return len(self.level_ends) - 1
 
 
+# Goals of one problem may be estimated on several threads; the first to
+# need the fixpoint computes it and the others wait for that one.
+_fixpoint_lock = threading.Lock()
+
+
 def fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
     """The problem's fixpoint, computed on first use and kept on the problem."""
     cached = problem.relaxed_fixpoint
     if cached is None:
-        cached = problem.relaxed_fixpoint = _compute_fixpoint(problem)
+        with _fixpoint_lock:
+            cached = problem.relaxed_fixpoint
+            if cached is None:
+                cached = problem.relaxed_fixpoint = _compute_fixpoint(problem)
     return cached
 
 

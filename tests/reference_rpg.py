@@ -79,8 +79,8 @@ def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, sampler, problem):
                 demanded.discard(p)
 
                 candidates: list[int] = []
-                for t2 in range(0, t + 1):
-                    for aid in sorted(rpg.action_level(t2)):
+                for t2 in range(0, min(t + 1, len(rpg.action_levels))):
+                    for aid in sorted(rpg.action_levels[t2]):
                         if p in actions[aid].add:
                             candidates.append(aid)
                     if candidates:

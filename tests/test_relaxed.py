@@ -1,7 +1,9 @@
 """Delete-relaxation semantics and relaxed planning graph levels."""
 
 import gc
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -146,6 +148,19 @@ class TestFixpoint:
         first = fixpoint(problem)
         build_rpg(problem, problem.goals[1])
         assert fixpoint(problem) is first is problem.relaxed_fixpoint
+
+    def test_threads_share_one_fixpoint(self):
+        problem = _random_grid_problem(4, 9, 9)
+        results = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fixpoint, problem) for _ in range(32)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(previous)
+        assert all(r is problem.relaxed_fixpoint for r in results)
 
     def test_not_part_of_equality_or_repr(self):
         problem = _random_grid_problem(4, 5, 5)
