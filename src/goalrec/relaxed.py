@@ -77,9 +77,10 @@ class RelaxedFixpoint:
     fact_levels holds every reachable fact: s0 first, then level by level
     in id order, so the facts of levels 0..k are its first level_ends[k]
     entries.  action_levels[t] holds the actions first applicable at level
-    t, including a last batch that adds no new fact.  first_achievers maps
-    each fact some action adds to the earliest action level holding such
-    an action, and those actions sorted by id.
+    t, ending with the batch, if any, that adds no new fact.
+    first_achievers maps each fact that a reachable action adds to the
+    earliest action level holding such an action, and those actions
+    sorted by id.
     """
 
     fact_levels: dict[int, int]

@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -150,13 +151,18 @@ class TestFixpoint:
         assert fixpoint(problem) is first is problem.relaxed_fixpoint
 
     def test_threads_share_one_fixpoint(self):
-        problem = _random_grid_problem(4, 9, 9)
-        results = []
+        problem = _random_grid_problem(4, 15, 15)
+        start = threading.Barrier(8)
+
+        def first_use():
+            start.wait(timeout=60)
+            return fixpoint(problem)
+
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(fixpoint, problem) for _ in range(32)]
+                futures = [pool.submit(first_use) for _ in range(8)]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(previous)
