@@ -12,7 +12,6 @@ import json
 import re
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import mean, pstdev
@@ -181,17 +180,12 @@ def estimate_tables(
     n_samples: int,
     seed: int,
     aggregation: str = EMPIRICAL_UNION,
-    threads: int = 1,
 ) -> list[FactProbabilityTable]:
-    """Per-goal tables; seeds are per-goal, so thread count cannot change results."""
-    def one(goal_index: int) -> FactProbabilityTable:
-        return estimate(problem, goal_index, n_samples, seed, aggregation)
-
-    indices = range(len(problem.goals))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indices))
-    return [one(i) for i in indices]
+    """One table per goal, each estimated from the same seed."""
+    return [
+        estimate(problem, i, n_samples, seed, aggregation)
+        for i in range(len(problem.goals))
+    ]
 
 
 # ── Metrics ──────────────────────────────────────────────────────────────
@@ -340,7 +334,6 @@ def run_benchmark(
     seed: int = 0,
     repeats: int = 1,
     aggregation: str = EMPIRICAL_UNION,
-    threads: int = 1,
 ) -> EvaluationReport:
     """Run online recognition over every instance directory under the root.
 
@@ -377,25 +370,15 @@ def run_benchmark(
     estimation_times: list[float] = []
     observation_times: list[float] = []
 
-    def run_one(args, repeat: int):
-        instance, problem, events = args
-        inst_seed = _instance_seed(seed, repeat, instance.name)
-        t0 = time.perf_counter()
-        tables = estimate_tables(problem, n_samples, inst_seed, aggregation)
-        est_seconds = time.perf_counter() - t0
-        trace = recognize_online(problem, tables, events)
-        return instance, problem, trace, est_seconds
-
     for repeat in range(repeats):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda a: run_one(a, repeat), prepared))
-        else:
-            results = [run_one(a, repeat) for a in prepared]
-
         recognized: dict[float, list[frozenset[int]]] = {l: [] for l in lambdas}
         truths: list[int] = []
-        for instance, problem, trace, est_seconds in results:
+        for instance, problem, events in prepared:
+            inst_seed = _instance_seed(seed, repeat, instance.name)
+            t0 = time.perf_counter()
+            tables = estimate_tables(problem, n_samples, inst_seed, aggregation)
+            est_seconds = time.perf_counter() - t0
+            trace = recognize_online(problem, tables, events)
             goal_count = len(problem.goals)
             total = len(instance.observations)
             truths.append(instance.true_goal_index)

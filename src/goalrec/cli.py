@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: estimate, recognize, oracle, bench, gen-grid.  Exit codes:
-0 success, 1 input error, 2 resource cap exceeded.  All randomness flows
-from --seed.
+0 success, 1 input error (usage errors included), 2 resource cap
+exceeded.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .probability import (
     NOISY_OR,
     exact_oracle,
 )
-from .recognition import ObservationEvent, recognize_online
+from .recognition import ObservationEvent, RecognitionTrace, TraceStep, recognize_online
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -45,12 +45,21 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _load_hypotheses(path: str):
-    return tuple(
+def _load_problem(args):
+    hypotheses = tuple(
         parse_hypothesis_line(line)
-        for line in _read(path).splitlines()
+        for line in _read(args.hyps).splitlines()
         if line.strip()
     )
+    return build_problem(_read(args.domain), _read(args.template), hypotheses)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
@@ -71,19 +80,15 @@ def _write_tables(problem, tables, out_dir: str) -> list[Path]:
 
 
 def cmd_estimate(args) -> int:
-    hypotheses = _load_hypotheses(args.hyps)
-    problem = build_problem(_read(args.domain), _read(args.template), hypotheses)
-    tables = estimate_tables(
-        problem, args.n_samples, args.seed, args.aggregation, args.threads
-    )
+    problem = _load_problem(args)
+    tables = estimate_tables(problem, args.n_samples, args.seed, args.aggregation)
     for path in _write_tables(problem, tables, args.output):
         print(path)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    hypotheses = _load_hypotheses(args.hyps)
-    problem = build_problem(_read(args.domain), _read(args.template), hypotheses)
+    problem = _load_problem(args)
     tables = [
         exact_oracle(problem, i, args.max_states) for i in range(len(problem.goals))
     ]
@@ -93,8 +98,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    hypotheses = _load_hypotheses(args.hyps)
-    problem = build_problem(_read(args.domain), _read(args.template), hypotheses)
+    problem = _load_problem(args)
     events = [
         ObservationEvent.action(problem.action_id(name))
         for name in parse_observations(_read(args.obs))
@@ -102,19 +106,14 @@ def cmd_recognize(args) -> int:
     if args.at_lambda is not None:
         events = events[: prefix_length(len(events), args.at_lambda)]
 
-    tables = estimate_tables(
-        problem, args.n_samples, args.seed, args.aggregation, args.threads
-    )
+    tables = estimate_tables(problem, args.n_samples, args.seed, args.aggregation)
     trace = recognize_online(problem, tables, events)
-    steps = trace.steps
-    if not steps:
+    if not trace.steps:
         # No evidence: every goal ties at heuristic 0.
-        from .recognition import TraceStep
-
-        steps = [TraceStep(0, [0.0] * len(problem.goals), list(range(len(problem.goals))), 0)]
-        trace = type(trace)(steps)
+        goals = len(problem.goals)
+        trace = RecognitionTrace([TraceStep(0, [0.0] * goals, list(range(goals)), 0)])
     if args.format == "text":
-        for step in steps:
+        for step in trace.steps:
             scores = ", ".join(f"{h:.4f}" for h in step.heuristic)
             print(f"t={step.t} recognized={step.recognized} h=[{scores}]")
     else:
@@ -130,7 +129,6 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         repeats=args.repeats,
         aggregation=args.aggregation,
-        threads=args.threads,
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,22 +157,18 @@ def cmd_gen_grid(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="goalrec",
         description="Goal recognition from fact observation probabilities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, aggregation=True):
+    def common(p):
         p.add_argument("--n-samples", type=int, default=DEFAULT_N_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
-        if aggregation:
-            p.add_argument(
-                "--aggregation",
-                choices=[EMPIRICAL_UNION, NOISY_OR],
-                default=EMPIRICAL_UNION,
-            )
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--aggregation", choices=[EMPIRICAL_UNION, NOISY_OR], default=EMPIRICAL_UNION
+        )
 
     p = sub.add_parser("estimate", help="write per-goal probability CSV files")
     _add_problem_flags(p)
@@ -191,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="online recognition trace on stdout")
     _add_problem_flags(p)
     p.add_argument("--obs", required=True, help="obs.dat path")
-    p.add_argument("--real", help="real_hyp.dat path (unused, accepted for symmetry)")
     p.add_argument("--at-lambda", type=float, default=None)
     common(p)
     p.add_argument("--format", choices=["json", "text"], default="json")

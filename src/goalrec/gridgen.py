@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ParameterError
+
 DOMAIN_NAME = "grid-nav"
 
 DOMAIN_TEXT = """\
@@ -122,7 +124,22 @@ def random_grid(
     n_goals: int = 3,
     block_prob: float = 0.2,
 ) -> GridSpec:
-    """A random connected instance with a full-plan observation sequence."""
+    """A random connected instance with a full-plan observation sequence.
+
+    Arguments that no draw can satisfy (too few cells for the goals and a
+    start cell, or a block probability that blocks every cell) are
+    rejected before anything is drawn from `rng`.
+    """
+    if width < 1 or height < 1:
+        raise ParameterError(f"grid sides must be positive, got {width}x{height}")
+    if n_goals < 1:
+        raise ParameterError(f"number of goals must be positive, got {n_goals}")
+    if width * height < n_goals + 1:
+        raise ParameterError(
+            f"a {width}x{height} grid cannot hold {n_goals} goals and a start cell"
+        )
+    if not 0.0 <= block_prob < 1.0:
+        raise ParameterError(f"block probability must lie in [0, 1), got {block_prob}")
     while True:
         spec = GridSpec(
             width=width,

@@ -93,8 +93,9 @@ class RelaxedFixpoint:
         return len(self.level_ends) - 1
 
 
-# Goals of one problem may be estimated on several threads; the first to
-# need the fixpoint computes it and the others wait for that one.
+# `estimate` is public, so callers may estimate goals of one problem on
+# their own threads; the first to need the fixpoint computes it and the
+# others wait for that one.
 _fixpoint_lock = threading.Lock()
 
 

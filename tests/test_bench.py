@@ -140,14 +140,6 @@ class TestRunBenchmark:
                 s.heuristic for s in y.trace.steps
             ]
 
-    def test_thread_count_does_not_change_results(self):
-        a = run_benchmark(FIXTURES, seed=7, threads=1)
-        b = run_benchmark(FIXTURES, seed=7, threads=4)
-        assert a.precision_mean == b.precision_mean
-        assert [s.heuristic for r in a.instances for s in r.trace.steps] == [
-            s.heuristic for r in b.instances for s in r.trace.steps
-        ]
-
     def test_failing_instance_recorded_not_fatal(self, tmp_path):
         for name in ("grid", "chain"):
             shutil.copytree(FIXTURES / name, tmp_path / name)

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from goalrec.bench import DEFAULT_LAMBDAS
 from goalrec.cli import EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR, EXIT_OK, main
+from goalrec.errors import ParameterError
+from goalrec.gridgen import random_grid
 
 from conftest import FIXTURES, TABLE1, TYPED_DOMAIN
 
@@ -78,16 +81,13 @@ class TestEstimate:
         header, _ = _read_csv(tmp_path / "goal_0.csv")
         assert header == "# aggregation: noisy-or"
 
-
-    def test_thread_count_does_not_change_csv(self, tmp_path, capsys):
-        for threads in ("1", "2"):
-            code = main(
-                _grid_args("estimate", "--threads", threads, "--output", str(tmp_path / threads))
-            )
+    def test_same_seed_same_csv(self, tmp_path, capsys):
+        for run in ("a", "b"):
+            code = main(_grid_args("estimate", "--seed", "7", "--output", str(tmp_path / run)))
             assert code == EXIT_OK
         for i in range(2):
             name = f"goal_{i}.csv"
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_repeated_object_exits_one(self, tmp_path, capsys):
         template = tmp_path / "template.pddl"
@@ -130,6 +130,36 @@ class TestEstimate:
         )
         assert code == EXIT_INPUT_ERROR
         assert "(at y1)" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    def _exit_code(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        argv = _grid_args("estimate", "--threads", "2", "--output", str(tmp_path))
+        assert self._exit_code(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: goalrec")
+        assert "unrecognized arguments: --threads 2" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_non_integer_samples(self, tmp_path, capsys):
+        argv = _grid_args("estimate", "--n-samples", "abc", "--output", str(tmp_path))
+        assert self._exit_code(argv) == EXIT_INPUT_ERROR
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_missing_required_flag(self, tmp_path, capsys):
+        argv = ["estimate", "--template", str(GRID / "template.pddl"),
+                "--hyps", str(GRID / "hyps.dat"), "--output", str(tmp_path)]
+        assert self._exit_code(argv) == EXIT_INPUT_ERROR
+        assert "the following arguments are required: --domain" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert self._exit_code(["estimate", "--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: goalrec estimate")
 
 
 class TestRecognize:
@@ -285,6 +315,32 @@ class TestGenGrid:
         problem, events = prepare_instance(instance)
         assert len(problem.goals) == 3
         assert events
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--width", "0"], "grid sides must be positive, got 0x7"),
+            (["--height", "0"], "grid sides must be positive, got 7x0"),
+            (["--goals", "0"], "number of goals must be positive, got 0"),
+            (["--width", "1", "--height", "1", "--goals", "3"],
+             "a 1x1 grid cannot hold 3 goals and a start cell"),
+            (["--block-prob", "1.0"], "block probability must lie in [0, 1), got 1.0"),
+            (["--block-prob", "-0.1"], "block probability must lie in [0, 1), got -0.1"),
+            (["--block-prob", "nan"], "block probability must lie in [0, 1), got nan"),
+        ],
+    )
+    def test_impossible_grid_exits_one(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "generated"
+        code = main(["gen-grid", *flags, "--output", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejection_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ParameterError):
+            random_grid(rng, width=1, height=1, n_goals=3)
+        assert rng.random() == np.random.default_rng(5).random()
 
     def test_same_seed_same_instance(self, tmp_path, capsys):
         for name in ("a", "b"):
