@@ -3,12 +3,13 @@
 An agent starts at c23 and may be heading for c1 (goal 0) or c5 (goal 1).
 After observing two moves toward the left wall, the heuristic separates
 the goals: facts observed so far have positive probability only under
-goal 0.
+goal 0.  The recognizer is fed one observation at a time, and at the end
+it explains each score as a reward term and the facts it is penalized for.
 """
 
 from pathlib import Path
 
-from goalrec import exact_oracle, load_instance, prepare_instance, recognize_online
+from goalrec import Recognizer, exact_oracle, load_instance, prepare_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -34,12 +35,19 @@ def main() -> None:
         print("\n".join(rows))
     print()
 
-    trace = recognize_online(problem, tables, events)
-    for step in trace.steps:
-        scores = ", ".join(f"{h:+.4f}" for h in step.heuristic)
-        print(f"after observation {step.t}: h = [{scores}], recognized = {step.recognized}")
+    recognizer = Recognizer(problem, tables)
+    for t, event in enumerate(events, start=1):
+        h = recognizer.observe(event)
+        scores = ", ".join(f"{x:+.4f}" for x in h)
+        recognized = [g for g, x in enumerate(h) if x == max(h)]
+        print(f"after observation {t}: h = [{scores}], recognized = {recognized}")
     print()
-    print(f"final recognized goal set: {sorted(trace.final_recognized())}")
+    for g, goal in enumerate(recognizer.explain()):
+        print(
+            f"goal {g}: reward {goal['reward']:.4f}, "
+            f"remaining {goal['remaining']:.4f}, penalized for {goal['penalized_facts']}"
+        )
+    print(f"final recognized goal set: {recognized}")
     print(f"true goal index: {instance.true_goal_index}")
 
 

@@ -14,27 +14,15 @@ from .bench import (
 from .grounding import GroundAction, GroundFact, GroundProblem, ground
 from .negation import compile_negations
 from .pddl import DomainAst, Literal, ProblemAst, parse_domain, parse_problem
-from .probability import FactProbabilityTable, estimate, exact_oracle, not_observed
+from .probability import FactProbabilityTable, estimate, exact_oracle
 from .recognition import (
     ObservationEvent,
-    RecognitionResult,
     RecognitionTrace,
-    direction,
-    heuristic,
-    map_probs,
-    map_state,
-    odot,
-    progress,
+    Recognizer,
     recognize,
     recognize_online,
 )
-from .relaxed import (
-    RelaxedPlanningGraph,
-    RelaxedState,
-    build_rpg,
-    relaxed_apply,
-    relaxed_reachable,
-)
+from .relaxed import RelaxedPlanningGraph, build_rpg
 from .sampling import (
     SamplerState,
     SupporterSampleSet,
@@ -53,35 +41,25 @@ __all__ = [
     "ObservationEvent",
     "ProblemAst",
     "RecognitionInstance",
-    "RecognitionResult",
     "RecognitionTrace",
+    "Recognizer",
     "RelaxedPlanningGraph",
-    "RelaxedState",
     "SamplerState",
     "SupporterSampleSet",
     "build_problem",
     "build_rpg",
     "compile_negations",
-    "direction",
     "estimate",
     "exact_oracle",
     "generate_goal_supporters",
     "ground",
-    "heuristic",
     "load_instance",
-    "map_probs",
-    "map_state",
-    "not_observed",
-    "odot",
     "parse_domain",
     "parse_problem",
     "precision",
     "prepare_instance",
-    "progress",
     "recognize",
     "recognize_online",
-    "relaxed_apply",
-    "relaxed_reachable",
     "run_benchmark",
     "sample_subgoal_supporters",
     "spread",

@@ -1,13 +1,14 @@
 """Command-line entry point.
 
 Subcommands: estimate, recognize, oracle, bench, gen-grid.  Exit codes:
-0 success, 1 input error (usage errors included), 2 resource cap
-exceeded.  All randomness flows from --seed.
+0 success, 1 input error (usage errors and files that cannot be read or
+written included), 2 resource cap exceeded.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .probability import (
     NOISY_OR,
     exact_oracle,
 )
-from .recognition import ObservationEvent, RecognitionTrace, TraceStep, recognize_online
+from .recognition import ObservationEvent, RecognitionTrace, Recognizer, TraceStep
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -107,11 +108,16 @@ def cmd_recognize(args) -> int:
         events = events[: prefix_length(len(events), args.at_lambda)]
 
     tables = estimate_tables(problem, args.n_samples, args.seed, args.aggregation)
-    trace = recognize_online(problem, tables, events)
+    recognizer = Recognizer(problem, tables)
+    trace = recognizer.run(events)
     if not trace.steps:
-        # No evidence: every goal ties at heuristic 0.
-        goals = len(problem.goals)
-        trace = RecognitionTrace([TraceStep(0, [0.0] * goals, list(range(goals)), 0)])
+        # No evidence: every goal ties at its score of exactly 0.0.
+        h0 = recognizer.scores()
+        trace = RecognitionTrace([TraceStep(0, h0, list(range(len(h0))), 0)])
+    if args.explain is not None:
+        explain = Path(args.explain)
+        explain.parent.mkdir(parents=True, exist_ok=True)
+        explain.write_text(json.dumps(recognizer.explain(), indent=2) + "\n")
     if args.format == "text":
         for step in trace.steps:
             scores = ", ".join(f"{h:.4f}" for h in step.heuristic)
@@ -188,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-lambda", type=float, default=None)
     common(p)
     p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--explain", metavar="PATH", help="write each goal's score terms as JSON")
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("bench", help="run the benchmark harness over a dataset")
@@ -218,7 +225,7 @@ def main(argv=None) -> int:
     except SearchCapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
-    except GoalRecError as exc:
+    except (GoalRecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

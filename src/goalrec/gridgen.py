@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ParameterError
 
 DOMAIN_NAME = "grid-nav"
+MAX_GRID_DRAWS = 1000
 
 DOMAIN_TEXT = """\
 (define (domain grid-nav)
@@ -128,7 +129,8 @@ def random_grid(
 
     Arguments that no draw can satisfy (too few cells for the goals and a
     start cell, or a block probability that blocks every cell) are
-    rejected before anything is drawn from `rng`.
+    rejected before anything is drawn from `rng`.  Arguments that rarely
+    give a usable grid are rejected after MAX_GRID_DRAWS failed draws.
     """
     if width < 1 or height < 1:
         raise ParameterError(f"grid sides must be positive, got {width}x{height}")
@@ -140,7 +142,7 @@ def random_grid(
         )
     if not 0.0 <= block_prob < 1.0:
         raise ParameterError(f"block probability must lie in [0, 1), got {block_prob}")
-    while True:
+    for _ in range(MAX_GRID_DRAWS):
         spec = GridSpec(
             width=width,
             height=height,
@@ -185,6 +187,10 @@ def random_grid(
             true_goal=true_goal,
             observations=obs,
         )
+    raise ParameterError(
+        f"no usable {width}x{height} grid with {n_goals} goals in {MAX_GRID_DRAWS} draws "
+        f"at block probability {block_prob}; lower the block probability"
+    )
 
 
 # ── Instance file rendering ──────────────────────────────────────────────

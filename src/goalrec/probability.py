@@ -55,10 +55,6 @@ class FactProbabilityTable:
         return out.getvalue()
 
 
-def not_observed(table: FactProbabilityTable, fact_id: int) -> float:
-    return table.not_observed(fact_id)
-
-
 def sample_combined_sets(
     problem: GroundProblem, goal_index: int, n: int, seed: int
 ) -> list[SupporterSampleSet] | None:

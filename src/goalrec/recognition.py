@@ -1,24 +1,23 @@
-"""Vector mappings, the ranking heuristic, and the recognition loop.
+"""The streaming recognizer: every goal scored per observed fact.
 
-A goal's score is the l2 length of the direction from the masked initial
-state to the probability vector, minus the same length computed from the
-currently observed relaxed state.  Observed facts with positive
-probability shrink the second term; observed facts the goal assigns zero
-probability to enlarge it, punishing the goal.
+A goal's score is the l2 length of the direction from the masked initial state
+to its probability vector p, minus that length from the observed relaxed state
+s.  The direction has entry p_f - s_f*p_f where p_f > 0 and -s_f where p_f = 0,
+so observing a zero-probability fact punishes the goal.  `Recognizer` keeps the
+directions as the rows of a goals x facts matrix: an observed fact sets its
+column to 0 where p_f > 0 and to -1 where p_f = 0, and each row is re-normed.
 """
 
-from __future__ import annotations
-
 import json
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownIdError
+from .errors import ParameterError, UnknownIdError
 from .grounding import GroundProblem
 from .probability import FactProbabilityTable
-from .relaxed import RelaxedState
 
 
 @dataclass(frozen=True)
@@ -44,51 +43,28 @@ class ObservationEvent:
 def map_state(state: frozenset[int], fact_count: int) -> np.ndarray:
     """0/1 indicator vector of a planning state."""
     v = np.zeros(fact_count)
-    ids = sorted(state)
-    if ids and (ids[0] < 0 or ids[-1] >= fact_count):
-        raise UnknownIdError("state contains fact ids outside the problem")
-    v[ids] = 1.0
+    v[sorted(state)] = 1.0
     return v
 
 
-def map_probs(table: FactProbabilityTable) -> np.ndarray:
-    return np.array(table.p, dtype=float)
-
-
-def odot(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Masked elementwise product: s*v where v > 0, s elsewhere."""
-    if s.shape != v.shape:
-        raise ValueError(f"length mismatch: {s.shape} vs {v.shape}")
-    return np.where(v > 0, s * v, s)
-
-
-def direction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return y - x
-
-
-def heuristic(s0v: np.ndarray, stv: np.ndarray, pv: np.ndarray) -> float:
-    covered_start = float(np.linalg.norm(direction(odot(s0v, pv), pv)))
-    covered_now = float(np.linalg.norm(direction(odot(stv, pv), pv)))
-    return covered_start - covered_now
-
-
-def progress(
-    state: RelaxedState, obs: ObservationEvent, problem: GroundProblem
-) -> RelaxedState:
-    """Fold one observation into the observed relaxed state.
-
-    Preconditions of observed actions are not enforced: observation
-    sequences may be incomplete and intermediate states unknown.
-    """
+def progress(observed, obs: ObservationEvent, problem: GroundProblem) -> list[int]:
+    """The facts an observation adds that are not in `observed` yet.  An
+    action's preconditions are not enforced: observations may be partial."""
     if obs.action_id is not None:
         if not 0 <= obs.action_id < len(problem.actions):
             raise UnknownIdError(f"unknown action id: {obs.action_id}")
-        return state.union(problem.actions[obs.action_id].add)
-    if any(f < 0 or f >= problem.fact_count for f in obs.state_facts):
-        raise UnknownIdError("observed state contains unknown fact ids")
-    return state.union(obs.state_facts)
+        added = problem.actions[obs.action_id].add
+    else:
+        added = obs.state_facts
+        if any(f < 0 or f >= problem.fact_count for f in added):
+            raise UnknownIdError("observed state contains unknown fact ids")
+    return sorted(f for f in added if f not in observed)
+
+
+def heuristic(start: list[float], directions: np.ndarray) -> list[float]:
+    """Each goal's reward term minus the length of its direction row.  Per row, as
+    np.linalg.norm computes it: one einsum over the matrix differs in the last bits."""
+    return [s - math.sqrt(row.dot(row)) for s, row in zip(start, directions)]
 
 
 @dataclass
@@ -115,12 +91,10 @@ class RecognitionTrace:
 
     def to_json(self, include_timings: bool = True) -> str:
         # Timings can be dropped so outputs stay byte-identical per seed.
-        steps = []
-        for s in self.steps:
-            step = {"t": s.t, "h": s.heuristic, "recognized": s.recognized}
-            if include_timings:
+        steps = [{"t": s.t, "h": s.heuristic, "recognized": s.recognized} for s in self.steps]
+        if include_timings:
+            for step, s in zip(steps, self.steps):
                 step["elapsed_ns"] = s.elapsed_ns
-            steps.append(step)
         return json.dumps(steps, indent=2)
 
 
@@ -129,45 +103,70 @@ def _argmax_set(scores: list[float]) -> frozenset[int]:
     return frozenset(i for i, h in enumerate(scores) if h == top)
 
 
+class Recognizer:
+    """Online scores of every goal of `problem`, one table per goal."""
+
+    def __init__(self, problem: GroundProblem, tables: list[FactProbabilityTable]):
+        if len(tables) != len(problem.goals):
+            raise ParameterError(f"{len(tables)} probability tables for {len(problem.goals)} goals")
+        if any(np.shape(t.p) != (problem.fact_count,) for t in tables):
+            raise ParameterError(f"every table needs {problem.fact_count} probabilities")
+        probs = np.array([t.p for t in tables], dtype=float).reshape(len(tables), problem.fact_count)
+        if not ((probs >= 0.0) & (probs <= 1.0)).all():
+            raise ParameterError("probabilities must lie in [0, 1]")
+        s0 = map_state(problem.s0, problem.fact_count)
+        self.problem = problem
+        self.positive = probs > 0
+        self.directions = np.where(self.positive, probs - s0 * probs, -s0)
+        self.observed_value = np.where(self.positive, 0.0, -1.0)
+        self.start = [math.sqrt(row.dot(row)) for row in self.directions]
+        self.observed = dict.fromkeys(sorted(problem.s0))  # insertion-ordered set
+
+    def scores(self) -> list[float]:
+        """Current scores; exactly 0.0 for every goal before any observation."""
+        return heuristic(self.start, self.directions)
+
+    def observe(self, obs: ObservationEvent) -> list[float]:
+        """Fold one observation in and return the scores after it."""
+        new = progress(self.observed, obs, self.problem)
+        for f in new:
+            self.directions[:, f] = self.observed_value[:, f]
+            self.observed[f] = None
+        return self.scores()
+
+    def run(self, observations: list[ObservationEvent]) -> RecognitionTrace:
+        """One timed trace step per observation."""
+        steps = []
+        for t, obs in enumerate(observations, start=1):
+            start_ns = time.perf_counter_ns()
+            scores = self.observe(obs)
+            recognized = sorted(_argmax_set(scores))
+            steps.append(TraceStep(t, scores, recognized, time.perf_counter_ns() - start_ns))
+        return RecognitionTrace(steps)
+
+    def explain(self) -> list[dict]:
+        """Per goal: the reward term, the length left on the facts with positive
+        probability, and the observed zero-probability facts, by name in observed order."""
+        return [
+            {"reward": reward, "remaining": float(np.linalg.norm(row[pos])),
+             "penalized_facts": [self.problem.fact_name(f) for f in self.observed if not pos[f]]}
+            for reward, row, pos in zip(self.start, self.directions, self.positive)
+        ]
+
+
 def recognize(
-    problem: GroundProblem,
-    tables: list[FactProbabilityTable],
-    observations: list[ObservationEvent],
+    problem: GroundProblem, tables: list[FactProbabilityTable], observations: list[ObservationEvent]
 ) -> RecognitionResult:
-    """Score every goal against the observed relaxed state; ties all win."""
-    if len(tables) != len(problem.goals):
-        raise ValueError("one probability table per goal is required")
-    state = RelaxedState(problem.s0)
+    """Score every goal against all observations; ties all win."""
+    recognizer = Recognizer(problem, tables)
+    scores = recognizer.scores()
     for obs in observations:
-        state = progress(state, obs, problem)
-    s0v = map_state(problem.s0, problem.fact_count)
-    stv = map_state(state.facts, problem.fact_count)
-    scores = [heuristic(s0v, stv, map_probs(table)) for table in tables]
-    return RecognitionResult(
-        heuristic=dict(enumerate(scores)),
-        recognized=_argmax_set(scores),
-        t=len(observations),
-    )
+        scores = recognizer.observe(obs)
+    return RecognitionResult(dict(enumerate(scores)), _argmax_set(scores), len(observations))
 
 
 def recognize_online(
-    problem: GroundProblem,
-    tables: list[FactProbabilityTable],
-    observations: list[ObservationEvent],
+    problem: GroundProblem, tables: list[FactProbabilityTable], observations: list[ObservationEvent]
 ) -> RecognitionTrace:
-    """Incremental recognition: state carried forward, tables mapped once."""
-    if len(tables) != len(problem.goals):
-        raise ValueError("one probability table per goal is required")
-    pvs = [map_probs(table) for table in tables]
-    s0v = map_state(problem.s0, problem.fact_count)
-    state = RelaxedState(problem.s0)
-    steps: list[TraceStep] = []
-    for t, obs in enumerate(observations, start=1):
-        start_ns = time.perf_counter_ns()
-        state = progress(state, obs, problem)
-        stv = map_state(state.facts, problem.fact_count)
-        scores = [heuristic(s0v, stv, pv) for pv in pvs]
-        recognized = sorted(_argmax_set(scores))
-        elapsed = time.perf_counter_ns() - start_ns
-        steps.append(TraceStep(t, scores, recognized, elapsed))
-    return RecognitionTrace(steps)
+    """Incremental recognition: one timed step per observation."""
+    return Recognizer(problem, tables).run(observations)

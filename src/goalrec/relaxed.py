@@ -1,4 +1,4 @@
-"""Delete-relaxation semantics and relaxed planning graph construction."""
+"""Relaxed planning graphs from one delete-relaxed fixpoint per problem."""
 
 from __future__ import annotations
 
@@ -6,31 +6,7 @@ import threading
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import InapplicableActionError, UnknownIdError
-from .grounding import GroundAction, GroundProblem
-
-
-@dataclass(frozen=True)
-class RelaxedState:
-    """A planning state under delete relaxation; only ever grows."""
-
-    facts: frozenset[int]
-
-    def __contains__(self, fact_id: int) -> bool:
-        return fact_id in self.facts
-
-    def union(self, fact_ids) -> "RelaxedState":
-        return RelaxedState(self.facts | frozenset(fact_ids))
-
-
-def relaxed_apply(state: RelaxedState, action: GroundAction) -> RelaxedState:
-    """Apply an action ignoring its delete list."""
-    if not action.pre <= state.facts:
-        missing = sorted(action.pre - state.facts)
-        raise InapplicableActionError(
-            f"action {action.name} inapplicable; unmet preconditions: {missing}"
-        )
-    return state.union(action.add)
+from .grounding import GroundProblem
 
 
 @dataclass
@@ -185,8 +161,3 @@ def build_rpg(problem: GroundProblem, goal: frozenset[int]) -> RelaxedPlanningGr
         fact_levels, fp.action_levels[:level], level, goal, problem.fact_count
     )
 
-
-def relaxed_reachable(rpg: RelaxedPlanningGraph, fact_id: int) -> bool:
-    if not 0 <= fact_id < rpg.fact_count:
-        raise UnknownIdError(f"unknown fact id: {fact_id}")
-    return fact_id in rpg.fact_levels

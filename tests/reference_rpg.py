@@ -1,8 +1,10 @@
 """Reference relaxed planning graph and sampler, kept only for testing.
 
-This is the layered construction that rescans every action at every
-level, and the supporter sampler that looks for a demanded fact's
-candidates by scanning the graph's action levels upward.  The package
+Relaxed states, relaxed action application and reachability on a graph
+are used by the tests that replay sampled supporter sets.  Then there is
+the layered construction that rescans every action at every level, and
+the supporter sampler that looks for a demanded fact's candidates by
+scanning the graph's action levels upward.  The package
 computes one fixpoint per problem and looks the candidates up in a
 first-achiever index instead; tests check that both give equal graphs,
 equal sample lists and equal selection counts.
@@ -10,9 +12,41 @@ equal sample lists and equal selection counts.
 
 from __future__ import annotations
 
-from goalrec.errors import UnsupportedFactError
+from dataclasses import dataclass
+
+from goalrec.errors import InapplicableActionError, UnknownIdError, UnsupportedFactError
+from goalrec.grounding import GroundAction
 from goalrec.relaxed import RelaxedPlanningGraph
 from goalrec.sampling import SupporterSampleSet
+
+
+@dataclass(frozen=True)
+class RelaxedState:
+    """A planning state under delete relaxation; only ever grows."""
+
+    facts: frozenset[int]
+
+    def __contains__(self, fact_id: int) -> bool:
+        return fact_id in self.facts
+
+    def union(self, fact_ids) -> "RelaxedState":
+        return RelaxedState(self.facts | frozenset(fact_ids))
+
+
+def relaxed_apply(state: RelaxedState, action: GroundAction) -> RelaxedState:
+    """Apply an action ignoring its delete list."""
+    if not action.pre <= state.facts:
+        missing = sorted(action.pre - state.facts)
+        raise InapplicableActionError(
+            f"action {action.name} inapplicable; unmet preconditions: {missing}"
+        )
+    return state.union(action.add)
+
+
+def relaxed_reachable(rpg: RelaxedPlanningGraph, fact_id: int) -> bool:
+    if not 0 <= fact_id < rpg.fact_count:
+        raise UnknownIdError(f"unknown fact id: {fact_id}")
+    return fact_id in rpg.fact_levels
 
 
 def build_rpg_layered(problem, goal: frozenset[int]) -> RelaxedPlanningGraph:

@@ -1,14 +1,17 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from goalrec.bench import DEFAULT_LAMBDAS
+from goalrec import Recognizer, load_instance, prepare_instance
+from goalrec.bench import DEFAULT_LAMBDAS, estimate_tables
 from goalrec.cli import EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR, EXIT_OK, main
 from goalrec.errors import ParameterError
-from goalrec.gridgen import random_grid
+from goalrec.gridgen import MAX_GRID_DRAWS, random_grid
+from goalrec.probability import DEFAULT_N_SAMPLES
 
 from conftest import FIXTURES, TABLE1, TYPED_DOMAIN
 
@@ -203,6 +206,12 @@ class TestRecognize:
         assert "lambda must lie in [0, 1]" in captured.err
         assert captured.out == ""
 
+    def test_unwritable_explain_path_exits_one(self, tmp_path, capsys):
+        code = main(_grid_args("recognize", "--obs", str(GRID / "obs.dat"), "--explain", str(tmp_path)))
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
     def test_text_format(self, capsys):
         code = main(
             _grid_args("recognize", "--obs", str(GRID / "obs.dat"), "--format", "text")
@@ -210,6 +219,28 @@ class TestRecognize:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "t=2" in out and "recognized=[0]" in out
+
+    def test_explain_writes_score_terms(self, tmp_path, capsys):
+        args = _grid_args("recognize", "--obs", str(GRID / "obs.dat"))
+        assert main(args) == EXIT_OK
+        plain = capsys.readouterr().out
+        path = tmp_path / "out" / "explain.json"
+        assert main([*args, "--explain", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        h = json.loads(plain)[-1]["h"]
+        explain = json.loads(path.read_text())
+        assert len(explain) == 2
+        for goal in explain:
+            assert set(goal) == {"reward", "remaining", "penalized_facts"}
+        assert explain[1]["penalized_facts"] == ["(is-at c22)", "(is-at c21)"]
+
+        problem, events = prepare_instance(load_instance(GRID))
+        recognizer = Recognizer(problem, estimate_tables(problem, DEFAULT_N_SAMPLES, 0))
+        for event in events:
+            recognizer.observe(event)
+        for g, goal in enumerate(explain):
+            assert goal["reward"] == recognizer.start[g]
+            assert goal["reward"] - float(np.linalg.norm(recognizer.directions[g])) == h[g]
 
 
 class TestOracle:
@@ -341,6 +372,14 @@ class TestGenGrid:
         with pytest.raises(ParameterError):
             random_grid(rng, width=1, height=1, n_goals=3)
         assert rng.random() == np.random.default_rng(5).random()
+
+    def test_nearly_blocked_grid_exits_one_quickly(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["gen-grid", "--block-prob", "0.99", "--output", str(tmp_path / "g")])
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_INPUT_ERROR
+        assert f"in {MAX_GRID_DRAWS} draws" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_same_seed_same_instance(self, tmp_path, capsys):
         for name in ("a", "b"):

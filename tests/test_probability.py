@@ -14,11 +14,11 @@ from goalrec.probability import (
     NOISY_OR,
     estimate,
     exact_oracle,
-    not_observed,
 )
-from goalrec.relaxed import build_rpg, relaxed_reachable
+from goalrec.relaxed import build_rpg
 
 from conftest import TABLE1
+from reference_rpg import relaxed_reachable
 
 
 class TestEstimate:
@@ -108,14 +108,14 @@ class TestNotObserved:
         problem, _ = grid
         table = estimate(problem, 0)
         for f in range(problem.fact_count):
-            assert not_observed(table, f) == 1.0 - table.p[f]
-            assert table.p[f] + not_observed(table, f) == 1.0
+            assert table.not_observed(f) == 1.0 - table.p[f]
+            assert table.p[f] + table.not_observed(f) == 1.0
 
     def test_unknown_fact_id_raises(self, grid):
         problem, _ = grid
         table = estimate(problem, 0)
         with pytest.raises(UnknownIdError):
-            not_observed(table, problem.fact_count)
+            table.not_observed(problem.fact_count)
 
 
 class TestExactOracle:

@@ -1,4 +1,8 @@
-"""Vector mappings, ranking heuristic, and the online recognition loop."""
+"""Vector mappings, ranking heuristic, and the online recognition loop.
+
+The definitional mappings and heuristic live in reference_recognition;
+`Recognizer` is checked against them with `==`.
+"""
 
 import json
 import math
@@ -9,22 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from goalrec.errors import UnknownIdError
+from goalrec.errors import ParameterError, UnknownIdError
+from goalrec.grounding import GroundAction, GroundFact, GroundProblem
 from goalrec.probability import FactProbabilityTable, estimate, exact_oracle
-from goalrec.recognition import (
-    ObservationEvent,
-    direction,
-    heuristic,
-    map_probs,
-    map_state,
-    odot,
-    progress,
-    recognize,
-    recognize_online,
-)
-from goalrec.relaxed import RelaxedState
+from goalrec.recognition import ObservationEvent, Recognizer, recognize, recognize_online
 
 from conftest import TABLE1
+from reference_recognition import direction, heuristic, map_probs, map_state, odot, progress
+from reference_rpg import RelaxedState
 
 unit_vectors = arrays(
     float, st.integers(1, 8), elements=st.floats(0.0, 1.0, width=32)
@@ -317,3 +313,122 @@ class TestRecognizeOnline:
         a = recognize_online(problem, _grid_tables(problem), events)
         b = recognize_online(problem, _grid_tables(problem), events)
         assert a.to_json(include_timings=False) == b.to_json(include_timings=False)
+
+
+@st.composite
+def recognition_cases(draw):
+    """A small problem, one table per goal and a stream of observations.
+
+    Tables have zero entries (also on s0 facts), and observations repeat
+    facts of s0 and of earlier observations.
+    """
+    fact_count = draw(st.integers(1, 8))
+    fact = st.integers(0, fact_count - 1)
+    adds = draw(st.lists(st.frozensets(fact, max_size=3), max_size=5))
+    goal_count = draw(st.integers(1, 4))
+    problem = GroundProblem(
+        facts=[GroundFact(i, f"(f{i})") for i in range(fact_count)],
+        actions=[
+            GroundAction(i, f"(a{i})", frozenset(), add, frozenset())
+            for i, add in enumerate(adds)
+        ],
+        s0=draw(st.frozensets(fact, max_size=fact_count)),
+        goals=[frozenset({draw(fact)}) for _ in range(goal_count)],
+    )
+    prob = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    tables = [
+        FactProbabilityTable(g, np.array(draw(st.lists(prob, min_size=fact_count, max_size=fact_count))))
+        for g in range(goal_count)
+    ]
+    event = st.frozensets(fact, max_size=3).map(ObservationEvent.state)
+    if adds:
+        event = event | st.integers(0, len(adds) - 1).map(ObservationEvent.action)
+    return problem, tables, draw(st.lists(event, max_size=8))
+
+
+def _tiny_problem():
+    """Three facts, s0 = {f0}, two goals."""
+    return GroundProblem(
+        facts=[GroundFact(i, f"(f{i})") for i in range(3)],
+        actions=[GroundAction(0, "(a0)", frozenset(), frozenset({1}), frozenset())],
+        s0=frozenset({0}),
+        goals=[frozenset({1}), frozenset({2})],
+    )
+
+
+class TestRecognizer:
+    @given(recognition_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_scores_and_explanation_equal_reference(self, case):
+        problem, tables, events = case
+        recognizer = Recognizer(problem, tables)
+        pvs = [map_probs(t) for t in tables]
+        s0v = map_state(problem.s0, problem.fact_count)
+        assert recognizer.scores() == [heuristic(s0v, s0v, pv) for pv in pvs]
+        state = RelaxedState(problem.s0)
+        stv = s0v
+        for event in events:
+            state = progress(state, event, problem)
+            stv = map_state(state.facts, problem.fact_count)
+            assert recognizer.observe(event) == [heuristic(s0v, stv, pv) for pv in pvs]
+        for pv, goal in zip(pvs, recognizer.explain()):
+            assert goal["reward"] == float(np.linalg.norm(direction(odot(s0v, pv), pv)))
+            left = direction(odot(stv, pv), pv)[pv > 0]
+            assert goal["remaining"] == float(np.linalg.norm(left))
+            zero = {problem.fact_name(f) for f in state.facts if pv[f] == 0}
+            assert sorted(goal["penalized_facts"]) == sorted(zero)
+
+    @given(recognition_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_recognize_equals_last_online_step(self, case):
+        problem, tables, events = case
+        result = recognize(problem, tables, events)
+        trace = recognize_online(problem, tables, events)
+        final = trace.steps[-1].heuristic if trace.steps else Recognizer(problem, tables).scores()
+        assert [result.heuristic[g] for g in range(len(tables))] == final
+
+    def test_scores_before_observations_are_zero(self):
+        problem = _tiny_problem()
+        tables = [FactProbabilityTable(g, np.array([0.0, 0.3, 1.0])) for g in range(2)]
+        assert Recognizer(problem, tables).scores() == [0.0, 0.0]
+
+    def test_table_count_must_match_goals(self):
+        problem = _tiny_problem()
+        with pytest.raises(ParameterError, match="1 probability tables for 2 goals"):
+            Recognizer(problem, [FactProbabilityTable(0, np.zeros(3))])
+
+    def test_table_length_must_match_facts(self):
+        problem = _tiny_problem()
+        tables = [FactProbabilityTable(0, np.zeros(3)), FactProbabilityTable(1, np.zeros(4))]
+        with pytest.raises(ParameterError, match="every table needs 3 probabilities"):
+            Recognizer(problem, tables)
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+    def test_probabilities_must_lie_in_unit_interval(self, bad):
+        problem = _tiny_problem()
+        tables = [FactProbabilityTable(g, np.array([0.0, bad, 1.0])) for g in range(2)]
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 1\]"):
+            Recognizer(problem, tables)
+
+    def test_unknown_ids_rejected(self, grid):
+        problem, _ = grid
+        recognizer = Recognizer(problem, _grid_tables(problem))
+        with pytest.raises(UnknownIdError):
+            recognizer.observe(ObservationEvent.action(len(problem.actions)))
+        with pytest.raises(UnknownIdError):
+            recognizer.observe(ObservationEvent.state({-1}))
+        assert recognizer.scores() == [0.0, 0.0]
+
+    def test_explain_splits_the_score(self, grid):
+        problem, events = grid
+        recognizer = Recognizer(problem, _grid_tables(problem))
+        for event in events:
+            scores = recognizer.observe(event)
+        first, second = recognizer.explain()
+        assert first["penalized_facts"] == []
+        assert second["penalized_facts"] == ["(is-at c22)", "(is-at c21)"]
+        assert first["reward"] == pytest.approx(math.sqrt(3.5), abs=1e-9)
+        assert first["remaining"] == pytest.approx(math.sqrt(3.0), abs=1e-9)
+        assert second["remaining"] == pytest.approx(math.sqrt(3.5), abs=1e-9)
+        for g, goal in enumerate((first, second)):
+            assert goal["reward"] - float(np.linalg.norm(recognizer.directions[g])) == scores[g]

@@ -15,16 +15,16 @@ from goalrec.bench import build_problem, parse_hypothesis_line
 from goalrec.errors import GoalRecError, InapplicableActionError, UnknownIdError
 from goalrec.gridgen import DOMAIN_TEXT, bfs_distances, example_grid, random_grid, template_text
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
-from goalrec.relaxed import (
-    RelaxedState,
-    build_rpg,
-    fixpoint,
-    relaxed_apply,
-    relaxed_reachable,
-)
+from goalrec.relaxed import build_rpg, fixpoint
 from goalrec.sampling import SamplerState, sample_subgoal_supporters
 
-from reference_rpg import build_rpg_layered, sample_subgoal_supporters_scan
+from reference_rpg import (
+    RelaxedState,
+    build_rpg_layered,
+    relaxed_apply,
+    relaxed_reachable,
+    sample_subgoal_supporters_scan,
+)
 
 SPEC = example_grid()
 BLOCKED = sorted(SPEC.blocked)

@@ -5,13 +5,15 @@ import pytest
 from goalrec.bench import build_problem, parse_hypothesis_line
 from goalrec.errors import InsufficientSamplesError
 from goalrec.pddl import Literal
-from goalrec.relaxed import RelaxedState, build_rpg, relaxed_apply
+from goalrec.relaxed import build_rpg
 from goalrec.sampling import (
     SamplerState,
     SupporterSampleSet,
     generate_goal_supporters,
     sample_subgoal_supporters,
 )
+
+from reference_rpg import RelaxedState, relaxed_apply
 
 N = 10
 
