@@ -9,7 +9,6 @@ from .bench import (
     prepare_instance,
     run_benchmark,
     spread,
-    timing_profile,
 )
 from .grounding import GroundAction, GroundFact, GroundProblem, ground
 from .negation import compile_negations
@@ -63,5 +62,4 @@ __all__ = [
     "run_benchmark",
     "sample_subgoal_supporters",
     "spread",
-    "timing_profile",
 ]

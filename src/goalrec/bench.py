@@ -12,7 +12,7 @@ import json
 import re
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import mean, pstdev
 
@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import DatasetError, GoalRecError, ParameterError
 from .grounding import GroundProblem, ground
-from .gridgen import GridSpec, random_grid, write_instance
 from .negation import compile_hypothesis, compile_negations, negated_predicates
-from .pddl import DomainAst, Literal, parse_domain, parse_problem
+from .pddl import Literal, parse_atom, parse_domain, parse_problem
 from .probability import DEFAULT_N_SAMPLES, EMPIRICAL_UNION, FactProbabilityTable, estimate
 from .recognition import ObservationEvent, RecognitionTrace, recognize_online
 
@@ -43,42 +42,18 @@ class RecognitionInstance:
     observations: tuple[str, ...]  # canonical ground action names
 
 
-def _parse_atom(text: str) -> Literal:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").lower().split()
-    def read(pos):
-        if pos >= len(tokens):
-            raise DatasetError(f"unparsable atom: {text!r}")
-        if tokens[pos] == "(":
-            items = []
-            pos += 1
-            while pos < len(tokens) and tokens[pos] != ")":
-                item, pos = read(pos)
-                items.append(item)
-            if pos >= len(tokens):
-                raise DatasetError(f"unparsable atom: {text!r}")
-            return items, pos + 1
-        return tokens[pos], pos + 1
-
-    sexp, end = read(0)
-    if end != len(tokens) or not isinstance(sexp, list) or not sexp:
-        raise DatasetError(f"unparsable atom: {text!r}")
-    if sexp[0] == "not":
-        if len(sexp) != 2 or not isinstance(sexp[1], list) or not sexp[1]:
-            raise DatasetError(f"unparsable atom: {text!r}")
-        inner = sexp[1]
-        if not all(isinstance(x, str) for x in inner):
-            raise DatasetError(f"unparsable atom: {text!r}")
-        return Literal(inner[0], tuple(inner[1:]), negated=True)
-    if not all(isinstance(x, str) for x in sexp):
-        raise DatasetError(f"unparsable atom: {text!r}")
-    return Literal(sexp[0], tuple(sexp[1:]))
+def _dataset_atom(text: str) -> Literal:
+    try:
+        return parse_atom(text)
+    except GoalRecError as exc:
+        raise DatasetError(f"unparsable atom: {text!r} ({exc})") from None
 
 
 def parse_hypothesis_line(line: str) -> frozenset[Literal]:
     atoms = _ATOM_RE.findall(line)
     if not atoms:
         raise DatasetError(f"hypothesis line has no atoms: {line!r}")
-    return frozenset(_parse_atom(atom) for atom in atoms)
+    return frozenset(_dataset_atom(atom) for atom in atoms)
 
 
 def parse_observations(text: str) -> tuple[str, ...]:
@@ -87,7 +62,7 @@ def parse_observations(text: str) -> tuple[str, ...]:
     for line in text.splitlines():
         if not line.strip():
             continue
-        lit = _parse_atom(line.strip())
+        lit = _dataset_atom(line.strip())
         if lit.negated:
             raise DatasetError(f"unparsable observation line: {line!r}")
         names.append(lit.canonical())
@@ -378,16 +353,17 @@ def run_benchmark(
             t0 = time.perf_counter()
             tables = estimate_tables(problem, n_samples, inst_seed, aggregation)
             est_seconds = time.perf_counter() - t0
+            t0 = time.perf_counter()
             trace = recognize_online(problem, tables, events)
+            obs_seconds = time.perf_counter() - t0
             goal_count = len(problem.goals)
             total = len(instance.observations)
             truths.append(instance.true_goal_index)
             for lam in lambdas:
                 recognized[lam].append(recognized_at(trace, goal_count, total, lam))
             estimation_times.append(est_seconds / goal_count)
-            step_ns = [s.elapsed_ns for s in trace.steps]
-            if step_ns:
-                observation_times.append(mean(step_ns) / 1e9)
+            # The whole call, Recognizer set-up included; obs.dat is never empty.
+            observation_times.append(obs_seconds / total)
             if repeat == 0:
                 records.append(
                     InstanceRecord(
@@ -428,78 +404,6 @@ def run_benchmark(
         seed=seed,
         repeats=repeats,
         aggregation=aggregation,
-        estimation_seconds_per_goal=mean(estimation_times) if estimation_times else 0.0,
-        seconds_per_observation=mean(observation_times) if observation_times else 0.0,
+        estimation_seconds_per_goal=mean(estimation_times),
+        seconds_per_observation=mean(observation_times),
     )
-
-
-# ── Timing profile ───────────────────────────────────────────────────────
-
-
-def _walk_observations(spec: GridSpec, length: int, rng: np.random.Generator):
-    """A random open-cell walk; observed actions need no applicability check."""
-    moves = []
-    cell = spec.start
-    for _ in range(length):
-        nxt = spec.neighbors(cell)
-        pick = nxt[int(rng.integers(len(nxt)))]
-        moves.append((cell, pick))
-        cell = pick
-    return tuple(moves)
-
-
-def timing_profile(
-    dataset_root: str | Path,
-    observation_counts=(5, 10, 25, 50, 100),
-    goal_counts=(5, 10),
-    n_samples: int = DEFAULT_N_SAMPLES,
-    seed: int = 0,
-    grid_side: int = 12,
-) -> dict:
-    """Estimation and per-observation timing on a generated grid instance.
-
-    Separates the one-time probability estimation cost from the
-    per-observation recognition cost.  The generated instance is written
-    under the dataset root for inspection.
-    """
-    rng = np.random.default_rng(seed)
-    spec = random_grid(
-        rng, width=grid_side, height=grid_side, n_goals=max(goal_counts), block_prob=0.0
-    )
-    spec = replace(spec, observations=_walk_observations(spec, max(observation_counts), rng))
-    write_instance(Path(dataset_root) / "timing-grid", spec)
-    instance = load_instance(Path(dataset_root) / "timing-grid")
-    problem, events = prepare_instance(instance)
-
-    estimation_rows = []
-    for count in goal_counts:
-        sub = GroundProblem(
-            problem.facts,
-            problem.actions,
-            problem.s0,
-            problem.goals[:count],
-            problem.fact_ids,
-            problem.action_ids,
-        )
-        t0 = time.perf_counter()
-        tables = estimate_tables(sub, n_samples, seed)
-        seconds = time.perf_counter() - t0
-        estimation_rows.append(
-            {"goals": count, "seconds": seconds, "seconds_per_goal": seconds / count}
-        )
-
-    tables = estimate_tables(problem, n_samples, seed)
-    recognition_rows = []
-    for count in observation_counts:
-        t0 = time.perf_counter()
-        recognize_online(problem, tables, events[:count])
-        seconds = time.perf_counter() - t0
-        recognition_rows.append(
-            {
-                "observations": count,
-                "seconds": seconds,
-                "seconds_per_observation": seconds / count,
-            }
-        )
-
-    return {"estimation": estimation_rows, "recognition": recognition_rows}

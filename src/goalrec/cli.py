@@ -23,7 +23,7 @@ from .bench import (
     prefix_length,
     run_benchmark,
 )
-from .errors import GoalRecError, SearchCapExceededError
+from .errors import GoalRecError, ParameterError, SearchCapExceededError
 from .gridgen import random_grid, write_instance
 from .probability import (
     DEFAULT_N_SAMPLES,
@@ -149,6 +149,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_grid(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     spec = random_grid(
         rng,

@@ -9,7 +9,7 @@ spaces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PddlSyntaxError, UnsupportedRequirementError, ValidationError
@@ -31,7 +31,7 @@ class Literal:
     negated: bool = False
 
     def negate(self) -> "Literal":
-        return replace(self, negated=not self.negated)
+        return Literal(self.predicate, self.args, not self.negated)
 
     def canonical(self) -> str:
         inner = " ".join((self.predicate,) + self.args) if self.args else self.predicate
@@ -226,6 +226,11 @@ def _parse_literal(sexp: object, *, allow_negation: bool) -> Literal:
     if not all(isinstance(a, str) for a in args):
         raise ValidationError(f"malformed literal arguments: {sexp}")
     return Literal(head, tuple(args))
+
+
+def parse_atom(text: str) -> Literal:
+    """One ground atom, "(pred arg ...)" or "(not (pred arg ...))"."""
+    return _parse_literal(_read_single(text), allow_negation=True)
 
 
 def _flatten_conjunction(sexp: object) -> list:
@@ -463,51 +468,3 @@ def _validate_problem(problem: ProblemAst, domain: DomainAst) -> None:
                         f"object {arg} of type {object_type[arg]} does not fit "
                         f"{typ} in {where} atom {lit.canonical()}"
                     )
-
-
-# ── Printing (round-trip subset) ─────────────────────────────────────────
-
-
-def _typed_list_str(pairs) -> str:
-    return " ".join(f"{name} - {typ}" for name, typ in pairs)
-
-
-def print_domain(domain: DomainAst) -> str:
-    lines = [f"(define (domain {domain.name})"]
-    lines.append("  (:requirements " + " ".join(sorted(domain.requirements)) + ")")
-    if domain.types:
-        lines.append("  (:types " + _typed_list_str(domain.types) + ")")
-    preds = " ".join(
-        "(" + " ".join((p.name,) + tuple(f"{v} - {t}" for v, t in p.params)) + ")"
-        for p in domain.predicates
-    )
-    lines.append(f"  (:predicates {preds})")
-    uses_costs = ":action-costs" in domain.requirements
-    if uses_costs:
-        lines.append("  (:functions (total-cost))")
-    for schema in domain.schemas:
-        params = " ".join(f"{v} - {t}" for v, t in schema.params)
-        pre = " ".join(lit.canonical() for lit in schema.pre)
-        effects = [lit.canonical() for lit in schema.add]
-        effects += [f"(not {lit.canonical()})" for lit in schema.delete]
-        if uses_costs:
-            effects.append(f"(increase (total-cost) {schema.cost})")
-        lines.append(f"  (:action {schema.name}")
-        lines.append(f"    :parameters ({params})")
-        lines.append(f"    :precondition (and {pre})")
-        lines.append(f"    :effect (and {' '.join(effects)}))")
-    lines.append(")")
-    return "\n".join(lines)
-
-
-def print_problem(problem: ProblemAst) -> str:
-    lines = [f"(define (problem {problem.name})"]
-    lines.append(f"  (:domain {problem.domain_name})")
-    if problem.objects:
-        lines.append("  (:objects " + _typed_list_str(problem.objects) + ")")
-    init = " ".join(lit.canonical() for lit in sorted(problem.init, key=Literal.canonical))
-    lines.append(f"  (:init {init})")
-    goal = " ".join(lit.canonical() for lit in sorted(problem.goal, key=Literal.canonical))
-    lines.append(f"  (:goal (and {goal}))")
-    lines.append(")")
-    return "\n".join(lines)

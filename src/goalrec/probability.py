@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,6 +194,8 @@ def exact_oracle(
     p[f] is the fraction of optimal plans whose observed facts (s0 plus the
     union of add effects) contain f.
     """
+    if max_states < 1:
+        raise ParameterError(f"state cap must be positive, got {max_states}")
     plans = _optimal_plans(problem, problem.goals[goal_index], max_states)
     counts = np.zeros(problem.fact_count)
     for plan in plans:

@@ -25,26 +25,6 @@ class RelaxedPlanningGraph:
     unreachable: bool = False
     unreached_goal_facts: frozenset[int] = field(default_factory=frozenset)
 
-    def dump(self, problem: GroundProblem) -> str:
-        lines = []
-        by_level: dict[int, list[str]] = {}
-        for fact, level in self.fact_levels.items():
-            by_level.setdefault(level, []).append(problem.fact_name(fact))
-        for level in range(self.levels + 1):
-            names = ", ".join(sorted(by_level.get(level, [])))
-            lines.append(f"level {level} facts: {names}")
-            if level < len(self.action_levels):
-                acts = ", ".join(
-                    sorted(problem.actions[a].name for a in self.action_levels[level])
-                )
-                lines.append(f"level {level} actions: {acts}")
-        if self.unreachable:
-            unreached = ", ".join(
-                sorted(problem.fact_name(f) for f in self.unreached_goal_facts)
-            )
-            lines.append(f"unreachable goal facts: {unreached}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class RelaxedFixpoint:
@@ -160,4 +140,3 @@ def build_rpg(problem: GroundProblem, goal: frozenset[int]) -> RelaxedPlanningGr
     return RelaxedPlanningGraph(
         fact_levels, fp.action_levels[:level], level, goal, problem.fact_count
     )
-

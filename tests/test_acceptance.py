@@ -8,6 +8,7 @@ criteria only.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from goalrec import (
     recognize_online,
     run_benchmark,
 )
-from goalrec.bench import precision, recognized_at, spread, timing_profile
+from goalrec.bench import estimate_tables, precision, recognized_at, spread
 from goalrec.cli import EXIT_OK, main
 from goalrec.gridgen import random_grid, write_instance
 from goalrec.probability import FactProbabilityTable
@@ -278,21 +279,31 @@ def test_criterion_5_sampler_properties(grid, chain, logistics):
 
 def test_criterion_6_timing_scaling(tmp_path):
     start = time.perf_counter()
-    obs_ratio = est_ratio = None
+    obs_ratio = est_ratio = math.inf
     for attempt in range(3):  # timing is noisy; accept the best of 3 runs
-        profile = timing_profile(
-            tmp_path / f"run{attempt}",
-            observation_counts=(5, 100),
-            goal_counts=(5, 10),
-            n_samples=10,
-            seed=attempt,
-            grid_side=12,
-        )
-        per_obs = {r["observations"]: r["seconds_per_observation"]
-                   for r in profile["recognition"]}
-        per_goal = {r["goals"]: r["seconds"] for r in profile["estimation"]}
-        obs_ratio = min(obs_ratio or math.inf, per_obs[100] / per_obs[5])
-        est_ratio = min(est_ratio or math.inf, per_goal[10] / per_goal[5])
+        rng = np.random.default_rng(attempt)
+        spec = random_grid(rng, width=12, height=12, n_goals=10, block_prob=0.0)
+        instance = load_instance(write_instance(tmp_path / f"run{attempt}", spec))
+        problem, _ = prepare_instance(instance)
+
+        per_goal = {}
+        for count in (5, 10):
+            sub = replace(problem, goals=problem.goals[:count])
+            t0 = time.perf_counter()
+            estimate_tables(sub, 10, attempt)
+            per_goal[count] = time.perf_counter() - t0
+
+        tables = estimate_tables(problem, 10, attempt)
+        # One state event per fact, so every event observes a new fact.
+        events = [ObservationEvent.state({f}) for f in range(100)]
+        per_obs = {}
+        for count in (5, 100):
+            t0 = time.perf_counter()
+            recognize_online(problem, tables, events[:count])
+            per_obs[count] = (time.perf_counter() - t0) / count
+
+        obs_ratio = min(obs_ratio, per_obs[100] / per_obs[5])
+        est_ratio = min(est_ratio, per_goal[10] / per_goal[5])
         if obs_ratio <= 2.0 and est_ratio <= 2.5:
             break
     elapsed = time.perf_counter() - start

@@ -2,9 +2,12 @@
 
 import json
 import shutil
+from statistics import mean
+from types import SimpleNamespace
 
 import pytest
 
+from goalrec import bench
 from goalrec.bench import (
     DEFAULT_LAMBDAS,
     load_instance,
@@ -15,7 +18,6 @@ from goalrec.bench import (
     recognized_at,
     run_benchmark,
     spread,
-    timing_profile,
 )
 from goalrec.errors import DatasetError
 from goalrec.recognition import RecognitionTrace, TraceStep
@@ -66,6 +68,11 @@ class TestLoadInstance:
             "(m c23 c22)",
             "(m c22 c21)",
         )
+
+    def test_semicolon_starts_a_comment(self):
+        assert parse_observations("(m c23 c22) ; first move\n") == ("(m c23 c22)",)
+        with pytest.raises(DatasetError, match="unparsable atom"):
+            parse_observations("(m c23;c22)\n")
 
     @pytest.mark.parametrize("line", ["(m c23 c22) (m c22 c21)", "(not (m c23 c22))"])
     def test_malformed_observation_line_raises(self, line):
@@ -150,6 +157,24 @@ class TestRunBenchmark:
         assert [name for name, _ in report.failures] == ["broken"]
         assert len(report.instances) == 2
 
+    def test_seconds_per_observation_times_whole_call(self, monkeypatch):
+        # A fake clock that only recognize_online moves, by one second per
+        # call: each instance then costs 1 / |O| seconds per observation,
+        # whatever its steps' own elapsed_ns say.
+        clock = SimpleNamespace(now=0.0)
+        real = bench.recognize_online
+
+        def one_second_call(problem, tables, events):
+            clock.now += 1.0
+            return real(problem, tables, events)
+
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+        monkeypatch.setattr(bench, "recognize_online", one_second_call)
+        report = run_benchmark(FIXTURES, seed=0)
+        expected = mean(1.0 / rec.observation_count for rec in report.instances)
+        assert report.seconds_per_observation == pytest.approx(expected)
+        assert report.estimation_seconds_per_goal == 0.0
+
     def test_empty_dataset_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             run_benchmark(tmp_path)
@@ -168,17 +193,3 @@ class TestRunBenchmark:
         assert csv[2].startswith("fpv-std,")
         assert csv[3].startswith("uniform,")
 
-
-class TestTimingProfile:
-    def test_profile_shape(self, tmp_path):
-        profile = timing_profile(
-            tmp_path,
-            observation_counts=(2, 4),
-            goal_counts=(2, 4),
-            grid_side=6,
-        )
-        assert [row["goals"] for row in profile["estimation"]] == [2, 4]
-        assert [row["observations"] for row in profile["recognition"]] == [2, 4]
-        for row in profile["estimation"]:
-            assert row["seconds_per_goal"] > 0
-        assert (tmp_path / "timing-grid" / "domain.pddl").is_file()

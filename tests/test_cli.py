@@ -260,6 +260,13 @@ class TestOracle:
         assert code == EXIT_CAP_EXCEEDED
         assert "10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_state_cap_exits_one(self, tmp_path, capsys, cap):
+        code = main(_grid_args("oracle", "--max-states", cap, "--output", str(tmp_path)))
+        assert code == EXIT_INPUT_ERROR
+        assert f"state cap must be positive, got {cap}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unique_plan_fixture_zero_one_values(self, tmp_path, capsys):
         chain = FIXTURES / "chain"
         code = main(
@@ -379,6 +386,12 @@ class TestGenGrid:
         assert time.perf_counter() - start < 2.0
         assert code == EXIT_INPUT_ERROR
         assert f"in {MAX_GRID_DRAWS} draws" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        code = main(["gen-grid", "--seed", "-1", "--output", str(tmp_path / "g")])
+        assert code == EXIT_INPUT_ERROR
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
     def test_same_seed_same_instance(self, tmp_path, capsys):

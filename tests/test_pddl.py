@@ -1,4 +1,4 @@
-"""Parser, validation, negation compilation, and round-trip printing."""
+"""Parser, validation and negation compilation."""
 
 import re
 from fractions import Fraction
@@ -18,10 +18,9 @@ from goalrec.pddl import (
     Literal,
     _token_texts,
     _tokenize,
+    parse_atom,
     parse_domain,
     parse_problem,
-    print_domain,
-    print_problem,
 )
 
 from conftest import FIXTURES, TYPED_DOMAIN
@@ -307,23 +306,28 @@ class TestCompileNegations:
         assert out_problem is problem
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("text", [MINIMAL_DOMAIN, DOOR_DOMAIN, DOMAIN_TEXT])
-    def test_domain_round_trip(self, text):
-        ast = parse_domain(text)
-        assert parse_domain(print_domain(ast)) == ast
+class TestParseAtom:
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("(IS-AT C1)", Literal("is-at", ("c1",))),
+            ("(handempty)", Literal("handempty", ())),
+            ("  (adj c1\tc2)  ", Literal("adj", ("c1", "c2"))),
+            ("(not (adj c1 c2))", Literal("adj", ("c1", "c2"), negated=True)),
+            ("(is-at c1) ; seen twice", Literal("is-at", ("c1",))),
+        ],
+    )
+    def test_reads_one_atom(self, text, expected):
+        assert parse_atom(text) == expected
 
-    def test_problem_round_trip(self):
-        domain, problem = _problem(
-            """\
-(define (problem p)
-  (:domain grid-nav)
-  (:objects c1 c22 c23)
-  (:init (is-at c23) (adj c23 c22) (adj c22 c23))
-  (:goal (and (is-at c1))))
-"""
-        )
-        assert parse_problem(print_problem(problem), domain) == problem
+    @pytest.mark.parametrize(
+        "text",
+        ["", "is-at", "()", "(is-at (c1))", "(is-at c1", "(is-at c1) (is-at c2)",
+         "(not)", "(not is-at)", "(not (not (is-at c1)))", "(is-at c1;c2)"],
+    )
+    def test_malformed_atom_raises(self, text):
+        with pytest.raises((PddlSyntaxError, ValidationError)):
+            parse_atom(text)
 
 
 def _tokenize_by_character(text):

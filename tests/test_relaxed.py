@@ -110,13 +110,6 @@ class TestBuildRpg:
                 for f in problem.actions[aid].pre:
                     assert rpg.fact_levels[f] <= t
 
-    def test_dump_mentions_every_level(self, grid):
-        problem, _ = grid
-        rpg = build_rpg(problem, problem.goals[0])
-        dump = rpg.dump(problem)
-        for level in range(rpg.levels + 1):
-            assert f"level {level} facts:" in dump
-
 
 class TestRelaxedReachable:
     def test_s0_facts_reachable(self, grid):
