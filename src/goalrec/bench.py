@@ -169,20 +169,20 @@ def estimate_tables(
 def precision(recognized_sets: list[frozenset[int]], truths: list[int]) -> float:
     """Mean of [true goal in recognized set] / |recognized set|."""
     if len(recognized_sets) != len(truths):
-        raise ValueError("recognized sets and truths must align")
+        raise ParameterError("recognized sets and truths must align")
     if not recognized_sets:
-        raise ValueError("empty dataset")
+        raise ParameterError("empty dataset")
     total = 0.0
     for recognized, truth in zip(recognized_sets, truths):
         if not recognized:
-            raise ValueError("recognized sets must be nonempty")
+            raise ParameterError("recognized sets must be nonempty")
         total += (1.0 if truth in recognized else 0.0) / len(recognized)
     return total / len(recognized_sets)
 
 
 def spread(recognized_sets: list[frozenset[int]]) -> float:
     if not recognized_sets:
-        raise ValueError("empty dataset")
+        raise ParameterError("empty dataset")
     return mean(len(s) for s in recognized_sets)
 
 
@@ -323,6 +323,8 @@ def run_benchmark(
         _check_lambda(lam)
     if repeats < 1:
         raise ParameterError(f"repeats must be positive, got {repeats}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     candidates = sorted(p for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
     if not candidates:
         raise DatasetError(f"no instance directories under {root}")

@@ -1,9 +1,10 @@
 """Per-goal fact observation probability tables.
 
 The sampling estimator turns combined supporter sets into an empirical
-fraction per fact; an exhaustive optimal-plan oracle provides exact
-probabilities on small instances under a uniform distribution over
-cost-optimal plans.  Initial-state facts are always assigned probability 1.
+fraction per fact.  The exact oracle gives the probabilities under a
+uniform distribution over cost-optimal plans; it counts the plans in one
+uniform-cost search and never lists them, so its cost follows the number
+of reachable states, not of plans.  Initial-state facts get probability 1.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SearchCapExceededError, UnknownIdError, UnreachableGoalError
+from .errors import ParameterError, SearchCapExceededError, UnknownIdError
+from .errors import UnreachableGoalError, ValidationError
 from .grounding import GroundProblem
 from .relaxed import build_rpg
 from .sampling import (
@@ -55,11 +57,17 @@ class FactProbabilityTable:
         return out.getvalue()
 
 
+def _goal(problem: GroundProblem, goal_index: int) -> frozenset[int]:
+    if not 0 <= goal_index < len(problem.goals):
+        raise UnknownIdError(f"unknown goal index: {goal_index}")
+    return problem.goals[goal_index]
+
+
 def sample_combined_sets(
     problem: GroundProblem, goal_index: int, n: int, seed: int
 ) -> list[SupporterSampleSet] | None:
     """Run the two sampling stages; None when the goal is relaxed-unreachable."""
-    goal = problem.goals[goal_index]
+    goal = _goal(problem, goal_index)
     rpg = build_rpg(problem, goal)
     if rpg.unreachable:
         return None
@@ -120,68 +128,7 @@ def estimate(
     return FactProbabilityTable(goal_index, p, source=aggregation)
 
 
-# ── Exhaustive oracle ────────────────────────────────────────────────────
-
-
-def _optimal_plans(problem: GroundProblem, goal: frozenset[int], max_states: int):
-    """Enumerate all cost-optimal plans via a uniform-cost predecessor DAG."""
-    start = frozenset(problem.s0)
-    dist: dict[frozenset[int], object] = {start: 0}
-    preds: dict[frozenset[int], list] = {start: []}
-    heap = [(0, 0, start)]
-    tie = 1
-    best = None
-    goal_states = []
-    expanded: set[frozenset[int]] = set()
-
-    while heap:
-        g, _, state = heapq.heappop(heap)
-        if g != dist.get(state):
-            continue
-        if best is not None and g > best:
-            break
-        if goal <= state:
-            best = g
-            goal_states.append(state)
-            continue  # optimal plans never pass through a goal state
-        if state in expanded:
-            continue
-        expanded.add(state)
-        if len(expanded) > max_states:
-            raise SearchCapExceededError(max_states)
-        for action in problem.actions:
-            if not action.pre <= state:
-                continue
-            succ = frozenset((state - action.delete) | action.add)
-            ng = g + action.cost
-            if best is not None and ng > best:
-                continue
-            old = dist.get(succ)
-            if old is None or ng < old:
-                dist[succ] = ng
-                preds[succ] = [(state, action.id)]
-                heapq.heappush(heap, (ng, tie, succ))
-                tie += 1
-            elif ng == old:
-                preds[succ].append((state, action.id))
-
-    if best is None:
-        raise UnreachableGoalError("goal unreachable under full semantics")
-
-    plans: list[tuple[int, ...]] = []
-
-    def walk(state, suffix, on_path):
-        if state == start:
-            plans.append(tuple(reversed(suffix)))
-            return
-        for prev, aid in preds[state]:
-            if prev in on_path:
-                continue  # zero-cost cycle guard
-            walk(prev, suffix + [aid], on_path | {prev})
-
-    for gs in goal_states:
-        walk(gs, [], {gs})
-    return plans
+# ── Exact oracle ─────────────────────────────────────────────────────────
 
 
 def exact_oracle(
@@ -191,18 +138,65 @@ def exact_oracle(
 ) -> FactProbabilityTable:
     """Exact table under a uniform distribution over cost-optimal plans.
 
-    p[f] is the fraction of optimal plans whose observed facts (s0 plus the
-    union of add effects) contain f.
+    p[f] = (N - N_f) / N, where N counts the optimal plans and N_f those in
+    which no action adds f; s0 facts get 1.0.  One uniform-cost search
+    counts them: each state on its frontier holds fact_count + 1 ints (N and
+    every N_f over its optimal paths from s0), so memory is at most one such
+    list per reached state.  Zero-cost self-loops are skipped; any other
+    zero-cost edge into an expanded state, as every zero-cost cycle makes,
+    raises ValidationError.  More than max_states non-goal expansions raise
+    SearchCapExceededError.
     """
     if max_states < 1:
         raise ParameterError(f"state cap must be positive, got {max_states}")
-    plans = _optimal_plans(problem, problem.goals[goal_index], max_states)
-    counts = np.zeros(problem.fact_count)
-    for plan in plans:
-        observed = set(problem.s0)
-        for aid in plan:
-            observed |= problem.actions[aid].add
-        counts[sorted(observed)] += 1.0
-    return FactProbabilityTable(
-        goal_index, counts / len(plans), source=EXACT
-    )
+    goal = _goal(problem, goal_index)
+    start = frozenset(problem.s0)
+    dist: dict[frozenset[int], object] = {start: 0}
+    paths = {start: [1] * (problem.fact_count + 1)}  # the frontier's counts
+    heap = [(0, 0, start)]
+    tie = 1
+    best = None
+    total = [0] * (problem.fact_count + 1)
+    expanded = 0
+
+    while heap:
+        g, _, state = heapq.heappop(heap)
+        if g != dist[state]:
+            continue
+        if best is not None and g > best:
+            break
+        counts = paths.pop(state)  # final: each state gets here once
+        if goal <= state:
+            best = g
+            total = [t + c for t, c in zip(total, counts)]
+            continue  # optimal plans never pass through a goal state
+        expanded += 1
+        if expanded > max_states:
+            raise SearchCapExceededError(max_states)
+        for action in problem.actions:
+            if not action.pre <= state:
+                continue
+            succ = frozenset((state - action.delete) | action.add)
+            ng = g + action.cost
+            old = dist.get(succ)
+            if (best is not None and ng > best) or (old is not None and ng > old):
+                continue
+            masked = counts.copy()
+            for f in action.add:
+                masked[f] = 0
+            if old is None or ng < old:
+                dist[succ] = ng
+                paths[succ] = masked
+                heapq.heappush(heap, (ng, tie, succ))
+                tie += 1
+            elif succ in paths:
+                paths[succ] = [a + b for a, b in zip(paths[succ], masked)]
+            elif succ != state:  # expanded at cost ng, so the action costs 0
+                raise ValidationError(f"zero-cost action {action.name} returns to a counted state")
+
+    if best is None:
+        raise UnreachableGoalError("goal unreachable under full semantics")
+    n = total[-1]
+    p = np.array([(n - n_f) / n for n_f in total[:-1]])
+    p[sorted(problem.s0)] = 1.0
+    return FactProbabilityTable(goal_index, p, source=EXACT)

@@ -29,7 +29,7 @@ class ObservationEvent:
 
     def __post_init__(self):
         if (self.action_id is None) == (self.state_facts is None):
-            raise ValueError("exactly one of action_id/state_facts must be set")
+            raise ParameterError("exactly one of action_id/state_facts must be set")
 
     @classmethod
     def action(cls, action_id: int) -> "ObservationEvent":

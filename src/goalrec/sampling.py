@@ -45,8 +45,9 @@ class SamplerState:
 
     @classmethod
     def from_seed(cls, seed: int, *stream: int) -> "SamplerState":
-        entropy = [seed & 0xFFFFFFFFFFFFFFFF, *stream]
-        return cls(np.random.default_rng(np.random.SeedSequence(entropy)))
+        if seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {seed}")
+        return cls(np.random.default_rng(np.random.SeedSequence([seed, *stream])))
 
 
 def sample_subgoal_supporters(

@@ -19,7 +19,7 @@ from goalrec.bench import (
     run_benchmark,
     spread,
 )
-from goalrec.errors import DatasetError
+from goalrec.errors import DatasetError, GoalRecError, ParameterError
 from goalrec.recognition import RecognitionTrace, TraceStep
 
 from conftest import FIXTURES
@@ -99,11 +99,22 @@ class TestMetrics:
             precision([frozenset()], [0])
         with pytest.raises(ValueError):
             precision([frozenset({0})], [0, 1])
+        # Each rejection is a package error, so the CLI exits 1.
+        with pytest.raises(GoalRecError):
+            precision([], [])
+        with pytest.raises(GoalRecError):
+            precision([frozenset()], [0])
+        with pytest.raises(GoalRecError):
+            precision([frozenset({0})], [0, 1])
 
     def test_spread_unit_cases(self):
         assert spread([frozenset({0}), frozenset({1})]) == 1.0
         assert spread([frozenset({0}), frozenset({0, 1, 2})]) == 2.0
         assert spread([frozenset(range(5))] * 3) == 5.0
+        with pytest.raises(ValueError):
+            spread([])
+        with pytest.raises(GoalRecError):
+            spread([])
 
     def test_prefix_length_floors(self):
         assert prefix_length(3, 0.1) == 0
@@ -178,6 +189,13 @@ class TestRunBenchmark:
     def test_empty_dataset_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             run_benchmark(tmp_path)
+
+    def test_negative_seed_rejected_before_loading(self, tmp_path, monkeypatch):
+        # Instance seeds are masked to 31 bits, so the run seed is checked
+        # up front, before any instance is loaded or recorded as failing.
+        monkeypatch.setattr(bench, "load_instance", lambda path: pytest.fail(f"loaded {path}"))
+        with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+            run_benchmark(FIXTURES, seed=-1)
 
     def test_json_and_csv_outputs(self):
         report = run_benchmark(FIXTURES, seed=0, repeats=2)

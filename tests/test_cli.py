@@ -135,6 +135,23 @@ class TestEstimate:
         assert "(at y1)" in capsys.readouterr().err
 
 
+class TestSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _grid_args("estimate", "--output", "out"),
+            _grid_args("recognize", "--obs", str(GRID / "obs.dat")),
+            ["bench", "--dataset", str(FIXTURES), "--output", "out"],
+        ],
+        ids=["estimate", "recognize", "bench"],
+    )
+    def test_negative_seed_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--seed", "-1"]) == EXIT_INPUT_ERROR
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsageErrors:
     def _exit_code(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -282,6 +299,45 @@ class TestOracle:
         for i in range(2):
             _, rows = _read_csv(tmp_path / f"goal_{i}.csv")
             assert all(observed in (0.0, 1.0) for observed, _ in rows.values())
+
+
+    def test_zero_cost_cycle_exits_one(self, tmp_path, capsys):
+        # (back) undoes (go) at no cost: a zero-cost cycle between s0 and
+        # the state after (go), which the plan-counting oracle rejects.
+        domain = tmp_path / "domain.pddl"
+        domain.write_text(
+            "(define (domain loop)\n"
+            "  (:requirements :strips :action-costs)\n"
+            "  (:predicates (a) (b) (g))\n"
+            "  (:functions (total-cost))\n"
+            "  (:action go :parameters () :precondition (a)\n"
+            "    :effect (and (b) (not (a)) (increase (total-cost) 0)))\n"
+            "  (:action back :parameters () :precondition (b)\n"
+            "    :effect (and (a) (not (b)) (increase (total-cost) 0)))\n"
+            "  (:action finish :parameters () :precondition (b)\n"
+            "    :effect (and (g) (increase (total-cost) 1))))\n"
+        )
+        template = tmp_path / "template.pddl"
+        template.write_text(
+            "(define (problem loop-p) (:domain loop) (:init (a))\n"
+            "  (:goal (and <HYPOTHESIS>)))\n"
+        )
+        hyps = tmp_path / "hyps.dat"
+        hyps.write_text("(g)\n")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "oracle",
+                "--domain", str(domain),
+                "--template", str(template),
+                "--hyps", str(hyps),
+                "--output", str(out),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: zero-cost action (back)")
+        assert not out.exists()
 
 
 class TestBench:

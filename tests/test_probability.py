@@ -1,14 +1,30 @@
-"""Probability tables: sampling estimator and exact optimal-plan oracle."""
+"""Probability tables: sampling estimator and exact optimal-plan oracle.
+
+The oracle counts optimal plans; reference_oracle lists them, and the
+tests check that both give equal tables.
+"""
+
+import time
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goalrec.bench import build_problem, parse_hypothesis_line
 from goalrec.errors import (
+    GoalRecError,
     SearchCapExceededError,
     UnknownIdError,
     UnreachableGoalError,
+    ValidationError,
 )
+from goalrec.gridgen import DOMAIN_TEXT, GridSpec, random_grid, template_text
+from goalrec.grounding import GroundAction, GroundFact, GroundProblem
 from goalrec.probability import (
+    DEFAULT_STATE_CAP,
     EMPIRICAL_UNION,
     EXACT,
     NOISY_OR,
@@ -18,6 +34,7 @@ from goalrec.probability import (
 from goalrec.relaxed import build_rpg
 
 from conftest import TABLE1
+from reference_oracle import exact_oracle_enumerated
 from reference_rpg import relaxed_reachable
 
 
@@ -102,6 +119,20 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(problem, 0, aggregation="mean-field")
 
+    @pytest.mark.parametrize("goal_index", [-1, 2])
+    def test_goal_index_out_of_range(self, grid, goal_index):
+        problem, _ = grid
+        with pytest.raises(UnknownIdError, match=f"unknown goal index: {goal_index}"):
+            estimate(problem, goal_index)
+
+    def test_seeds_past_64_bits_do_not_alias(self, grid):
+        # With 3 samples the grid's two paths cannot split evenly, so the
+        # tables show the stream; seed 2**64 once aliased seed 0.
+        problem, _ = grid
+        assert not np.array_equal(
+            estimate(problem, 0, n=3, seed=0).p, estimate(problem, 0, n=3, seed=2**64).p
+        )
+
 
 class TestNotObserved:
     def test_complements(self, grid):
@@ -157,6 +188,122 @@ class TestExactOracle:
         )
         with pytest.raises(UnreachableGoalError):
             exact_oracle(problem, 0)
+
+
+    @pytest.mark.parametrize("goal_index", [-1, 2])
+    def test_goal_index_out_of_range(self, grid, goal_index):
+        problem, _ = grid
+        with pytest.raises(UnknownIdError, match=f"unknown goal index: {goal_index}"):
+            exact_oracle(problem, goal_index)
+
+    def test_open_grid_matches_lattice_path_formula(self):
+        # Corner to corner on an open n x n grid the optimal plans are the
+        # C(2n-2, n-1) monotone lattice paths (3.5e10 at n = 20), and cell
+        # (r, c) lies on C(r+c-2, r-1) * C(2n-r-c, n-r) of them.
+        n = 20
+        spec = GridSpec(n, n, frozenset(), "c1", (f"c{n * n}",), f"c{n * n}")
+        hyps = (parse_hypothesis_line(f"(is-at c{n * n})"),)
+        problem = build_problem(DOMAIN_TEXT, template_text(spec), hyps)
+        t0 = time.perf_counter()
+        table = exact_oracle(problem, 0)
+        assert time.perf_counter() - t0 < 2.0
+        plans = comb(2 * n - 2, n - 1)
+        for r in range(1, n + 1):
+            for c in range(1, n + 1):
+                through = comb(r + c - 2, r - 1) * comb(2 * n - r - c, n - r)
+                assert table.p[problem.fact_id(f"(is-at {spec.cell(r, c)})")] == through / plans
+
+    @pytest.mark.parametrize("noop_pre", [{0}, {1}])
+    def test_zero_cost_self_loop_matches_reference(self, noop_pre):
+        # Two optimal plans f0 -> f1 -> f3 and f0 -> f2 -> f3, plus a
+        # zero-cost no-op that leaves its state unchanged; both oracles
+        # skip it.
+        moves = [(0, 1), (1, 3), (0, 2), (2, 3)]
+        actions = [
+            GroundAction(i, f"(m{a}{b})", frozenset({a}), frozenset({b}), frozenset({a}))
+            for i, (a, b) in enumerate(moves)
+        ]
+        pre = frozenset(noop_pre)
+        actions.append(GroundAction(4, "(noop)", pre, pre & {1}, frozenset(), Fraction(0)))
+        facts = [GroundFact(i, f"(f{i})") for i in range(4)]
+        problem = GroundProblem(facts, actions, frozenset({0}), [frozenset({3})])
+        table = exact_oracle(problem, 0)
+        assert table.p.tolist() == [1.0, 0.5, 0.5, 1.0]
+        assert table.p.tolist() == exact_oracle_enumerated(problem, 0).p.tolist()
+
+    def test_zero_cost_cycle_raises(self):
+        # (back) returns to s0 at no cost after (go): a zero-cost cycle.
+        facts = [GroundFact(i, f"(f{i})") for i in range(3)]
+        actions = [
+            GroundAction(0, "(go)", frozenset({0}), frozenset({1}), frozenset({0}), Fraction(0)),
+            GroundAction(1, "(back)", frozenset({1}), frozenset({0}), frozenset({1}), Fraction(0)),
+            GroundAction(2, "(finish)", frozenset({1}), frozenset({2}), frozenset()),
+        ]
+        problem = GroundProblem(facts, actions, frozenset({0}), [frozenset({2})])
+        with pytest.raises(ValidationError, match=r"zero-cost action \(back\)"):
+            exact_oracle(problem, 0)
+
+
+@st.composite
+def costed_strips_problems(draw):
+    """Random STRIPS tasks with deletes and action costs in {1, 2, 3}.
+
+    Small fact sets keep the enumeration cheap; some goals are unreachable
+    and some (the empty goal always) are true in s0.
+    """
+    n_facts = draw(st.integers(1, 7))
+    fact = st.integers(0, n_facts - 1)
+    facts = [GroundFact(i, f"(f{i})") for i in range(n_facts)]
+    actions = [
+        GroundAction(
+            i,
+            f"(a{i})",
+            frozenset(draw(st.lists(fact, max_size=2))),
+            frozenset(draw(st.lists(fact, min_size=1, max_size=2))),
+            frozenset(draw(st.lists(fact, max_size=2))),
+            Fraction(draw(st.sampled_from([1, 2, 3]))),
+        )
+        for i in range(draw(st.integers(0, 16)))
+    ]
+    s0 = frozenset(draw(st.lists(fact, min_size=1, max_size=2)))
+    goals = draw(st.lists(st.frozensets(fact, min_size=1, max_size=2), min_size=1, max_size=3))
+    return GroundProblem(facts, actions, s0, goals)
+
+
+def _oracle_outcome(oracle, problem, goal_index, cap):
+    try:
+        table = oracle(problem, goal_index, cap)
+    except GoalRecError as exc:
+        return type(exc), str(exc)
+    return table.goal_index, table.p.tolist(), table.unreachable, table.source
+
+
+def _assert_oracles_agree(problem, cap):
+    for goal_index in range(len(problem.goals)):
+        for max_states in (cap, DEFAULT_STATE_CAP):
+            assert _oracle_outcome(
+                exact_oracle, problem, goal_index, max_states
+            ) == _oracle_outcome(exact_oracle_enumerated, problem, goal_index, max_states)
+
+
+class TestOracleAgainstEnumeration:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=costed_strips_problems(), cap=st.integers(1, 12))
+    def test_counts_match_enumerated_plans(self, problem, cap):
+        _assert_oracles_agree(problem, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid_seed=st.integers(0, 10**6),
+        width=st.integers(2, 6),
+        height=st.integers(2, 6),
+        cap=st.integers(1, 30),
+    )
+    def test_counts_match_on_random_grids(self, grid_seed, width, height, cap):
+        # Grids have many tied optimal plans, so most tables are fractional.
+        spec = random_grid(np.random.default_rng(grid_seed), width, height, n_goals=2)
+        hyps = tuple(parse_hypothesis_line(f"(is-at {g})") for g in spec.goal_cells)
+        _assert_oracles_agree(build_problem(DOMAIN_TEXT, template_text(spec), hyps), cap)
 
 
 class TestCsvDump:

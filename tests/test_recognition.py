@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from goalrec.errors import ParameterError, UnknownIdError
+from goalrec.errors import GoalRecError, ParameterError, UnknownIdError
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
 from goalrec.probability import FactProbabilityTable, estimate, exact_oracle
 from goalrec.recognition import ObservationEvent, Recognizer, recognize, recognize_online
@@ -213,6 +213,8 @@ class TestProgress:
             ObservationEvent()
         with pytest.raises(ValueError):
             ObservationEvent(action_id=0, state_facts=frozenset({1}))
+        with pytest.raises(GoalRecError):
+            ObservationEvent()
 
 
 class TestRecognize:

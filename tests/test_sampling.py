@@ -3,7 +3,7 @@
 import pytest
 
 from goalrec.bench import build_problem, parse_hypothesis_line
-from goalrec.errors import InsufficientSamplesError
+from goalrec.errors import InsufficientSamplesError, ParameterError
 from goalrec.pddl import Literal
 from goalrec.relaxed import build_rpg
 from goalrec.sampling import (
@@ -50,6 +50,12 @@ def _replay(problem, rpg, action_ids):
     for aid in sorted(action_ids, key=lambda a: (level_of[a], a)):
         state = relaxed_apply(state, problem.actions[aid])
     return state
+
+
+class TestSamplerState:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+            SamplerState.from_seed(-1, 0, 0)
 
 
 class TestSubgoalSampling:
