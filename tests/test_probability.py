@@ -127,7 +127,7 @@ class TestEstimate:
 
     def test_seeds_past_64_bits_do_not_alias(self, grid):
         # With 3 samples the grid's two paths cannot split evenly, so the
-        # tables show the stream; seed 2**64 once aliased seed 0.
+        # tables show the stream.
         problem, _ = grid
         assert not np.array_equal(
             estimate(problem, 0, n=3, seed=0).p, estimate(problem, 0, n=3, seed=2**64).p
@@ -189,7 +189,6 @@ class TestExactOracle:
         with pytest.raises(UnreachableGoalError):
             exact_oracle(problem, 0)
 
-
     @pytest.mark.parametrize("goal_index", [-1, 2])
     def test_goal_index_out_of_range(self, grid, goal_index):
         problem, _ = grid
@@ -249,7 +248,7 @@ def costed_strips_problems(draw):
     """Random STRIPS tasks with deletes and action costs in {1, 2, 3}.
 
     Small fact sets keep the enumeration cheap; some goals are unreachable
-    and some (the empty goal always) are true in s0.
+    and some are true in s0.
     """
     n_facts = draw(st.integers(1, 7))
     fact = st.integers(0, n_facts - 1)
@@ -300,7 +299,8 @@ class TestOracleAgainstEnumeration:
         cap=st.integers(1, 30),
     )
     def test_counts_match_on_random_grids(self, grid_seed, width, height, cap):
-        # Grids have many tied optimal plans, so most tables are fractional.
+        # Grids tie optimal plans, so they give the fractional tables that
+        # random STRIPS problems seldom do.
         spec = random_grid(np.random.default_rng(grid_seed), width, height, n_goals=2)
         hyps = tuple(parse_hypothesis_line(f"(is-at {g})") for g in spec.goal_cells)
         _assert_oracles_agree(build_problem(DOMAIN_TEXT, template_text(spec), hyps), cap)
