@@ -266,10 +266,7 @@ class EvaluationReport:
                     "true_goal_index": rec.true_goal_index,
                     "observations": rec.observation_count,
                     "estimation_seconds": rec.estimation_seconds,
-                    "trace": [
-                        {"t": s.t, "h": s.heuristic, "recognized": s.recognized}
-                        for s in rec.trace.steps
-                    ],
+                    "trace": rec.trace.records(),
                 }
                 for rec in self.instances
             ],
@@ -299,7 +296,10 @@ class EvaluationReport:
 
 
 def _instance_seed(seed: int, repeat: int, name: str) -> int:
-    return (seed * 1_000_003 + repeat * 7919 + zlib.crc32(name.encode())) & 0x7FFFFFFF
+    """A 31-bit mix of the three, plus the run seed's bits above 31, which
+    the mix alone drops: distinct run seeds give distinct instance seeds."""
+    mixed = (seed * 1_000_003 + repeat * 7919 + zlib.crc32(name.encode())) & 0x7FFFFFFF
+    return mixed + (seed >> 31 << 31)
 
 
 def run_benchmark(

@@ -113,7 +113,7 @@ def cmd_recognize(args) -> int:
     if not trace.steps:
         # No evidence: every goal ties at its score of exactly 0.0.
         h0 = recognizer.scores()
-        trace = RecognitionTrace([TraceStep(0, h0, list(range(len(h0))), 0)])
+        trace = RecognitionTrace([TraceStep(0, h0, list(range(len(h0))))])
     if args.explain is not None:
         explain = Path(args.explain)
         explain.parent.mkdir(parents=True, exist_ok=True)
@@ -123,7 +123,7 @@ def cmd_recognize(args) -> int:
             scores = ", ".join(f"{h:.4f}" for h in step.heuristic)
             print(f"t={step.t} recognized={step.recognized} h=[{scores}]")
     else:
-        print(trace.to_json(include_timings=False))
+        print(trace.to_json())
     return EXIT_OK
 
 

@@ -45,10 +45,9 @@ class UnknownIdError(GoalRecError):
 
 
 class UnsupportedFactError(GoalRecError):
-    """A demanded fact has no supporter in the relaxed planning graph.
-
-    Cannot happen for relaxed-reachable subgoals; signals an internal
-    inconsistency between the graph and the sampler.
+    """A subgoal given to the sampler has no first achiever: it is neither
+    in s0 nor relaxed-reachable.  The facts the walk demands below a
+    subgoal are preconditions of reachable actions and always have one.
     """
 
 

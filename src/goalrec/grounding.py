@@ -21,7 +21,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .errors import GroundingError
-from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, type_ancestors
+from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, atom_name, type_ancestors
 
 if TYPE_CHECKING:
     from .relaxed import RelaxedFixpoint
@@ -136,11 +136,6 @@ def ground_instantiations(
     if not statics:
         return product(*pools)
     return _join(params, pools, statics, index)
-
-
-def atom_name(predicate: str, args: tuple[str, ...]) -> str:
-    inner = " ".join((predicate,) + args) if args else predicate
-    return f"({inner})"
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ ROOT_TYPE = "object"
 # ── ASTs ─────────────────────────────────────────────────────────────────
 
 
+def atom_name(predicate: str, args: tuple[str, ...]) -> str:
+    inner = " ".join((predicate,) + args) if args else predicate
+    return f"({inner})"
+
+
 @dataclass(frozen=True)
 class Literal:
     predicate: str
@@ -34,8 +39,7 @@ class Literal:
         return Literal(self.predicate, self.args, not self.negated)
 
     def canonical(self) -> str:
-        inner = " ".join((self.predicate,) + self.args) if self.args else self.predicate
-        atom = f"({inner})"
+        atom = atom_name(self.predicate, self.args)
         return f"(not {atom})" if self.negated else atom
 
 

@@ -68,17 +68,14 @@ def sample_combined_sets(
 ) -> list[SupporterSampleSet] | None:
     """Run the two sampling stages; None when the goal is relaxed-unreachable."""
     goal = _goal(problem, goal_index)
-    rpg = build_rpg(problem, goal)
-    if rpg.unreachable:
+    if build_rpg(problem, goal).unreachable:
         return None
     per_subgoal = {}
     for ordinal, subgoal in enumerate(sorted(goal)):
         sampler = SamplerState.from_seed(seed, goal_index, ordinal)
-        per_subgoal[subgoal] = sample_subgoal_supporters(
-            subgoal, rpg, problem.s0, n, sampler, problem
-        )
+        per_subgoal[subgoal] = sample_subgoal_supporters(problem, subgoal, n, sampler)
     combiner = SamplerState.from_seed(seed, goal_index, COMBINE_STREAM)
-    return generate_goal_supporters(per_subgoal, n, goal, combiner, goal_index)
+    return generate_goal_supporters(per_subgoal, n, goal, combiner)
 
 
 def estimate(

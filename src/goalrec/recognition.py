@@ -10,7 +10,6 @@ column to 0 where p_f > 0 and to -1 where p_f = 0, and each row is re-normed.
 
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +78,6 @@ class TraceStep:
     t: int
     heuristic: list[float]
     recognized: list[int]
-    elapsed_ns: int
 
 
 @dataclass
@@ -89,13 +87,12 @@ class RecognitionTrace:
     def final_recognized(self) -> frozenset[int]:
         return frozenset(self.steps[-1].recognized) if self.steps else frozenset()
 
-    def to_json(self, include_timings: bool = True) -> str:
-        # Timings can be dropped so outputs stay byte-identical per seed.
-        steps = [{"t": s.t, "h": s.heuristic, "recognized": s.recognized} for s in self.steps]
-        if include_timings:
-            for step, s in zip(steps, self.steps):
-                step["elapsed_ns"] = s.elapsed_ns
-        return json.dumps(steps, indent=2)
+    def records(self) -> list[dict]:
+        """The steps as JSON-ready dicts, as traces are written everywhere."""
+        return [{"t": s.t, "h": s.heuristic, "recognized": s.recognized} for s in self.steps]
+
+    def to_json(self) -> str:
+        return json.dumps(self.records(), indent=2)
 
 
 def _argmax_set(scores: list[float]) -> frozenset[int]:
@@ -135,13 +132,11 @@ class Recognizer:
         return self.scores()
 
     def run(self, observations: list[ObservationEvent]) -> RecognitionTrace:
-        """One timed trace step per observation."""
+        """One trace step per observation."""
         steps = []
         for t, obs in enumerate(observations, start=1):
-            start_ns = time.perf_counter_ns()
             scores = self.observe(obs)
-            recognized = sorted(_argmax_set(scores))
-            steps.append(TraceStep(t, scores, recognized, time.perf_counter_ns() - start_ns))
+            steps.append(TraceStep(t, scores, sorted(_argmax_set(scores))))
         return RecognitionTrace(steps)
 
     def explain(self) -> list[dict]:

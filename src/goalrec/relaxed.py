@@ -1,4 +1,11 @@
-"""Relaxed planning graphs from one delete-relaxed fixpoint per problem."""
+"""Relaxed planning graphs from one delete-relaxed fixpoint per problem.
+
+The fixpoint also indexes each reachable fact's first achievers, the
+actions that add it one level below its own.  The supporter sampler
+walks that index alone (see sampling): every first achiever's
+preconditions lie at lower fact levels, so each step of the walk goes
+down a level and the walk ends once only s0 facts are needed.
+"""
 
 from __future__ import annotations
 
@@ -34,15 +41,15 @@ class RelaxedFixpoint:
     in id order, so the facts of levels 0..k are its first level_ends[k]
     entries.  action_levels[t] holds the actions first applicable at level
     t, ending with the batch, if any, that adds no new fact.
-    first_achievers maps each fact that a reachable action adds to the
-    earliest action level holding such an action, and those actions
-    sorted by id.
+    first_achievers maps each reachable fact outside s0 to the actions
+    that add it at the action level just below its fact level, sorted by
+    id.
     """
 
     fact_levels: dict[int, int]
     level_ends: list[int]
     action_levels: list[frozenset[int]]
-    first_achievers: dict[int, tuple[int, tuple[int, ...]]]
+    first_achievers: dict[int, tuple[int, ...]]
 
     @property
     def levels(self) -> int:
@@ -79,7 +86,7 @@ def _compute_fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
     fact_levels = {f: 0 for f in problem.s0}
     level_ends = [len(fact_levels)]
     action_levels: list[frozenset[int]] = []
-    achievers: dict[int, tuple[int, list[int]]] = {}
+    first_achievers: dict[int, tuple[int, ...]] = {}
     ready = [a.id for a in actions if not a.pre]
     frontier = problem.s0
     level = 0
@@ -94,25 +101,20 @@ def _compute_fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
         batch = sorted(ready)
         ready = []
         action_levels.append(frozenset(batch))
-        new_facts = set()
+        new_facts: dict[int, list[int]] = {}  # new fact -> its achievers
         for aid in batch:
             for f in actions[aid].add:
-                entry = achievers.get(f)
-                if entry is None:
-                    achievers[f] = (level, [aid])
-                elif entry[0] == level:
-                    entry[1].append(aid)
                 if f not in fact_levels:
-                    new_facts.add(f)
+                    new_facts.setdefault(f, []).append(aid)
         if not new_facts:
             break
         level += 1
         frontier = sorted(new_facts)
         for f in frontier:
             fact_levels[f] = level
+            first_achievers[f] = tuple(new_facts[f])
         level_ends.append(len(fact_levels))
 
-    first_achievers = {f: (t, tuple(aids)) for f, (t, aids) in achievers.items()}
     return RelaxedFixpoint(fact_levels, level_ends, action_levels, first_achievers)
 
 

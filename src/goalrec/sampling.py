@@ -1,15 +1,15 @@
 """Sampling supporter-action sets per subgoal and combining them per goal.
 
 A supporter of a fact f is an action with f in its add list.  Per subgoal,
-N sets are sampled by walking the relaxed planning graph from the goal
-level down.  The candidates for a demanded fact are its first achievers:
-the supporters at the earliest action level that holds one, looked up in
-the problem's fixpoint (see relaxed.fixpoint) and sorted by id; a level
-above the current one or beyond the graph's last action level yields none.
-Among the candidates an action selected the fewest times so far is
-picked (ties broken uniformly at random).  The N per-subgoal sets are
-then combined into N per-goal sets by drawing one unconsumed set per
-subgoal.
+N sets are sampled by walking the problem's relaxed fixpoint (see
+relaxed.fixpoint) down from the subgoal in rounds.  The candidates for a
+demanded fact are its first achievers, the supporters one level below
+it, sorted by id; among them an action selected the fewest times so far
+is picked (ties broken uniformly at random), and its preconditions
+outside s0 are demanded in the next round.  Those preconditions lie at
+lower fact levels, so each round's facts lie a level lower than the last
+round's and the walk ends by s0.  The N per-subgoal sets are then
+combined into N per-goal sets by drawing one unconsumed set per subgoal.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
 from .grounding import GroundProblem
-from .relaxed import RelaxedPlanningGraph, fixpoint
+from .relaxed import fixpoint
 
 # Stream tag separating the per-goal combination draw from per-subgoal draws.
 COMBINE_STREAM = 0xC0FFEE
-# Lookup result for a fact that no reachable action adds.
-_NO_ACHIEVERS = (float("inf"), ())
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,6 @@ class SupporterSampleSet:
     """One sampled set of supporter actions for a subgoal fact or a goal."""
 
     actions: frozenset[int]
-    subgoal: int  # fact id for per-subgoal samples, goal index for combined ones
 
 
 @dataclass
@@ -51,25 +48,26 @@ class SamplerState:
 
 
 def sample_subgoal_supporters(
-    subgoal: int,
-    rpg: RelaxedPlanningGraph,
-    s0: frozenset[int],
-    n: int,
-    sampler: SamplerState,
-    problem: GroundProblem,
+    problem: GroundProblem, subgoal: int, n: int, sampler: SamplerState
 ) -> list[SupporterSampleSet]:
     """Sample n supporter sets for one subgoal fact.
 
-    A subgoal already true in s0 needs no support and yields n empty sets.
+    A subgoal already true in s0 needs no support and yields n empty sets;
+    one that is relaxed-unreachable raises UnsupportedFactError.
     """
     if n < 1:
         raise ParameterError(f"number of samples must be positive, got {n}")
+    s0 = problem.s0
     if subgoal in s0:
-        return [SupporterSampleSet(frozenset(), subgoal) for _ in range(n)]
+        return [SupporterSampleSet(frozenset()) for _ in range(n)]
+
+    first_achievers = fixpoint(problem).first_achievers
+    # The subgoal is the only fact the walk can lack achievers for: every
+    # precondition it demands later belongs to a reachable action.
+    if subgoal not in first_achievers:
+        raise UnsupportedFactError(f"no supporter for demanded fact {problem.fact_name(subgoal)}")
 
     actions = problem.actions
-    first_achievers = fixpoint(problem).first_achievers
-    last_level = len(rpg.action_levels) - 1  # levels - 1 for a reachable goal
     counts = sampler.counts
     count_of = counts.get
     draw = sampler.rng.integers
@@ -80,21 +78,16 @@ def sample_subgoal_supporters(
         found: set[int] = set()
         sups: set[int] = set()
 
-        for t in range(rpg.levels, -1, -1):
-            if not demanded:
-                break  # nothing is demanded at this or any lower level
-            cap = min(t, last_level)
+        # Each round demands only preconditions of first achievers, which
+        # lie a fact level lower than the round's facts, and never s0
+        # facts, so the rounds end.
+        while demanded:
             new_demanded: set[int] = set()
             while demanded:
                 p = min(demanded)  # deterministic pop order
                 demanded.discard(p)
 
-                level, candidates = first_achievers.get(p, _NO_ACHIEVERS)
-                if level > cap:
-                    raise UnsupportedFactError(
-                        f"no supporter for demanded fact {problem.fact_name(p)}"
-                    )
-
+                candidates = first_achievers[p]
                 if len(candidates) > 1:
                     min_count = min(count_of(a, 0) for a in candidates)
                     best = [a for a in candidates if count_of(a, 0) == min_count]
@@ -116,9 +109,9 @@ def sample_subgoal_supporters(
                     if got in new_demanded:
                         new_demanded.discard(got)
                         found.add(got)
-            demanded |= new_demanded
+            demanded = new_demanded
 
-        samples.append(SupporterSampleSet(frozenset(sups), subgoal))
+        samples.append(SupporterSampleSet(frozenset(sups)))
 
     return samples
 
@@ -128,7 +121,6 @@ def generate_goal_supporters(
     n: int,
     goal: frozenset[int],
     sampler: SamplerState,
-    goal_index: int = 0,
 ) -> list[SupporterSampleSet]:
     """Combine per-subgoal samples into n per-goal sets, each consuming one
     unconsumed sample per subgoal, drawn uniformly without replacement."""
@@ -147,5 +139,5 @@ def generate_goal_supporters(
             pool = pools[subgoal]
             pick = int(sampler.rng.integers(len(pool)))
             union |= pool.pop(pick).actions
-        combined.append(SupporterSampleSet(frozenset(union), goal_index))
+        combined.append(SupporterSampleSet(frozenset(union)))
     return combined

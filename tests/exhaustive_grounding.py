@@ -16,10 +16,10 @@ from goalrec.grounding import (
     GroundAction,
     GroundFact,
     GroundProblem,
-    atom_name,
     objects_by_type,
     static_predicates,
 )
+from goalrec.pddl import atom_name
 
 
 def _type_product(params, universe):

@@ -4,10 +4,11 @@ Relaxed states, relaxed action application and reachability on a graph
 are used by the tests that replay sampled supporter sets.  Then there is
 the layered construction that rescans every action at every level, and
 the supporter sampler that looks for a demanded fact's candidates by
-scanning the graph's action levels upward.  The package
-computes one fixpoint per problem and looks the candidates up in a
-first-achiever index instead; tests check that both give equal graphs,
-equal sample lists and equal selection counts.
+scanning the graph's action levels upward, one round per level down
+from the graph's top.  The package computes one fixpoint per problem and
+walks its first-achiever index instead, with no level bound; tests check
+that both give equal graphs, and, with the scan on the graph of every
+fact, equal sample lists and equal selection counts.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, sampler, problem):
     if n < 1:
         raise ValueError("n must be positive")
     if subgoal in s0:
-        return [SupporterSampleSet(frozenset(), subgoal) for _ in range(n)]
+        return [SupporterSampleSet(frozenset()) for _ in range(n)]
 
     actions = problem.actions
     counts = sampler.counts
@@ -144,6 +145,6 @@ def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, sampler, problem):
                         found.add(got)
             demanded |= new_demanded
 
-        samples.append(SupporterSampleSet(frozenset(sups), subgoal))
+        samples.append(SupporterSampleSet(frozenset(sups)))
 
     return samples

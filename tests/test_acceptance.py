@@ -265,10 +265,9 @@ def test_criterion_5_sampler_properties(grid, chain, logistics):
     # Min-count balance on the grid: the goal cell has exactly two
     # supporters at its first level.
     problem, _ = grid
-    rpg = build_rpg(problem, problem.goals[0])
     sampler = SamplerState.from_seed(0, 0, 0)
     (subgoal,) = problem.goals[0]
-    sample_subgoal_supporters(subgoal, rpg, problem.s0, n, sampler, problem)
+    sample_subgoal_supporters(problem, subgoal, n, sampler)
     a = sampler.counts.get(problem.action_id("(m c2 c1)"), 0)
     b = sampler.counts.get(problem.action_id("(m c6 c1)"), 0)
     checks.append(
@@ -320,7 +319,7 @@ def test_criterion_6_timing_scaling(tmp_path):
 
 
 def test_criterion_7_benchmark_arithmetic():
-    trace = RecognitionTrace([TraceStep(1, [1.0, 0.0, 0.0], [0], 0)])
+    trace = RecognitionTrace([TraceStep(1, [1.0, 0.0, 0.0], [0])])
     _report(
         7,
         [

@@ -122,9 +122,21 @@ class TestMetrics:
         assert prefix_length(10, 1.0) == 10
 
     def test_recognized_at_zero_prefix_ties_all(self):
-        trace = RecognitionTrace([TraceStep(1, [0.5, 0.1], [0], 0)])
+        trace = RecognitionTrace([TraceStep(1, [0.5, 0.1], [0])])
         assert recognized_at(trace, 4, 3, 0.1) == frozenset(range(4))
         assert recognized_at(trace, 4, 3, 0.5) == frozenset({0})
+
+
+class TestInstanceSeed:
+    def test_value_below_two_to_the_31_is_kept(self):
+        assert bench._instance_seed(3, 0, "logistics") == 783844402
+
+    def test_run_seeds_two_to_the_31_apart_differ(self):
+        for name in ("grid", "chain", "logistics"):
+            for repeat in (0, 1):
+                low = bench._instance_seed(0, repeat, name)
+                assert low < 2**31
+                assert bench._instance_seed(2**31, repeat, name) != low
 
 
 class TestRunBenchmark:
@@ -170,8 +182,7 @@ class TestRunBenchmark:
 
     def test_seconds_per_observation_times_whole_call(self, monkeypatch):
         # A fake clock that only recognize_online moves, by one second per
-        # call: each instance then costs 1 / |O| seconds per observation,
-        # whatever its steps' own elapsed_ns say.
+        # call: each instance then costs 1 / |O| seconds per observation.
         clock = SimpleNamespace(now=0.0)
         real = bench.recognize_online
 
@@ -191,8 +202,8 @@ class TestRunBenchmark:
             run_benchmark(tmp_path)
 
     def test_negative_seed_rejected_before_loading(self, tmp_path, monkeypatch):
-        # Instance seeds are masked to 31 bits, so the run seed is checked
-        # up front, before any instance is loaded or recorded as failing.
+        # The run seed is checked up front, before any instance is loaded
+        # or recorded as failing.
         monkeypatch.setattr(bench, "load_instance", lambda path: pytest.fail(f"loaded {path}"))
         with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
             run_benchmark(FIXTURES, seed=-1)
@@ -201,6 +212,8 @@ class TestRunBenchmark:
         report = run_benchmark(FIXTURES, seed=0, repeats=2)
         payload = json.loads(report.to_json())
         assert payload["config"]["repeats"] == 2
+        for written, rec in zip(payload["instances"], report.instances):
+            assert written["trace"] == json.loads(rec.trace.to_json())
         assert len(payload["instances"]) == 3
         assert set(payload["precision_std"]) == {
             str(l) for l in DEFAULT_LAMBDAS

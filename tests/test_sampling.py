@@ -1,9 +1,12 @@
 """Supporter-action sampling and per-goal combination."""
 
+import re
+
 import pytest
 
 from goalrec.bench import build_problem, parse_hypothesis_line
-from goalrec.errors import InsufficientSamplesError, ParameterError
+from goalrec.errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
+from goalrec.gridgen import example_grid
 from goalrec.pddl import Literal
 from goalrec.relaxed import build_rpg
 from goalrec.sampling import (
@@ -34,9 +37,7 @@ def _sample(problem, goal, n=N, seed=0):
     per_subgoal = {}
     for ordinal, subgoal in enumerate(sorted(goal)):
         sampler = SamplerState.from_seed(seed, 0, ordinal)
-        per_subgoal[subgoal] = sample_subgoal_supporters(
-            subgoal, rpg, problem.s0, n, sampler, problem
-        )
+        per_subgoal[subgoal] = sample_subgoal_supporters(problem, subgoal, n, sampler)
     return rpg, per_subgoal
 
 
@@ -61,11 +62,8 @@ class TestSamplerState:
 class TestSubgoalSampling:
     def test_subgoal_in_s0_yields_empty_sets(self, grid):
         problem, _ = grid
-        rpg = build_rpg(problem, problem.goals[0])
         (s0_fact,) = problem.s0
-        samples = sample_subgoal_supporters(
-            s0_fact, rpg, problem.s0, N, SamplerState.from_seed(0, 0, 0), problem
-        )
+        samples = sample_subgoal_supporters(problem, s0_fact, N, SamplerState.from_seed(0, 0, 0))
         assert len(samples) == N
         assert all(s.actions == frozenset() for s in samples)
 
@@ -106,10 +104,9 @@ class TestSubgoalSampling:
         # c1 has exactly two supporters at its first level; across N samples
         # their selection counts may differ by at most one.
         problem, _ = grid
-        rpg = build_rpg(problem, problem.goals[0])
         (subgoal,) = problem.goals[0]
         sampler = SamplerState.from_seed(3, 0, 0)
-        sample_subgoal_supporters(subgoal, rpg, problem.s0, N, sampler, problem)
+        sample_subgoal_supporters(problem, subgoal, N, sampler)
         a = sampler.counts.get(problem.action_id("(m c2 c1)"), 0)
         b = sampler.counts.get(problem.action_id("(m c6 c1)"), 0)
         assert a + b == N
@@ -123,12 +120,18 @@ class TestSubgoalSampling:
 
     def test_invalid_n_rejected(self, grid):
         problem, _ = grid
-        rpg = build_rpg(problem, problem.goals[0])
         (subgoal,) = problem.goals[0]
         with pytest.raises(ValueError):
-            sample_subgoal_supporters(
-                subgoal, rpg, problem.s0, 0, SamplerState.from_seed(0, 0, 0), problem
-            )
+            sample_subgoal_supporters(problem, subgoal, 0, SamplerState.from_seed(0, 0, 0))
+
+    def test_unreachable_subgoal_raises(self, grid):
+        problem, _ = grid
+        blocked = problem.fact_id(f"(is-at {sorted(example_grid().blocked)[0]})")
+        sampler = SamplerState.from_seed(0, 0, 0)
+        name = re.escape(problem.fact_name(blocked))
+        with pytest.raises(UnsupportedFactError, match=f"^no supporter for demanded fact {name}$"):
+            sample_subgoal_supporters(problem, blocked, N, sampler)
+        assert sampler.counts == {}
 
 
 class TestGoalCombination:
@@ -137,7 +140,7 @@ class TestGoalCombination:
         goal = problem.goals[0]
         _, per_subgoal = _sample(problem, goal)
         combined = generate_goal_supporters(
-            per_subgoal, N, goal, SamplerState.from_seed(0, 0, 99), goal_index=0
+            per_subgoal, N, goal, SamplerState.from_seed(0, 0, 99)
         )
         from collections import Counter
 
@@ -146,8 +149,8 @@ class TestGoalCombination:
         )
 
     def test_two_subgoals_consume_each_sample_once(self):
-        a_sets = [SupporterSampleSet(frozenset({i}), 0) for i in range(N)]
-        b_sets = [SupporterSampleSet(frozenset({100 + i}), 1) for i in range(N)]
+        a_sets = [SupporterSampleSet(frozenset({i})) for i in range(N)]
+        b_sets = [SupporterSampleSet(frozenset({100 + i})) for i in range(N)]
         combined = generate_goal_supporters(
             {0: a_sets, 1: b_sets},
             N,
@@ -162,15 +165,15 @@ class TestGoalCombination:
 
     def test_n_equal_one(self):
         combined = generate_goal_supporters(
-            {0: [SupporterSampleSet(frozenset({7}), 0)]},
+            {0: [SupporterSampleSet(frozenset({7}))]},
             1,
             frozenset({0}),
             SamplerState.from_seed(0, 0, 99),
         )
-        assert combined == [SupporterSampleSet(frozenset({7}), 0)]
+        assert combined == [SupporterSampleSet(frozenset({7}))]
 
     def test_insufficient_samples_raises(self):
-        short = [SupporterSampleSet(frozenset({1}), 0)]
+        short = [SupporterSampleSet(frozenset({1}))]
         with pytest.raises(InsufficientSamplesError):
             generate_goal_supporters(
                 {0: short}, 2, frozenset({0}), SamplerState.from_seed(0, 0, 99)
@@ -181,7 +184,7 @@ class TestGoalCombination:
         goal = problem.goals[0]  # two subgoals
         rpg, per_subgoal = _sample(problem, goal)
         combined = generate_goal_supporters(
-            per_subgoal, N, goal, SamplerState.from_seed(0, 0, 99), goal_index=0
+            per_subgoal, N, goal, SamplerState.from_seed(0, 0, 99)
         )
         for sample in combined:
             for subgoal in goal - problem.s0:
