@@ -113,11 +113,9 @@ def estimate(
         for sample in combined:
             action_counts[sorted(sample.actions)] += 1.0
         miss = np.ones(problem.fact_count)
-        for action in problem.actions:
-            if action_counts[action.id] == 0:
-                continue
-            q = 1.0 - action_counts[action.id] / n
-            for f in action.add:
+        for aid in np.flatnonzero(action_counts).tolist():
+            q = 1.0 - action_counts[aid] / n
+            for f in problem.actions[aid].add:
                 miss[f] *= q
         p = 1.0 - miss
 

@@ -5,11 +5,15 @@ N sets are sampled by walking the problem's relaxed fixpoint (see
 relaxed.fixpoint) down from the subgoal in rounds.  The candidates for a
 demanded fact are its first achievers, the supporters one level below
 it, sorted by id; among them an action selected the fewest times so far
-is picked (ties broken uniformly at random), and its preconditions
-outside s0 are demanded in the next round.  Those preconditions lie at
-lower fact levels, so each round's facts lie a level lower than the last
-round's and the walk ends by s0.  The N per-subgoal sets are then
-combined into N per-goal sets by drawing one unconsumed set per subgoal.
+is picked, and its preconditions outside s0 are demanded in the next
+round.  Those preconditions lie at lower fact levels, so each round's
+facts lie a level lower than the last round's and the walk ends by s0.
+Only a tie between several least-selected actions draws from the random
+stream, uniformly.  The N per-subgoal sets are then combined into N
+per-goal sets, each taking one unconsumed set per subgoal uniformly at
+random; one draw per goal makes every pick.  Both give the stream that
+one Generator.integers call per pick would: a bound of 1 consumes no
+state, and an array of bounds is drawn in order, as one call per bound.
 """
 
 from __future__ import annotations
@@ -90,10 +94,12 @@ def sample_subgoal_supporters(
                 candidates = first_achievers[p]
                 if len(candidates) > 1:
                     min_count = min(count_of(a, 0) for a in candidates)
-                    best = [a for a in candidates if count_of(a, 0) == min_count]
+                    candidates = [a for a in candidates if count_of(a, 0) == min_count]
+                # A draw over one candidate returns 0 and consumes no random state.
+                if len(candidates) == 1:
+                    chosen = candidates[0]
                 else:
-                    best = candidates
-                chosen = int(best[draw(len(best))])
+                    chosen = candidates[draw(len(candidates))]
 
                 found.add(p)
                 sups.add(chosen)
@@ -124,6 +130,8 @@ def generate_goal_supporters(
 ) -> list[SupporterSampleSet]:
     """Combine per-subgoal samples into n per-goal sets, each consuming one
     unconsumed sample per subgoal, drawn uniformly without replacement."""
+    if n < 1:
+        raise ParameterError(f"number of samples must be positive, got {n}")
     for subgoal in goal:
         available = per_subgoal.get(subgoal, [])
         if len(available) < n:
@@ -131,13 +139,18 @@ def generate_goal_supporters(
                 f"subgoal {subgoal} has {len(available)} samples, need {n}"
             )
 
-    pools = {subgoal: list(per_subgoal[subgoal]) for subgoal in goal}
+    pools = [list(per_subgoal[subgoal]) for subgoal in sorted(goal)]
+    if not pools:
+        return [SupporterSampleSet(frozenset()) for _ in range(n)]
+    # Pick i from a pool draws below the pool's length minus i.  One call
+    # over every bound, iteration by iteration and subgoals in sorted order,
+    # gives the values and the final state of one call per pick.
+    lengths = np.array([len(pool) for pool in pools])
+    picks = sampler.rng.integers(lengths - np.arange(n)[:, None]).tolist()
     combined: list[SupporterSampleSet] = []
-    for _ in range(n):
+    for row in picks:
         union: set[int] = set()
-        for subgoal in sorted(goal):
-            pool = pools[subgoal]
-            pick = int(sampler.rng.integers(len(pool)))
+        for pool, pick in zip(pools, row):
             union |= pool.pop(pick).actions
         combined.append(SupporterSampleSet(frozenset(union)))
     return combined

@@ -5,17 +5,25 @@ are used by the tests that replay sampled supporter sets.  Then there is
 the layered construction that rescans every action at every level, and
 the supporter sampler that looks for a demanded fact's candidates by
 scanning the graph's action levels upward, one round per level down
-from the graph's top.  The package computes one fixpoint per problem and
-walks its first-achiever index instead, with no level bound; tests check
-that both give equal graphs, and, with the scan on the graph of every
-fact, equal sample lists and equal selection counts.
+from the graph's top, with one draw per chosen supporter.  The package
+computes one fixpoint per problem and walks its first-achiever index
+instead, with no level bound and no draw over a single candidate; tests
+check that both give equal graphs, and, with the scan on the graph of
+every fact, equal sample lists, equal selection counts and equal
+generator states.  Last, the combiner that draws one pick at a time, which
+the package replaces by one draw per goal, checked the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from goalrec.errors import InapplicableActionError, UnknownIdError, UnsupportedFactError
+from goalrec.errors import (
+    InapplicableActionError,
+    InsufficientSamplesError,
+    UnknownIdError,
+    UnsupportedFactError,
+)
 from goalrec.grounding import GroundAction
 from goalrec.relaxed import RelaxedPlanningGraph
 from goalrec.sampling import SupporterSampleSet
@@ -148,3 +156,25 @@ def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, sampler, problem):
         samples.append(SupporterSampleSet(frozenset(sups)))
 
     return samples
+
+
+def generate_goal_supporters_sequential(per_subgoal, n, goal, sampler):
+    """Combine per-subgoal samples into n per-goal sets, each consuming one
+    unconsumed sample per subgoal, drawn uniformly without replacement."""
+    for subgoal in goal:
+        available = per_subgoal.get(subgoal, [])
+        if len(available) < n:
+            raise InsufficientSamplesError(
+                f"subgoal {subgoal} has {len(available)} samples, need {n}"
+            )
+
+    pools = {subgoal: list(per_subgoal[subgoal]) for subgoal in goal}
+    combined: list[SupporterSampleSet] = []
+    for _ in range(n):
+        union: set[int] = set()
+        for subgoal in sorted(goal):
+            pool = pools[subgoal]
+            pick = int(sampler.rng.integers(len(pool)))
+            union |= pool.pop(pick).actions
+        combined.append(SupporterSampleSet(frozenset(union)))
+    return combined

@@ -220,13 +220,16 @@ def _random_grid_problem(seed, width, height):
 
 
 def _outcome(sample, subgoals, seed):
-    """Samples per subgoal, then the selection counts, or the error raised."""
+    """Samples and generator state after each subgoal, then the selection
+    counts, or the error raised after the subgoals before it."""
     sampler = SamplerState.from_seed(seed, 0, 0)
+    steps = []
     try:
-        samples = [sample(f, sampler) for f in subgoals]
+        for f in subgoals:
+            steps.append((sample(f, sampler), sampler.rng.bit_generator.state))
     except GoalRecError as exc:
-        return type(exc), str(exc)
-    return samples, sampler.counts
+        return steps, type(exc), str(exc)
+    return steps, sampler.counts
 
 
 def _assert_matches_reference(problem, n, seed):

@@ -2,21 +2,26 @@
 
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalrec.bench import build_problem, parse_hypothesis_line
 from goalrec.errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
 from goalrec.gridgen import example_grid
 from goalrec.pddl import Literal
+from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
 from goalrec.sampling import (
+    COMBINE_STREAM,
     SamplerState,
     SupporterSampleSet,
     generate_goal_supporters,
     sample_subgoal_supporters,
 )
 
-from reference_rpg import RelaxedState, relaxed_apply
+from reference_rpg import RelaxedState, generate_goal_supporters_sequential, relaxed_apply
 
 N = 10
 
@@ -57,6 +62,34 @@ class TestSamplerState:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
             SamplerState.from_seed(-1, 0, 0)
+
+    # The sampler skips draws over one candidate and the combiner draws all
+    # its picks in one call; both keep the stream only while these hold.
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        bounds=st.lists(
+            st.one_of(st.just(1), st.integers(2, 40), st.integers(2**31, 2**62)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_bounded_draws_keep_the_stream(self, seed, bounds):
+        scalar = np.random.default_rng(seed)
+        expected = []
+        for bound in bounds:
+            before = scalar.bit_generator.state
+            assert scalar.integers(1) == 0 and scalar.bit_generator.state == before, (
+                "numpy assumption broken: integers(1) returns 0 and consumes no random state"
+            )
+            expected.append(int(scalar.integers(bound)))
+        vector = np.random.default_rng(seed)
+        assert vector.integers(np.array(bounds)).tolist() == expected, (
+            "numpy assumption broken: integers(bounds array) draws what one call per bound draws"
+        )
+        assert vector.bit_generator.state == scalar.bit_generator.state, (
+            "numpy assumption broken: integers(bounds array) ends in the state of one call per bound"
+        )
 
 
 class TestSubgoalSampling:
@@ -192,3 +225,84 @@ class TestGoalCombination:
                     subgoal in problem.actions[aid].add for aid in sample.actions
                 )
             assert goal <= _replay(problem, rpg, sample.actions).facts
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_invalid_n_rejected(self, n):
+        with pytest.raises(
+            ParameterError, match=f"^number of samples must be positive, got {n}$"
+        ):
+            generate_goal_supporters({}, n, frozenset(), SamplerState.from_seed(0, 0, 99))
+
+    def test_empty_goal_gives_n_empty_sets(self):
+        sampler = SamplerState.from_seed(0, 0, 99)
+        state = sampler.rng.bit_generator.state
+        combined = generate_goal_supporters({}, 3, frozenset(), sampler)
+        assert combined == [SupporterSampleSet(frozenset())] * 3
+        assert sampler.rng.bit_generator.state == state
+
+
+@st.composite
+def combiner_inputs(draw):
+    """0-4 subgoals, each with a pool of n or more sets, some of them empty."""
+    n = draw(st.integers(1, 6))
+    sets = st.builds(SupporterSampleSet, st.frozensets(st.integers(0, 20), max_size=3))
+    subgoals = draw(st.lists(st.integers(0, 30), max_size=4, unique=True))
+    per_subgoal = {f: draw(st.lists(sets, min_size=n, max_size=n + 4)) for f in subgoals}
+    return per_subgoal, n
+
+
+class _CountingGenerator:
+    """Passes integers calls to a Generator and records their bounds."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bounds = []
+
+    def integers(self, high):
+        self.bounds.append(high)
+        return self._rng.integers(high)
+
+
+class TestDrawStream:
+    @given(inputs=combiner_inputs(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_combiner_identical_to_sequential_reference(self, inputs, seed):
+        per_subgoal, n = inputs
+        goal = frozenset(per_subgoal)
+        fast = SamplerState.from_seed(seed, 0, COMBINE_STREAM)
+        slow = SamplerState.from_seed(seed, 0, COMBINE_STREAM)
+        assert generate_goal_supporters(
+            per_subgoal, n, goal, fast
+        ) == generate_goal_supporters_sequential(per_subgoal, n, goal, slow)
+        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["grid", "logistics"])
+    def test_draws_only_on_ties_and_once_per_combination(self, request, monkeypatch, name):
+        problem, _ = request.getfixturevalue(name)
+        goals = range(len(problem.goals))
+        expected = [estimate(problem, g, n=N, seed=3).p for g in goals]
+
+        generators = {}
+        from_seed = SamplerState.from_seed.__func__
+
+        def counting(cls, seed, *stream):
+            sampler = from_seed(cls, seed, *stream)
+            sampler.rng = generators[stream] = _CountingGenerator(sampler.rng)
+            return sampler
+
+        monkeypatch.setattr(SamplerState, "from_seed", classmethod(counting))
+        for g in goals:
+            assert np.array_equal(estimate(problem, g, n=N, seed=3).p, expected[g])
+
+        tie_bounds = [
+            bound
+            for stream, generator in generators.items()
+            if stream[-1] != COMBINE_STREAM
+            for bound in generator.bounds
+        ]
+        assert all(bound > 1 for bound in tie_bounds)
+        assert {
+            stream: len(generator.bounds)
+            for stream, generator in generators.items()
+            if stream[-1] == COMBINE_STREAM
+        } == {(g, COMBINE_STREAM): 1 for g in goals}
