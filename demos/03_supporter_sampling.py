@@ -8,7 +8,7 @@ roughly evenly between the two corridors.
 from pathlib import Path
 
 from goalrec import load_instance, prepare_instance
-from goalrec.probability import sample_combined_sets
+from goalrec.sampling import sample_combined_sets
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

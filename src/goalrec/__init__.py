@@ -21,13 +21,6 @@ from .recognition import (
     recognize,
     recognize_online,
 )
-from .relaxed import RelaxedPlanningGraph, build_rpg
-from .sampling import (
-    SamplerState,
-    SupporterSampleSet,
-    generate_goal_supporters,
-    sample_subgoal_supporters,
-)
 
 __all__ = [
     "DomainAst",
@@ -42,15 +35,10 @@ __all__ = [
     "RecognitionInstance",
     "RecognitionTrace",
     "Recognizer",
-    "RelaxedPlanningGraph",
-    "SamplerState",
-    "SupporterSampleSet",
     "build_problem",
-    "build_rpg",
     "compile_negations",
     "estimate",
     "exact_oracle",
-    "generate_goal_supporters",
     "ground",
     "load_instance",
     "parse_domain",
@@ -60,6 +48,5 @@ __all__ = [
     "recognize",
     "recognize_online",
     "run_benchmark",
-    "sample_subgoal_supporters",
     "spread",
 ]

@@ -8,7 +8,7 @@ cell and one move action per directed open-cell edge.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -166,27 +166,11 @@ def random_grid(
         picks = rng.choice(len(candidates), size=n_goals, replace=False)
         goals = tuple(candidates[i] for i in sorted(picks))
         true_goal = goals[int(rng.integers(n_goals))]
-        spec = GridSpec(
-            width=width,
-            height=height,
-            blocked=spec.blocked,
-            start=start,
-            goal_cells=goals,
-            true_goal=true_goal,
-        )
+        spec = replace(spec, start=start, goal_cells=goals, true_goal=true_goal)
         path = shortest_path(spec, start, true_goal)
         if path is None or len(path) < 2:
             continue
-        obs = tuple(zip(path[:-1], path[1:]))
-        return GridSpec(
-            width=width,
-            height=height,
-            blocked=spec.blocked,
-            start=start,
-            goal_cells=goals,
-            true_goal=true_goal,
-            observations=obs,
-        )
+        return replace(spec, observations=tuple(zip(path[:-1], path[1:])))
     raise ParameterError(
         f"no usable {width}x{height} grid with {n_goals} goals in {MAX_GRID_DRAWS} draws "
         f"at block probability {block_prob}; lower the block probability"

@@ -18,13 +18,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING
 
-from .errors import GroundingError
+from .errors import GroundingError, UnknownIdError
 from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, atom_name, type_ancestors
-
-if TYPE_CHECKING:
-    from .relaxed import RelaxedFixpoint
+from .relaxed import RelaxedFixpoint, compute_fixpoint
 
 
 def objects_by_type(domain: DomainAst, problem: ProblemAst) -> dict[str, list[str]]:
@@ -162,15 +159,21 @@ class GroundProblem:
     goals: list[frozenset[int]]
     fact_ids: dict[str, int] = field(repr=False, default_factory=dict)
     action_ids: dict[str, int] = field(repr=False, default_factory=dict)
-    # The goal-independent relaxed planning graph, filled in by
-    # relaxed.fixpoint on first use and freed together with the problem.
-    relaxed_fixpoint: RelaxedFixpoint | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # The goal-independent relaxed planning graph, computed from actions
+    # and s0 when the problem is built.
+    relaxed_fixpoint: RelaxedFixpoint = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.relaxed_fixpoint = compute_fixpoint(self)
 
     @property
     def fact_count(self) -> int:
         return len(self.facts)
+
+    def goal(self, goal_index: int) -> frozenset[int]:
+        if not 0 <= goal_index < len(self.goals):
+            raise UnknownIdError(f"unknown goal index: {goal_index}")
+        return self.goals[goal_index]
 
     def fact_name(self, fact_id: int) -> str:
         return self.facts[fact_id].name

@@ -126,7 +126,7 @@ _TOKEN_RE = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
 def _token_texts(text: str) -> list[str]:
     """The lowercased tokens of text, without their positions."""
-    return [token.lower() for token in _TOKEN_RE.findall(text) if token]
+    return [token for token in _TOKEN_RE.findall(text.lower()) if token]
 
 
 def _tokenize(text: str) -> list[_Token]:

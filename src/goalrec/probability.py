@@ -18,14 +18,7 @@ import numpy as np
 from .errors import ParameterError, SearchCapExceededError, UnknownIdError
 from .errors import UnreachableGoalError, ValidationError
 from .grounding import GroundProblem
-from .relaxed import build_rpg
-from .sampling import (
-    COMBINE_STREAM,
-    SamplerState,
-    SupporterSampleSet,
-    generate_goal_supporters,
-    sample_subgoal_supporters,
-)
+from .sampling import sample_combined_sets
 
 EMPIRICAL_UNION = "empirical-union"
 NOISY_OR = "noisy-or"
@@ -55,27 +48,6 @@ class FactProbabilityTable:
             p = float(self.p[fact.id])
             out.write(f"{fact.name},{p},{1.0 - p}\n")
         return out.getvalue()
-
-
-def _goal(problem: GroundProblem, goal_index: int) -> frozenset[int]:
-    if not 0 <= goal_index < len(problem.goals):
-        raise UnknownIdError(f"unknown goal index: {goal_index}")
-    return problem.goals[goal_index]
-
-
-def sample_combined_sets(
-    problem: GroundProblem, goal_index: int, n: int, seed: int
-) -> list[SupporterSampleSet] | None:
-    """Run the two sampling stages; None when the goal is relaxed-unreachable."""
-    goal = _goal(problem, goal_index)
-    if build_rpg(problem, goal).unreachable:
-        return None
-    per_subgoal = {}
-    for ordinal, subgoal in enumerate(sorted(goal)):
-        sampler = SamplerState.from_seed(seed, goal_index, ordinal)
-        per_subgoal[subgoal] = sample_subgoal_supporters(problem, subgoal, n, sampler)
-    combiner = SamplerState.from_seed(seed, goal_index, COMBINE_STREAM)
-    return generate_goal_supporters(per_subgoal, n, goal, combiner)
 
 
 def estimate(
@@ -144,7 +116,7 @@ def exact_oracle(
     """
     if max_states < 1:
         raise ParameterError(f"state cap must be positive, got {max_states}")
-    goal = _goal(problem, goal_index)
+    goal = problem.goal(goal_index)
     start = frozenset(problem.s0)
     dist: dict[frozenset[int], object] = {start: 0}
     paths = {start: [1] * (problem.fact_count + 1)}  # the frontier's counts

@@ -1,19 +1,21 @@
 """Relaxed planning graphs from one delete-relaxed fixpoint per problem.
 
-The fixpoint also indexes each reachable fact's first achievers, the
-actions that add it one level below its own.  The supporter sampler
-walks that index alone (see sampling): every first achiever's
-preconditions lie at lower fact levels, so each step of the walk goes
-down a level and the walk ends once only s0 facts are needed.
+Each GroundProblem computes its fixpoint when it is built and keeps it
+as relaxed_fixpoint.  The fixpoint also indexes each reachable fact's
+first achievers, the actions that add it one level below its own.  The
+supporter sampler walks that index alone (see sampling): every first
+achiever's preconditions lie at lower fact levels, so each step of the
+walk goes down a level and the walk ends once only s0 facts are needed.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import TYPE_CHECKING
 
-from .grounding import GroundProblem
+if TYPE_CHECKING:
+    from .grounding import GroundProblem
 
 
 @dataclass
@@ -56,24 +58,7 @@ class RelaxedFixpoint:
         return len(self.level_ends) - 1
 
 
-# `estimate` is public, so callers may estimate goals of one problem on
-# their own threads; the first to need the fixpoint computes it and the
-# others wait for that one.
-_fixpoint_lock = threading.Lock()
-
-
-def fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
-    """The problem's fixpoint, computed on first use and kept on the problem."""
-    cached = problem.relaxed_fixpoint
-    if cached is None:
-        with _fixpoint_lock:
-            cached = problem.relaxed_fixpoint
-            if cached is None:
-                cached = problem.relaxed_fixpoint = _compute_fixpoint(problem)
-    return cached
-
-
-def _compute_fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
+def compute_fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
     """Level-ordered generalized Dijkstra with unit costs: an action becomes
     applicable at the level where its last unmet precondition is reached."""
     actions = problem.actions
@@ -122,10 +107,11 @@ def build_rpg(problem: GroundProblem, goal: frozenset[int]) -> RelaxedPlanningGr
     """The levels up to the first one at which all goal facts are reached.
 
     This is a prefix of the problem's fixpoint.  Unreachable goals yield
-    the full graph, flagged, rather than an error, so a recognizer can
-    still assign such hypotheses an all-zero table.
+    the full graph, flagged, rather than an error.  Estimation reads the
+    fixpoint directly; this per-goal view is what the tests check against
+    the layered reference.
     """
-    fp = fixpoint(problem)
+    fp = problem.relaxed_fixpoint
     unreached = frozenset(f for f in goal if f not in fp.fact_levels)
     if unreached:
         return RelaxedPlanningGraph(

@@ -1,19 +1,19 @@
 """Sampling supporter-action sets per subgoal and combining them per goal.
 
 A supporter of a fact f is an action with f in its add list.  Per subgoal,
-N sets are sampled by walking the problem's relaxed fixpoint (see
-relaxed.fixpoint) down from the subgoal in rounds.  The candidates for a
-demanded fact are its first achievers, the supporters one level below
-it, sorted by id; among them an action selected the fewest times so far
-is picked, and its preconditions outside s0 are demanded in the next
-round.  Those preconditions lie at lower fact levels, so each round's
-facts lie a level lower than the last round's and the walk ends by s0.
-Only a tie between several least-selected actions draws from the random
-stream, uniformly.  The N per-subgoal sets are then combined into N
+N sets are sampled by walking the problem's relaxed fixpoint
+(problem.relaxed_fixpoint) down from the subgoal in rounds.  The
+candidates for a demanded fact are its first achievers, the supporters one
+level below it, sorted by id; among them an action selected the fewest
+times so far is picked, and its preconditions outside s0 are demanded in
+the next round.  Those preconditions lie at lower fact levels, so each
+round's facts lie a level lower than the last round's and the walk ends by
+s0.  Only a tie between several least-selected actions draws from the
+random stream, uniformly.  The N per-subgoal sets are then combined into N
 per-goal sets, each taking one unconsumed set per subgoal uniformly at
-random; one draw per goal makes every pick.  Both give the stream that
-one Generator.integers call per pick would: a bound of 1 consumes no
-state, and an array of bounds is drawn in order, as one call per bound.
+random; one draw per goal makes every pick.  Both give the stream that one
+Generator.integers call per pick would: a bound of 1 consumes no state,
+and an array of bounds is drawn in order, as one call per bound.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
 from .grounding import GroundProblem
-from .relaxed import fixpoint
 
 # Stream tag separating the per-goal combination draw from per-subgoal draws.
 COMBINE_STREAM = 0xC0FFEE
@@ -65,7 +64,7 @@ def sample_subgoal_supporters(
     if subgoal in s0:
         return [SupporterSampleSet(frozenset()) for _ in range(n)]
 
-    first_achievers = fixpoint(problem).first_achievers
+    first_achievers = problem.relaxed_fixpoint.first_achievers
     # The subgoal is the only fact the walk can lack achievers for: every
     # precondition it demands later belongs to a reachable action.
     if subgoal not in first_achievers:
@@ -154,3 +153,23 @@ def generate_goal_supporters(
             union |= pool.pop(pick).actions
         combined.append(SupporterSampleSet(frozenset(union)))
     return combined
+
+
+def sample_combined_sets(
+    problem: GroundProblem, goal_index: int, n: int, seed: int
+) -> list[SupporterSampleSet] | None:
+    """Run the two sampling stages; None when the goal is relaxed-unreachable.
+
+    Subgoal k of the goal's sorted facts draws from stream
+    (seed, goal_index, k) and the combination from
+    (seed, goal_index, COMBINE_STREAM).
+    """
+    goal = problem.goal(goal_index)
+    if not goal <= problem.relaxed_fixpoint.fact_levels.keys():
+        return None
+    per_subgoal = {}
+    for ordinal, subgoal in enumerate(sorted(goal)):
+        sampler = SamplerState.from_seed(seed, goal_index, ordinal)
+        per_subgoal[subgoal] = sample_subgoal_supporters(problem, subgoal, n, sampler)
+    combiner = SamplerState.from_seed(seed, goal_index, COMBINE_STREAM)
+    return generate_goal_supporters(per_subgoal, n, goal, combiner)

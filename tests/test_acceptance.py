@@ -228,9 +228,8 @@ def test_criterion_4_heuristic_properties(tmp_path):
 
 
 def test_criterion_5_sampler_properties(grid, chain, logistics):
-    from goalrec.probability import sample_combined_sets
     from reference_rpg import RelaxedState, relaxed_apply
-    from goalrec.sampling import SamplerState, sample_subgoal_supporters
+    from goalrec.sampling import SamplerState, sample_combined_sets, sample_subgoal_supporters
 
     checks = []
     n = 10

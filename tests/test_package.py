@@ -24,15 +24,10 @@ PUBLIC_NAMES = [
     "RecognitionInstance",
     "RecognitionTrace",
     "Recognizer",
-    "RelaxedPlanningGraph",
-    "SamplerState",
-    "SupporterSampleSet",
     "build_problem",
-    "build_rpg",
     "compile_negations",
     "estimate",
     "exact_oracle",
-    "generate_goal_supporters",
     "ground",
     "load_instance",
     "parse_domain",
@@ -42,7 +37,6 @@ PUBLIC_NAMES = [
     "recognize",
     "recognize_online",
     "run_benchmark",
-    "sample_subgoal_supporters",
     "spread",
 ]
 

@@ -15,7 +15,8 @@ from goalrec.bench import build_problem, parse_hypothesis_line
 from goalrec.errors import GoalRecError, InapplicableActionError, UnknownIdError
 from goalrec.gridgen import DOMAIN_TEXT, bfs_distances, example_grid, random_grid, template_text
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
-from goalrec.relaxed import build_rpg, fixpoint
+from goalrec.probability import estimate
+from goalrec.relaxed import build_rpg
 from goalrec.sampling import SamplerState, sample_subgoal_supporters
 
 from reference_rpg import (
@@ -137,47 +138,44 @@ class TestRelaxedReachable:
 
 
 class TestFixpoint:
-    def test_computed_once_and_kept_on_the_problem(self, grid):
-        problem, _ = grid
-        first = fixpoint(problem)
-        build_rpg(problem, problem.goals[1])
-        assert fixpoint(problem) is first is problem.relaxed_fixpoint
-
-    def test_threads_share_one_fixpoint(self):
+    def test_threads_estimate_like_one_thread(self):
         problem = _random_grid_problem(4, 15, 15)
+        goals = range(len(problem.goals))
         start = threading.Barrier(8)
 
-        def first_use():
+        def estimate_all():
             start.wait(timeout=60)
-            return fixpoint(problem)
+            return [estimate(problem, g, seed=3).p for g in goals]
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(first_use) for _ in range(8)]
+                futures = [pool.submit(estimate_all) for _ in range(8)]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(previous)
-        assert all(r is problem.relaxed_fixpoint for r in results)
+        serial = _random_grid_problem(4, 15, 15)
+        expected = [estimate(serial, g, seed=3).p for g in goals]
+        for tables in results:
+            assert all(np.array_equal(p, q) for p, q in zip(tables, expected, strict=True))
 
     def test_not_part_of_equality_or_repr(self):
         problem = _random_grid_problem(4, 5, 5)
         other = _random_grid_problem(4, 5, 5)
-        fixpoint(problem)
         assert problem == other
         assert "relaxed_fixpoint" not in repr(problem)
 
     def test_freed_with_its_problem(self):
         problem = _random_grid_problem(4, 5, 5)
-        ref = weakref.ref(fixpoint(problem))
+        ref = weakref.ref(problem.relaxed_fixpoint)
         del problem
         gc.collect()
         assert ref() is None
 
     def test_first_achievers_sorted_at_earliest_level(self, grid):
         problem, _ = grid
-        fp = fixpoint(problem)
+        fp = problem.relaxed_fixpoint
         assert set(fp.first_achievers) == set(fp.fact_levels) - problem.s0
         for f, achievers in fp.first_achievers.items():
             level = fp.fact_levels[f] - 1

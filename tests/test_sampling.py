@@ -18,6 +18,7 @@ from goalrec.sampling import (
     SamplerState,
     SupporterSampleSet,
     generate_goal_supporters,
+    sample_combined_sets,
     sample_subgoal_supporters,
 )
 
@@ -239,6 +240,31 @@ class TestGoalCombination:
         combined = generate_goal_supporters({}, 3, frozenset(), sampler)
         assert combined == [SupporterSampleSet(frozenset())] * 3
         assert sampler.rng.bit_generator.state == state
+
+
+class TestCombinedSets:
+    def test_stream_per_subgoal_and_one_per_combination(self, logistics):
+        problem, _ = logistics
+        for goal_index, goal in enumerate(problem.goals):
+            per_subgoal = {
+                f: sample_subgoal_supporters(
+                    problem, f, N, SamplerState.from_seed(7, goal_index, ordinal)
+                )
+                for ordinal, f in enumerate(sorted(goal))
+            }
+            combiner = SamplerState.from_seed(7, goal_index, COMBINE_STREAM)
+            assert sample_combined_sets(problem, goal_index, N, 7) == generate_goal_supporters(
+                per_subgoal, N, goal, combiner
+            )
+
+    def test_relaxed_unreachable_goal_gives_none(self, grid_instance):
+        blocked = sorted(example_grid().blocked)[0]
+        problem = build_problem(
+            grid_instance.domain_text,
+            grid_instance.template_text,
+            (parse_hypothesis_line(f"(is-at {blocked})"),),
+        )
+        assert sample_combined_sets(problem, 0, N, 0) is None
 
 
 @st.composite
