@@ -36,10 +36,6 @@ class GroundingError(GoalRecError):
     """Failure while instantiating schemas or mapping hypothesis literals."""
 
 
-class InapplicableActionError(GoalRecError):
-    """Action applied in a state that does not satisfy its preconditions."""
-
-
 class UnknownIdError(GoalRecError):
     """Fact or action id outside the problem's index range."""
 

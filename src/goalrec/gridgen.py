@@ -72,37 +72,32 @@ class GridSpec:
         return out
 
 
+def bfs_tree(spec: GridSpec, source: str) -> dict[str, str | None]:
+    """Each cell reachable from source mapped to its BFS parent (None for
+    source), set when the cell is first discovered."""
+    parent: dict[str, str | None] = {source: None}
+    queue = deque([source])
+    while queue:
+        cell = queue.popleft()
+        for other in spec.neighbors(cell):
+            if other not in parent:
+                parent[other] = cell
+                queue.append(other)
+    return parent
+
+
+def _walk_back(tree: dict[str, str | None], target: str) -> list[str] | None:
+    if target not in tree:
+        return None
+    path = [target]
+    while (cell := tree[path[-1]]) is not None:
+        path.append(cell)
+    return path[::-1]
+
+
 def shortest_path(spec: GridSpec, source: str, target: str) -> list[str] | None:
     """BFS cell path including both endpoints; None when disconnected."""
-    if source == target:
-        return [source]
-    prev = {source: None}
-    queue = deque([source])
-    while queue:
-        cell = queue.popleft()
-        for other in spec.neighbors(cell):
-            if other in prev:
-                continue
-            prev[other] = cell
-            if other == target:
-                path = [other]
-                while path[-1] != source:
-                    path.append(prev[path[-1]])
-                return list(reversed(path))
-            queue.append(other)
-    return None
-
-
-def bfs_distances(spec: GridSpec, source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        cell = queue.popleft()
-        for other in spec.neighbors(cell):
-            if other not in dist:
-                dist[other] = dist[cell] + 1
-                queue.append(other)
-    return dist
+    return _walk_back(bfs_tree(spec, source), target)
 
 
 def example_grid() -> GridSpec:
@@ -159,17 +154,15 @@ def random_grid(
         if len(open_cells) < n_goals + 1:
             continue
         start = open_cells[int(rng.integers(len(open_cells)))]
-        reach = bfs_distances(spec, start)
-        candidates = sorted(c for c in reach if c != start)
+        tree = bfs_tree(spec, start)
+        candidates = sorted(c for c in tree if c != start)
         if len(candidates) < n_goals:
             continue
         picks = rng.choice(len(candidates), size=n_goals, replace=False)
         goals = tuple(candidates[i] for i in sorted(picks))
         true_goal = goals[int(rng.integers(n_goals))]
         spec = replace(spec, start=start, goal_cells=goals, true_goal=true_goal)
-        path = shortest_path(spec, start, true_goal)
-        if path is None or len(path) < 2:
-            continue
+        path = _walk_back(tree, true_goal)
         return replace(spec, observations=tuple(zip(path[:-1], path[1:])))
     raise ParameterError(
         f"no usable {width}x{height} grid with {n_goals} goals in {MAX_GRID_DRAWS} draws "

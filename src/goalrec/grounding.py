@@ -21,7 +21,7 @@ from itertools import product
 
 from .errors import GroundingError, UnknownIdError
 from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, atom_name, type_ancestors
-from .relaxed import RelaxedFixpoint, compute_fixpoint
+from .relaxed import RelaxedPlanningGraph, compute_fixpoint
 
 
 def objects_by_type(domain: DomainAst, problem: ProblemAst) -> dict[str, list[str]]:
@@ -157,13 +157,15 @@ class GroundProblem:
     actions: list[GroundAction]
     s0: frozenset[int]
     goals: list[frozenset[int]]
-    fact_ids: dict[str, int] = field(repr=False, default_factory=dict)
-    action_ids: dict[str, int] = field(repr=False, default_factory=dict)
-    # The goal-independent relaxed planning graph, computed from actions
-    # and s0 when the problem is built.
-    relaxed_fixpoint: RelaxedFixpoint = field(init=False, repr=False, compare=False)
+    # Name indexes and the goal-independent relaxed planning graph, all
+    # derived from the fields above when the problem is built.
+    fact_ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    action_ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    relaxed_fixpoint: RelaxedPlanningGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.fact_ids = {f.name: f.id for f in self.facts}
+        self.action_ids = {a.name: a.id for a in self.actions}
         self.relaxed_fixpoint = compute_fixpoint(self)
 
     @property
@@ -271,7 +273,6 @@ def ground(
         GroundAction(i, name, pre, add, delete, cost)
         for i, (name, pre, add, delete, cost) in enumerate(grounded)
     ]
-    action_ids = {a.name: a.id for a in actions}
 
     s0 = frozenset(
         fact_ids[atom_name(lit.predicate, lit.args)]
@@ -293,4 +294,4 @@ def ground(
             ids.add(fact_ids[name])
         goals.append(frozenset(ids))
 
-    return GroundProblem(facts, actions, s0, goals, fact_ids, action_ids)
+    return GroundProblem(facts, actions, s0, goals)

@@ -1,64 +1,51 @@
-"""Relaxed planning graphs from one delete-relaxed fixpoint per problem.
+"""The delete-relaxed planning graph: one fixpoint per problem.
 
 Each GroundProblem computes its fixpoint when it is built and keeps it
-as relaxed_fixpoint.  The fixpoint also indexes each reachable fact's
+as relaxed_fixpoint.  The graph also indexes each reachable fact's
 first achievers, the actions that add it one level below its own.  The
 supporter sampler walks that index alone (see sampling): every first
 achiever's preconditions lie at lower fact levels, so each step of the
 walk goes down a level and the walk ends once only s0 facts are needed.
+A per-goal graph (build_rpg) is a prefix of the fixpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .grounding import GroundProblem
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelaxedPlanningGraph:
     """First-appearance levels of facts and actions under delete relaxation.
 
-    fact_levels[f] is the first level at which f becomes true (0 = initial);
-    action_levels[t] holds the actions first applicable at level t.
+    fact_levels[f] is the first level at which f becomes true (0 = s0); it
+    lists s0 first, then level by level in id order.  action_levels[t]
+    holds the actions first applicable at level t; run to its fixpoint,
+    the graph ends with the batch, if any, that adds no new fact.
+    first_achievers maps each reached fact outside s0 to the actions that
+    add it at the action level just below its fact level, sorted by id.
+    unreached_goal_facts names the goal facts that no level reaches.
     """
 
     fact_levels: dict[int, int]
-    action_levels: list[frozenset[int]]
-    levels: int
-    goal: frozenset[int]
-    fact_count: int
-    unreachable: bool = False
-    unreached_goal_facts: frozenset[int] = field(default_factory=frozenset)
-
-
-@dataclass(frozen=True)
-class RelaxedFixpoint:
-    """Goal-independent delete-relaxation levels of one problem.
-
-    fact_levels holds every reachable fact: s0 first, then level by level
-    in id order, so the facts of levels 0..k are its first level_ends[k]
-    entries.  action_levels[t] holds the actions first applicable at level
-    t, ending with the batch, if any, that adds no new fact.
-    first_achievers maps each reachable fact outside s0 to the actions
-    that add it at the action level just below its fact level, sorted by
-    id.
-    """
-
-    fact_levels: dict[int, int]
-    level_ends: list[int]
     action_levels: list[frozenset[int]]
     first_achievers: dict[int, tuple[int, ...]]
+    unreached_goal_facts: frozenset[int] = frozenset()
 
     @property
     def levels(self) -> int:
-        return len(self.level_ends) - 1
+        return max(self.fact_levels.values(), default=0)
+
+    @property
+    def unreachable(self) -> bool:
+        return bool(self.unreached_goal_facts)
 
 
-def compute_fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
+def compute_fixpoint(problem: GroundProblem) -> RelaxedPlanningGraph:
     """Level-ordered generalized Dijkstra with unit costs: an action becomes
     applicable at the level where its last unmet precondition is reached."""
     actions = problem.actions
@@ -69,7 +56,6 @@ def compute_fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
             needed_by.setdefault(f, []).append(a.id)
 
     fact_levels = {f: 0 for f in problem.s0}
-    level_ends = [len(fact_levels)]
     action_levels: list[frozenset[int]] = []
     first_achievers: dict[int, tuple[int, ...]] = {}
     ready = [a.id for a in actions if not a.pre]
@@ -98,9 +84,8 @@ def compute_fixpoint(problem: GroundProblem) -> RelaxedFixpoint:
         for f in frontier:
             fact_levels[f] = level
             first_achievers[f] = tuple(new_facts[f])
-        level_ends.append(len(fact_levels))
 
-    return RelaxedFixpoint(fact_levels, level_ends, action_levels, first_achievers)
+    return RelaxedPlanningGraph(fact_levels, action_levels, first_achievers)
 
 
 def build_rpg(problem: GroundProblem, goal: frozenset[int]) -> RelaxedPlanningGraph:
@@ -111,20 +96,11 @@ def build_rpg(problem: GroundProblem, goal: frozenset[int]) -> RelaxedPlanningGr
     fixpoint directly; this per-goal view is what the tests check against
     the layered reference.
     """
-    fp = problem.relaxed_fixpoint
-    unreached = frozenset(f for f in goal if f not in fp.fact_levels)
+    graph = problem.relaxed_fixpoint
+    unreached = frozenset(f for f in goal if f not in graph.fact_levels)
     if unreached:
-        return RelaxedPlanningGraph(
-            dict(fp.fact_levels),
-            list(fp.action_levels),
-            fp.levels,
-            goal,
-            problem.fact_count,
-            unreachable=True,
-            unreached_goal_facts=unreached,
-        )
-    level = max((fp.fact_levels[f] for f in goal), default=0)
-    fact_levels = dict(islice(fp.fact_levels.items(), fp.level_ends[level]))
-    return RelaxedPlanningGraph(
-        fact_levels, fp.action_levels[:level], level, goal, problem.fact_count
-    )
+        return replace(graph, unreached_goal_facts=unreached)
+    level = max((graph.fact_levels[f] for f in goal), default=0)
+    fact_levels = {f: lv for f, lv in graph.fact_levels.items() if lv <= level}
+    first_achievers = {f: a for f, a in graph.first_achievers.items() if f in fact_levels}
+    return RelaxedPlanningGraph(fact_levels, graph.action_levels[:level], first_achievers)

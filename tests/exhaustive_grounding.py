@@ -91,7 +91,6 @@ def ground_exhaustive(domain, problem, hypotheses=None) -> GroundProblem:
         GroundAction(i, name, pre, add, delete, cost)
         for i, (name, pre, add, delete, cost) in enumerate(grounded)
     ]
-    action_ids = {a.name: a.id for a in actions}
 
     s0 = frozenset(
         fact_ids[atom_name(lit.predicate, lit.args)]
@@ -113,4 +112,4 @@ def ground_exhaustive(domain, problem, hypotheses=None) -> GroundProblem:
             ids.add(fact_ids[name])
         goals.append(frozenset(ids))
 
-    return GroundProblem(facts, actions, s0, goals, fact_ids, action_ids)
+    return GroundProblem(facts, actions, s0, goals)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from goalrec.errors import (
-    InapplicableActionError,
+    GoalRecError,
     InsufficientSamplesError,
     UnknownIdError,
     UnsupportedFactError,
@@ -27,6 +27,10 @@ from goalrec.errors import (
 from goalrec.grounding import GroundAction
 from goalrec.relaxed import RelaxedPlanningGraph
 from goalrec.sampling import SupporterSampleSet
+
+
+class InapplicableActionError(GoalRecError):
+    """Action applied in a state that does not satisfy its preconditions."""
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ def relaxed_apply(state: RelaxedState, action: GroundAction) -> RelaxedState:
     return state.union(action.add)
 
 
-def relaxed_reachable(rpg: RelaxedPlanningGraph, fact_id: int) -> bool:
-    if not 0 <= fact_id < rpg.fact_count:
+def relaxed_reachable(rpg: RelaxedPlanningGraph, fact_id: int, fact_count: int) -> bool:
+    if not 0 <= fact_id < fact_count:
         raise UnknownIdError(f"unknown fact id: {fact_id}")
     return fact_id in rpg.fact_levels
 
@@ -62,6 +66,7 @@ def build_rpg_layered(problem, goal: frozenset[int]) -> RelaxedPlanningGraph:
     """Expand levels until all goal facts are reached or a fixpoint occurs."""
     fact_levels = {f: 0 for f in problem.s0}
     action_levels: list[frozenset[int]] = []
+    first_achievers: dict[int, tuple[int, ...]] = {}
     seen_actions: set[int] = set()
     reached = set(problem.s0)
     level = 0
@@ -83,10 +88,7 @@ def build_rpg_layered(problem, goal: frozenset[int]) -> RelaxedPlanningGraph:
             return RelaxedPlanningGraph(
                 fact_levels,
                 action_levels,
-                level,
-                goal,
-                problem.fact_count,
-                unreachable=True,
+                first_achievers,
                 unreached_goal_facts=frozenset(goal - reached),
             )
         action_levels.append(new_actions)
@@ -94,9 +96,12 @@ def build_rpg_layered(problem, goal: frozenset[int]) -> RelaxedPlanningGraph:
         level += 1
         for f in sorted(new_facts):
             fact_levels[f] = level
+            first_achievers[f] = tuple(
+                sorted(a for a in new_actions if f in problem.actions[a].add)
+            )
         reached |= new_facts
 
-    return RelaxedPlanningGraph(fact_levels, action_levels, level, goal, problem.fact_count)
+    return RelaxedPlanningGraph(fact_levels, action_levels, first_achievers)
 
 
 def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, sampler, problem):

@@ -141,7 +141,7 @@ def test_criterion_3_estimator_properties(grid, chain, logistics):
                     (f"{tag}: p=1 on subgoals",
                      all(table.p[f] == 1.0 for f in goal), ""))
             support_ok = all(
-                table.p[f] == 0 or f in problem.s0 or relaxed_reachable(rpg, f)
+                table.p[f] == 0 or f in problem.s0 or relaxed_reachable(rpg, f, problem.fact_count)
                 for f in range(problem.fact_count)
             )
             checks.append((f"{tag}: p>0 implies relaxed-reachable", support_ok, ""))

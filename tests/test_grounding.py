@@ -9,7 +9,15 @@ from goalrec import bench, grounding
 from goalrec.bench import build_problem, load_instance, parse_hypothesis_line, prepare_instance
 from goalrec.errors import GroundingError
 from goalrec.gridgen import DOMAIN_TEXT, example_grid, random_grid, template_text
-from goalrec.grounding import ground, ground_instantiations, objects_by_type, static_predicates
+from goalrec.grounding import (
+    GroundAction,
+    GroundFact,
+    GroundProblem,
+    ground,
+    ground_instantiations,
+    objects_by_type,
+    static_predicates,
+)
 from goalrec.negation import compile_negations
 from goalrec.pddl import (
     ROOT_TYPE,
@@ -108,6 +116,16 @@ class TestGroundProblemContracts:
             problem.fact_id("(is-at c99)")
         with pytest.raises(GroundingError):
             problem.action_id("(m c1 c25)")
+
+    def test_hand_built_problem_resolves_names(self):
+        problem = GroundProblem(
+            [GroundFact(0, "(f0)"), GroundFact(1, "(f1)")],
+            [GroundAction(0, "(a0)", frozenset({0}), frozenset({1}), frozenset())],
+            frozenset({0}),
+            [frozenset({1})],
+        )
+        assert problem.fact_id("(f1)") == 1
+        assert problem.action_id("(a0)") == 0
 
 
 class TestHypothesisGrounding:

@@ -1,5 +1,6 @@
-"""The package's public surface and its runnable demos."""
+"""The package's public surface, its error classes and its runnable demos."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import goalrec
+import goalrec.errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,6 +48,23 @@ def test_public_surface_is_pinned():
     assert sorted(goalrec.__all__) == PUBLIC_NAMES
     for name in goalrec.__all__:
         assert getattr(goalrec, name) is not None
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # An error that only tests raise belongs with those tests.
+    raised = set()
+    for path in (ROOT / "src" / "goalrec").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    defined = {
+        name
+        for name, obj in vars(goalrec.errors).items()
+        if isinstance(obj, type) and obj.__module__ == goalrec.errors.__name__
+    }
+    assert sorted(defined - raised) == []
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

@@ -79,7 +79,7 @@ class TestEstimate:
             rpg = build_rpg(problem, problem.goals[goal_index])
             for f in range(problem.fact_count):
                 if table.p[f] > 0:
-                    assert f in problem.s0 or relaxed_reachable(rpg, f)
+                    assert f in problem.s0 or relaxed_reachable(rpg, f, problem.fact_count)
 
     def test_same_seed_identical_tables(self, grid):
         problem, _ = grid

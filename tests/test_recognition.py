@@ -240,8 +240,6 @@ class TestRecognize:
             actions=[],
             s0=frozenset(),
             goals=[frozenset({1}), frozenset({2}), frozenset({0})],
-            fact_ids={f"(f{i})": i for i in range(3)},
-            action_ids={},
         )
         tables = [
             FactProbabilityTable(0, np.array([0.0, 1.0, 0.0])),

@@ -5,6 +5,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalrec.bench import build_problem, parse_hypothesis_line
-from goalrec.errors import GoalRecError, InapplicableActionError, UnknownIdError
-from goalrec.gridgen import DOMAIN_TEXT, bfs_distances, example_grid, random_grid, template_text
+from goalrec.errors import GoalRecError, UnknownIdError
+from goalrec.gridgen import DOMAIN_TEXT, example_grid, random_grid, shortest_path, template_text
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
 from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
 from goalrec.sampling import SamplerState, sample_subgoal_supporters
 
 from reference_rpg import (
+    InapplicableActionError,
     RelaxedState,
     build_rpg_layered,
     relaxed_apply,
@@ -69,15 +71,15 @@ class TestBuildRpg:
         # Independent oracle: BFS over the open grid cells.
         problem, _ = grid
         rpg = build_rpg(problem, problem.goals[0])
-        distances = bfs_distances(SPEC, SPEC.start)
-        for cell, dist in distances.items():
+        for cell in SPEC.open_cells():
+            dist = len(shortest_path(SPEC, SPEC.start, cell)) - 1
             assert rpg.fact_levels[problem.fact_id(f"(is-at {cell})")] == dist
 
     def test_goal_level_is_shortest_path_length(self, grid):
         problem, _ = grid
         for goal_cell, goal in zip(("c1", "c5"), (problem.goals[0], problem.goals[1])):
             rpg = build_rpg(problem, goal)
-            assert rpg.levels == bfs_distances(SPEC, SPEC.start)[goal_cell] == 6
+            assert rpg.levels == len(shortest_path(SPEC, SPEC.start, goal_cell)) - 1 == 6
 
     def test_goal_in_s0_yields_zero_levels(self, grid):
         problem, _ = grid
@@ -117,24 +119,25 @@ class TestRelaxedReachable:
         problem, _ = grid
         rpg = build_rpg(problem, problem.goals[0])
         for f in problem.s0:
-            assert relaxed_reachable(rpg, f)
+            assert relaxed_reachable(rpg, f, problem.fact_count)
 
     def test_blocked_cells_unreachable(self, grid):
         problem, _ = grid
         rpg = build_rpg(problem, problem.goals[0])
         for cell in BLOCKED:
-            assert not relaxed_reachable(rpg, problem.fact_id(f"(is-at {cell})"))
+            fact = problem.fact_id(f"(is-at {cell})")
+            assert not relaxed_reachable(rpg, fact, problem.fact_count)
 
     def test_goal_fact_reachable(self, grid):
         problem, _ = grid
         rpg = build_rpg(problem, problem.goals[0])
-        assert relaxed_reachable(rpg, problem.fact_id("(is-at c1)"))
+        assert relaxed_reachable(rpg, problem.fact_id("(is-at c1)"), problem.fact_count)
 
     def test_unknown_id_raises(self, grid):
         problem, _ = grid
         rpg = build_rpg(problem, problem.goals[0])
         with pytest.raises(UnknownIdError):
-            relaxed_reachable(rpg, problem.fact_count)
+            relaxed_reachable(rpg, problem.fact_count, problem.fact_count)
 
 
 class TestFixpoint:
@@ -234,15 +237,15 @@ def _assert_matches_reference(problem, n, seed):
     for goal in problem.goals:
         rpg = build_rpg(problem, goal)
         ref = build_rpg_layered(problem, goal)
+        assert rpg == ref
         assert list(rpg.fact_levels.items()) == list(ref.fact_levels.items())
-        assert rpg.action_levels == ref.action_levels
-        assert rpg.levels == ref.levels
-        assert rpg.unreachable == ref.unreachable
-        assert rpg.unreached_goal_facts == ref.unreached_goal_facts
 
-    # The scan runs on the graph of every fact, so no level bound can stop
-    # it short of a fact the fixpoint reaches.
-    full = build_rpg_layered(problem, frozenset(range(problem.fact_count)))
+    # No action adds the fact id past the last, so the layered graph runs
+    # to its fixpoint, last batch included, and so no level bound can stop
+    # the scan short of a fact the fixpoint reaches.
+    full = build_rpg_layered(problem, frozenset({problem.fact_count}))
+    assert problem.relaxed_fixpoint == replace(full, unreached_goal_facts=frozenset())
+    assert list(problem.relaxed_fixpoint.fact_levels.items()) == list(full.fact_levels.items())
 
     def walk(f, sampler):
         return sample_subgoal_supporters(problem, f, n, sampler)
