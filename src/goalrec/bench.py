@@ -1,15 +1,17 @@
 """Benchmark harness: instance loading, precision/spread, report generation.
 
 Dataset layout: <root>/<instance>/{domain.pddl, template.pddl, hyps.dat,
-obs.dat, real_hyp.dat}.  hyps.dat holds one hypothesis per line with
-comma-separated ground atoms; obs.dat one parenthesized ground action per
-line; real_hyp.dat a single hypothesis line.
+obs.dat, real_hyp.dat}.  Every .dat line is read by the PDDL reader, so
+case is folded and ";" starts a comment; a blank or comment-only line is
+skipped.  A hyps.dat line is one hypothesis: one or more ground atoms, a
+comma allowed between two of them, and no hypothesis listed twice.
+real_hyp.dat holds one such line, and obs.dat one positive ground action
+per line.  Anything else on a line is a DatasetError.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import time
 import zlib
 from dataclasses import dataclass
@@ -20,16 +22,14 @@ import numpy as np
 
 from .errors import DatasetError, GoalRecError, ParameterError
 from .grounding import GroundProblem, ground
-from .negation import compile_hypothesis, compile_negations, negated_predicates
-from .pddl import Literal, parse_atom, parse_domain, parse_problem
+from .negation import complement_literal, compile_negations
+from .pddl import Literal, parse_domain, parse_literal, parse_problem, read_forms
 from .probability import DEFAULT_N_SAMPLES, EMPIRICAL_UNION, FactProbabilityTable, estimate
 from .recognition import ObservationEvent, RecognitionTrace, recognize_online
 
 DEFAULT_LAMBDAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
 HYPOTHESIS_PLACEHOLDER = "<HYPOTHESIS>"
-
-_ATOM_RE = re.compile(r"\((?:[^()]|\([^()]*\))*\)")
 
 
 @dataclass(frozen=True)
@@ -42,35 +42,53 @@ class RecognitionInstance:
     observations: tuple[str, ...]  # canonical ground action names
 
 
-def _dataset_atom(text: str) -> Literal:
+def _line_atoms(line: str) -> list[Literal]:
+    """The atoms of one .dat line, none for a blank or comment-only line."""
     try:
-        return parse_atom(text)
+        forms = read_forms(line)
+        # A comma is dropped only where it stands alone between two forms.
+        return [
+            parse_literal(form, allow_negation=True)
+            for i, form in enumerate(forms)
+            if not (form == "," and 0 < i < len(forms) - 1 and forms[i - 1] != ",")
+        ]
     except GoalRecError as exc:
-        raise DatasetError(f"unparsable atom: {text!r} ({exc})") from None
+        raise DatasetError(f"unparsable atom: {line!r} ({exc})") from None
 
 
 def parse_hypothesis_line(line: str) -> frozenset[Literal]:
-    atoms = _ATOM_RE.findall(line)
+    """The hypothesis on one line, which must hold atoms."""
+    atoms = _line_atoms(line)
     if not atoms:
         raise DatasetError(f"hypothesis line has no atoms: {line!r}")
-    return frozenset(_dataset_atom(atom) for atom in atoms)
+    return frozenset(atoms)
+
+
+def parse_hypotheses(text: str) -> tuple[frozenset[Literal], ...]:
+    """One hypothesis per hyps.dat line that holds atoms; a repeat is an error."""
+    hypotheses: list[frozenset[Literal]] = []
+    for atoms in map(_line_atoms, text.splitlines()):
+        if not atoms:
+            continue
+        hypothesis = frozenset(atoms)
+        if hypothesis in hypotheses:
+            names = ", ".join(sorted(lit.canonical() for lit in hypothesis))
+            raise DatasetError(f"hypothesis listed twice: {names}")
+        hypotheses.append(hypothesis)
+    return tuple(hypotheses)
 
 
 def parse_observations(text: str) -> tuple[str, ...]:
-    """Canonical ground action names, one per non-blank obs.dat line."""
+    """Canonical ground action names, one per obs.dat line that holds atoms."""
     names = []
     for line in text.splitlines():
-        if not line.strip():
+        atoms = _line_atoms(line)
+        if not atoms:
             continue
-        lit = _dataset_atom(line.strip())
-        if lit.negated:
+        if len(atoms) != 1 or atoms[0].negated:
             raise DatasetError(f"unparsable observation line: {line!r}")
-        names.append(lit.canonical())
+        names.append(atoms[0].canonical())
     return tuple(names)
-
-
-def _normalize_hypothesis(hyp: frozenset[Literal]) -> tuple[str, ...]:
-    return tuple(sorted(lit.canonical() for lit in hyp))
 
 
 def load_instance(directory: str | Path) -> RecognitionInstance:
@@ -82,22 +100,15 @@ def load_instance(directory: str | Path) -> RecognitionInstance:
             raise DatasetError(f"{path.name}: missing file {name}")
         files[name] = f.read_text()
 
-    hypotheses = tuple(
-        parse_hypothesis_line(line)
-        for line in files["hyps.dat"].splitlines()
-        if line.strip()
-    )
+    hypotheses = parse_hypotheses(files["hyps.dat"])
     if not hypotheses:
         raise DatasetError(f"{path.name}: empty hyps.dat")
 
-    real_lines = [line for line in files["real_hyp.dat"].splitlines() if line.strip()]
-    if len(real_lines) != 1:
-        raise DatasetError(f"{path.name}: real_hyp.dat must hold exactly one line")
-    real = _normalize_hypothesis(parse_hypothesis_line(real_lines[0]))
-    normalized = [_normalize_hypothesis(h) for h in hypotheses]
-    if real not in normalized:
+    real = parse_hypotheses(files["real_hyp.dat"])
+    if len(real) != 1:
+        raise DatasetError(f"{path.name}: real_hyp.dat must hold exactly one hypothesis")
+    if real[0] not in hypotheses:
         raise DatasetError(f"{path.name}: real hypothesis not found among hyps.dat")
-    true_index = normalized.index(real)
 
     observations = parse_observations(files["obs.dat"])
     if not observations:
@@ -108,7 +119,7 @@ def load_instance(directory: str | Path) -> RecognitionInstance:
         domain_text=files["domain.pddl"],
         template_text=files["template.pddl"],
         hypotheses=hypotheses,
-        true_goal_index=true_index,
+        true_goal_index=hypotheses.index(real[0]),
         observations=observations,
     )
 
@@ -125,14 +136,21 @@ def build_problem(
     domain = parse_domain(domain_text)
     # Substituting the union of all hypothesis atoms validates every
     # hypothesis object and lets negation compilation see every negated
-    # predicate; grounding receives the per-hypothesis goal sets separately.
-    all_atoms = " ".join(sorted({lit.canonical() for hyp in hypotheses for lit in hyp}))
-    problem_text = template_text.replace(HYPOTHESIS_PLACEHOLDER, all_atoms)
+    # predicate, so each hypothesis takes the goal's rewrite; grounding
+    # receives the per-hypothesis goal sets separately.
+    atoms = {lit for hyp in hypotheses for lit in hyp}
+    problem_text = template_text.replace(
+        HYPOTHESIS_PLACEHOLDER, " ".join(sorted(lit.canonical() for lit in atoms))
+    )
     problem = parse_problem(problem_text, domain)
-
-    negated = negated_predicates(domain, problem)
+    missing = sorted(lit.canonical() for lit in atoms - problem.goal)
+    if missing:
+        raise DatasetError(
+            f"hypothesis atom {missing[0]} is not in the template goal, "
+            f"which must hold {HYPOTHESIS_PLACEHOLDER}"
+        )
     domain, problem = compile_negations(domain, problem)
-    compiled = [compile_hypothesis(h, negated) for h in hypotheses]
+    compiled = [frozenset(map(complement_literal, hyp)) for hyp in hypotheses]
     return ground(domain, problem, compiled)
 
 

@@ -18,7 +18,7 @@ from .bench import (
     DEFAULT_LAMBDAS,
     build_problem,
     estimate_tables,
-    parse_hypothesis_line,
+    parse_hypotheses,
     parse_observations,
     prefix_length,
     run_benchmark,
@@ -47,12 +47,7 @@ def _read(path: str) -> str:
 
 
 def _load_problem(args):
-    hypotheses = tuple(
-        parse_hypothesis_line(line)
-        for line in _read(args.hyps).splitlines()
-        if line.strip()
-    )
-    return build_problem(_read(args.domain), _read(args.template), hypotheses)
+    return build_problem(_read(args.domain), _read(args.template), parse_hypotheses(_read(args.hyps)))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -112,8 +107,7 @@ def cmd_recognize(args) -> int:
     trace = recognizer.run(events)
     if not trace.steps:
         # No evidence: every goal ties at its score of exactly 0.0.
-        h0 = recognizer.scores()
-        trace = RecognitionTrace([TraceStep(0, h0, list(range(len(h0))))])
+        trace = RecognitionTrace([TraceStep.of(0, recognizer.scores())])
     if args.explain is not None:
         explain = Path(args.explain)
         explain.parent.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,10 @@
 For every predicate p appearing negated anywhere, a complement predicate
 not-p is introduced; adds of p delete not-p and deletes of p add not-p.
 The initial state is closed so that exactly one of p/not-p holds per
-ground instantiation.
+ground instantiation.  A goal hypothesis takes the same rewrite with
+`complement_literal`: the benchmark loader puts every hypothesis atom into
+the problem goal, so each predicate negated in a hypothesis has its
+complement.
 """
 
 from __future__ import annotations
@@ -91,21 +94,3 @@ def compile_negations(
     )
     new_problem = replace(problem, init=frozenset(init), goal=goal)
     return new_domain, new_problem
-
-
-def compile_hypothesis(
-    hypothesis: frozenset[Literal], negated: frozenset[str]
-) -> frozenset[Literal]:
-    """Apply the same rewrite to an external goal hypothesis."""
-    out = set()
-    for lit in hypothesis:
-        if lit.negated:
-            if lit.predicate not in negated:
-                raise ValidationError(
-                    f"negated hypothesis literal {lit.canonical()} has no complement; "
-                    "include it in the compiled problem goal"
-                )
-            out.add(complement_literal(lit))
-        else:
-            out.add(lit)
-    return frozenset(out)

@@ -111,13 +111,6 @@ def type_ancestors(domain: DomainAst) -> dict[str, set[str]]:
 # ── Tokenizer / s-expression reader ──────────────────────────────────────
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
 # A comment, running to the end of its line, or a token: a parenthesis or
 # a run of symbol characters.  Blanks (space, tab, carriage return) and
 # newlines match nothing and are skipped.
@@ -129,36 +122,23 @@ def _token_texts(text: str) -> list[str]:
     return [token for token in _TOKEN_RE.findall(text.lower()) if token]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of text with their 1-based line and column."""
-    tokens: list[_Token] = []
-    line, line_start, prev = 1, 0, 0
-    for match in _TOKEN_RE.finditer(text):
-        token = match.group(1)
-        if token is None:
-            continue
-        start = match.start()
-        newlines = text.count("\n", prev, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", prev, start) + 1
-        prev = start
-        tokens.append(_Token(token.lower(), line, start - line_start + 1))
-    return tokens
+def _token_position(text: str, index: int) -> tuple[int, int]:
+    """The 1-based line and column of the index-th token of text."""
+    start = [m.start() for m in _TOKEN_RE.finditer(text) if m.group(1)][index]
+    line_start = text.rfind("\n", 0, start) + 1
+    return text.count("\n", 0, start) + 1, start - line_start + 1
 
 
 class _Malformed(Exception):
-    """A syntax error at a token index; positions are looked up only then."""
+    """A syntax error at a token index; its position is looked up only then."""
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
         self.message = message
         self.index = index
 
 
 def _read_sexp(tokens: list[str], pos: int) -> tuple[object, int]:
-    if pos >= len(tokens):
-        raise _Malformed("unexpected end of input")
     tok = tokens[pos]
     if tok == "(":
         items: list[object] = []
@@ -176,21 +156,34 @@ def _read_sexp(tokens: list[str], pos: int) -> tuple[object, int]:
     return tok, pos + 1
 
 
-def _read_single(text: str) -> list:
+def read_forms(text: str) -> list:
+    """Every top-level form of text, in order: a list for a parenthesized
+    form, a string for a bare symbol; none for blank or comment-only text."""
     tokens = _token_texts(text)
+    forms: list = []
+    pos = 0
     try:
-        if not tokens:
-            raise PddlSyntaxError("empty input", 1, 1)
+        while pos < len(tokens):
+            form, pos = _read_sexp(tokens, pos)
+            forms.append(form)
+    except _Malformed as exc:
+        raise PddlSyntaxError(exc.message, *_token_position(text, exc.index)) from None
+    return forms
+
+
+def _read_single(text: str) -> list:
+    """The one top-level form of a domain or problem, which must be parenthesized."""
+    tokens = _token_texts(text)
+    if not tokens:
+        raise PddlSyntaxError("empty input", 1, 1)
+    try:
         sexp, pos = _read_sexp(tokens, 0)
         if pos != len(tokens):
             raise _Malformed("trailing input after top-level form", pos)
         if not isinstance(sexp, list):
             raise _Malformed("expected a parenthesized form", 0)
     except _Malformed as exc:
-        if exc.index is None:
-            raise PddlSyntaxError(exc.message) from None
-        tok = _tokenize(text)[exc.index]
-        raise PddlSyntaxError(exc.message, tok.line, tok.column) from None
+        raise PddlSyntaxError(exc.message, *_token_position(text, exc.index)) from None
     return sexp
 
 
@@ -217,7 +210,8 @@ def _parse_typed_list(items: list) -> list[tuple[str, str]]:
     return out
 
 
-def _parse_literal(sexp: object, *, allow_negation: bool) -> Literal:
+def parse_literal(sexp: object, *, allow_negation: bool) -> Literal:
+    """One read atom form, or its "(not ...)" where negation is allowed."""
     if not isinstance(sexp, list) or not sexp or not isinstance(sexp[0], str):
         raise ValidationError(f"malformed literal: {sexp}")
     if sexp[0] == "not":
@@ -225,7 +219,7 @@ def _parse_literal(sexp: object, *, allow_negation: bool) -> Literal:
             raise ValidationError(f"negation not allowed here: {sexp}")
         if len(sexp) != 2:
             raise ValidationError(f"malformed negated literal: {sexp}")
-        return _parse_literal(sexp[1], allow_negation=False).negate()
+        return parse_literal(sexp[1], allow_negation=False).negate()
     head, *args = sexp
     if not all(isinstance(a, str) for a in args):
         raise ValidationError(f"malformed literal arguments: {sexp}")
@@ -234,7 +228,7 @@ def _parse_literal(sexp: object, *, allow_negation: bool) -> Literal:
 
 def parse_atom(text: str) -> Literal:
     """One ground atom, "(pred arg ...)" or "(not (pred arg ...))"."""
-    return _parse_literal(_read_single(text), allow_negation=True)
+    return parse_literal(_read_single(text), allow_negation=True)
 
 
 def _flatten_conjunction(sexp: object) -> list:
@@ -326,13 +320,13 @@ def _parse_action(section: list) -> ActionSchema:
             params = tuple(_parse_typed_list(value))
         elif key == ":precondition":
             for part in _flatten_conjunction(value):
-                pre.append(_parse_literal(part, allow_negation=True))
+                pre.append(parse_literal(part, allow_negation=True))
         elif key == ":effect":
             for part in _flatten_conjunction(value):
                 if isinstance(part, list) and part and part[0] == "increase":
                     cost = _parse_cost(part, name)
                     continue
-                lit = _parse_literal(part, allow_negation=True)
+                lit = parse_literal(part, allow_negation=True)
                 (delete if lit.negated else add).append(lit.negate() if lit.negated else lit)
         else:
             raise ValidationError(f"unsupported action keyword {key} in {name}")
@@ -426,10 +420,10 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
             for atom in section[1:]:
                 if isinstance(atom, list) and atom and atom[0] == "=":
                     continue  # (= (total-cost) 0)
-                init.append(_parse_literal(atom, allow_negation=False))
+                init.append(parse_literal(atom, allow_negation=False))
         elif head == ":goal":
             for part in _flatten_conjunction(section[1]):
-                goal.append(_parse_literal(part, allow_negation=True))
+                goal.append(parse_literal(part, allow_negation=True))
         elif head == ":metric":
             continue
         else:

@@ -67,17 +67,16 @@ def heuristic(start: list[float], directions: np.ndarray) -> list[float]:
 
 
 @dataclass
-class RecognitionResult:
-    heuristic: dict[int, float]  # goal index -> score
-    recognized: frozenset[int]  # argmax set
-    t: int  # number of observations folded in
-
-
-@dataclass
 class TraceStep:
-    t: int
-    heuristic: list[float]
-    recognized: list[int]
+    t: int  # number of observations folded in
+    heuristic: list[float]  # one score per goal
+    recognized: list[int]  # the goals with the top score, ascending
+
+    @classmethod
+    def of(cls, t: int, scores: list[float]) -> "TraceStep":
+        """The step at t in which every goal with the top score is recognized."""
+        top = max(scores)
+        return cls(t, scores, [i for i, h in enumerate(scores) if h == top])
 
 
 @dataclass
@@ -93,11 +92,6 @@ class RecognitionTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.records(), indent=2)
-
-
-def _argmax_set(scores: list[float]) -> frozenset[int]:
-    top = max(scores)
-    return frozenset(i for i, h in enumerate(scores) if h == top)
 
 
 class Recognizer:
@@ -133,11 +127,9 @@ class Recognizer:
 
     def run(self, observations: list[ObservationEvent]) -> RecognitionTrace:
         """One trace step per observation."""
-        steps = []
-        for t, obs in enumerate(observations, start=1):
-            scores = self.observe(obs)
-            steps.append(TraceStep(t, scores, sorted(_argmax_set(scores))))
-        return RecognitionTrace(steps)
+        return RecognitionTrace(
+            [TraceStep.of(t, self.observe(obs)) for t, obs in enumerate(observations, start=1)]
+        )
 
     def explain(self) -> list[dict]:
         """Per goal: the reward term, the length left on the facts with positive
@@ -151,13 +143,13 @@ class Recognizer:
 
 def recognize(
     problem: GroundProblem, tables: list[FactProbabilityTable], observations: list[ObservationEvent]
-) -> RecognitionResult:
-    """Score every goal against all observations; ties all win."""
+) -> TraceStep:
+    """The step after all observations: every goal scored, ties all win."""
     recognizer = Recognizer(problem, tables)
     scores = recognizer.scores()
     for obs in observations:
         scores = recognizer.observe(obs)
-    return RecognitionResult(dict(enumerate(scores)), _argmax_set(scores), len(observations))
+    return TraceStep.of(len(observations), scores)
 
 
 def recognize_online(

@@ -85,7 +85,7 @@ def test_criterion_1_worked_example(grid):
              abs(third - math.sqrt(5.5)) <= 1e-9, f"{third}"),
             ("h(G2) = sqrt(3.5) - sqrt(5.5) within 1e-9",
              abs(h2 - (math.sqrt(3.5) - math.sqrt(5.5))) <= 1e-9, f"{h2}"),
-            ("recognized = {G1}", result.recognized == {0}, f"{result.recognized}"),
+            ("recognized = {G1}", result.recognized == [0], f"{result.recognized}"),
             ("runtime < 1 s", elapsed < 1.0, f"{elapsed:.3f}s"),
         ],
     )
@@ -210,7 +210,7 @@ def test_criterion_4_heuristic_properties(tmp_path):
             step = trace.steps[t - 1]
             check(f"grid{index}/t{t}: prefix consistency",
                   step.heuristic == [result.heuristic[i] for i in range(3)]
-                  and frozenset(step.recognized) == result.recognized)
+                  and step.recognized == result.recognized)
 
         forward = recognize(problem, tables, events)
         shuffled = list(events)

@@ -1,16 +1,23 @@
 """Benchmark harness: instance loading, metrics, report generation."""
 
 import json
+import re
 import shutil
 from statistics import mean
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalrec import bench
 from goalrec.bench import (
     DEFAULT_LAMBDAS,
+    build_problem,
     load_instance,
+    parse_hypotheses,
+    parse_hypothesis_line,
     parse_observations,
     precision,
     prefix_length,
@@ -20,6 +27,8 @@ from goalrec.bench import (
     spread,
 )
 from goalrec.errors import DatasetError, GoalRecError, ParameterError
+from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text, write_instance
+from goalrec.pddl import Literal
 from goalrec.recognition import RecognitionTrace, TraceStep
 
 from conftest import FIXTURES
@@ -84,6 +93,102 @@ class TestLoadInstance:
         (tmp_path / "broken" / "hyps.dat").write_text("\n")
         with pytest.raises(DatasetError, match="hyps"):
             load_instance(tmp_path / "broken")
+
+
+def _is_at(*cells):
+    return frozenset(Literal("is-at", (cell,)) for cell in cells)
+
+
+_CELLS = [f"c{i}" for i in range(1, 26)]
+
+
+class TestDatasetLines:
+    def test_atom_after_a_semicolon_is_a_comment(self):
+        assert parse_hypothesis_line("(is-at c1) ; (is-at c2)") == _is_at("c1")
+
+    def test_comment_only_lines_are_skipped(self, tmp_path):
+        shutil.copytree(FIXTURES / "grid", tmp_path / "grid")
+        for name, comment in [
+            ("hyps.dat", "; (is-at c13)"),
+            ("real_hyp.dat", "  ; (is-at c5)"),
+            ("obs.dat", "\t; (m c21 c16)"),
+        ]:
+            path = tmp_path / "grid" / name
+            path.write_text(f"{comment}\n" + path.read_text().replace("\n", f"\n{comment}\n\n"))
+        assert load_instance(tmp_path / "grid") == load_instance(FIXTURES / "grid")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["junk (is-at c1) more junk", "(is-at c1) junk (is-at c5)", "(is-at c1) (is-at",
+         "(is-at c1),", ", (is-at c1)", "(is-at c1),, (is-at c5)", "(is-at c1) ((is-at c5))"],
+    )
+    def test_anything_but_atoms_and_commas_raises(self, line):
+        with pytest.raises(DatasetError, match="unparsable atom"):
+            parse_hypotheses(line + "\n")
+        with pytest.raises(DatasetError, match="unparsable"):
+            parse_observations(line + "\n")
+
+    def test_duplicate_hypothesis_raises(self, tmp_path):
+        shutil.copytree(FIXTURES / "logistics", tmp_path / "inst")
+        hyps = tmp_path / "inst" / "hyps.dat"
+        hyps.write_text(hyps.read_text() + "(AT-PKG p2 l3) (at-pkg p1 l2)\n")
+        message = "hypothesis listed twice: (at-pkg p1 l2), (at-pkg p2 l3)"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            load_instance(tmp_path / "inst")
+
+    @given(
+        hypotheses=st.lists(st.frozensets(st.sampled_from(_CELLS), min_size=1, max_size=4),
+                            min_size=1, max_size=5, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_written_hypotheses_read_back(self, hypotheses, data):
+        filler = st.lists(st.sampled_from(["", "  ", "; note", "\t; (is-at c1)"]), max_size=2)
+        lines = []
+        for hypothesis in hypotheses:
+            lines += data.draw(filler)
+            atoms = [
+                f"(is-at {cell})".upper() if data.draw(st.booleans()) else f"(is-at {cell})"
+                for cell in data.draw(st.permutations(sorted(hypothesis)))
+            ]
+            line = atoms[0]
+            for atom in atoms[1:]:
+                line += data.draw(st.sampled_from([", ", " ", ","])) + atom
+            lines.append(line + data.draw(st.sampled_from(["", " ; (is-at c2)", ";x,"])))
+        lines += data.draw(filler)
+        assert parse_hypotheses("\n".join(lines)) == tuple(_is_at(*h) for h in hypotheses)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_grid_round_trips(self, tmp_path, seed):
+        spec = random_grid(np.random.default_rng(seed), width=5, height=4, n_goals=3)
+        instance = load_instance(write_instance(tmp_path / "inst", spec))
+        assert instance.domain_text == DOMAIN_TEXT
+        assert instance.template_text == template_text(spec)
+        assert instance.hypotheses == tuple(_is_at(cell) for cell in spec.goal_cells)
+        assert instance.hypotheses[instance.true_goal_index] == _is_at(spec.true_goal)
+        assert instance.observations == tuple(f"(m {a} {b})" for a, b in spec.observations)
+
+
+class TestBuildProblem:
+    def _build(self, template, hypotheses):
+        domain = (FIXTURES / "grid" / "domain.pddl").read_text()
+        return build_problem(domain, template, tuple(map(parse_hypothesis_line, hypotheses)))
+
+    def test_negated_hypothesis_grounds_to_its_complement(self):
+        template = (FIXTURES / "grid" / "template.pddl").read_text()
+        problem = self._build(template, ["(not (is-at c1))", "(is-at c5), (NOT (is-at c23))"])
+        assert problem.goals == [
+            frozenset({problem.fact_id("(not-is-at c1)")}),
+            frozenset({problem.fact_id("(is-at c5)"), problem.fact_id("(not-is-at c23)")}),
+        ]
+        assert problem.fact_id("(not-is-at c1)") in problem.s0
+        assert problem.fact_id("(not-is-at c23)") not in problem.s0
+
+    @pytest.mark.parametrize("goal", ["(is-at c1)", "(is-at c1)\n ; <HYPOTHESIS>\n"])
+    def test_goal_without_placeholder_raises(self, goal):
+        template = (FIXTURES / "grid" / "template.pddl").read_text()
+        with pytest.raises(DatasetError, match=r"\(is-at c5\) .*<HYPOTHESIS>"):
+            self._build(template.replace("<HYPOTHESIS>", goal), ["(is-at c1)", "(is-at c5)"])
 
 
 class TestMetrics:

@@ -1,14 +1,17 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import argparse
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from goalrec import Recognizer, load_instance, prepare_instance
 from goalrec.bench import DEFAULT_LAMBDAS, estimate_tables
-from goalrec.cli import EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR, EXIT_OK, main
+from goalrec.cli import EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from goalrec.errors import ParameterError
 from goalrec.gridgen import MAX_GRID_DRAWS, random_grid
 from goalrec.probability import DEFAULT_N_SAMPLES
@@ -114,6 +117,23 @@ class TestEstimate:
         assert code == EXIT_INPUT_ERROR
         assert "number of samples must be positive" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("goal", ["(is-at c1)", "(is-at c1)\n ; <HYPOTHESIS>\n"])
+    def test_template_without_placeholder_exits_one(self, tmp_path, capsys, goal):
+        template = tmp_path / "template.pddl"
+        template.write_text((GRID / "template.pddl").read_text().replace("<HYPOTHESIS>", goal))
+        code = main(
+            [
+                "estimate",
+                "--domain", str(GRID / "domain.pddl"),
+                "--template", str(template),
+                "--hyps", str(GRID / "hyps.dat"),
+                "--output", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "<HYPOTHESIS>" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_mistyped_init_atom_exits_one(self, tmp_path, capsys):
         (tmp_path / "domain.pddl").write_text(TYPED_DOMAIN)
@@ -456,3 +476,28 @@ class TestGenGrid:
         a = (tmp_path / "a" / "template.pddl").read_text()
         b = (tmp_path / "b" / "template.pddl").read_text()
         assert a == b
+
+
+def _readme_usage() -> dict[str, set[str]]:
+    """The options that the README's usage block gives each subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```")[1::2] if b.lstrip().startswith("goalrec "))
+    usage: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        command = re.match(r"goalrec (\S+)", line)
+        if command:
+            options = usage.setdefault(command.group(1), set())
+        options.update(re.findall(r"--[a-z][a-z-]*", line))
+    return usage
+
+
+def test_readme_usage_names_every_option():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {opt for a in sub._actions for opt in a.option_strings if opt.startswith("--")}
+        - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert _readme_usage() == defined

@@ -16,8 +16,8 @@ from goalrec.gridgen import DOMAIN_TEXT
 from goalrec.negation import compile_negations
 from goalrec.pddl import (
     Literal,
+    _token_position,
     _token_texts,
-    _tokenize,
     parse_atom,
     parse_domain,
     parse_problem,
@@ -362,7 +362,7 @@ def _tokenize_by_character(text):
 
 
 def _triples(text):
-    return [(tok.text, tok.line, tok.column) for tok in _tokenize(text)]
+    return [(tok, *_token_position(text, i)) for i, tok in enumerate(_token_texts(text))]
 
 
 class TestTokenizer:

@@ -221,14 +221,14 @@ class TestRecognize:
     def test_grid_example_recognizes_goal_one(self, grid):
         problem, events = grid
         result = recognize(problem, _grid_tables(problem), events)
-        assert result.recognized == {0}
+        assert result.recognized == [0]
         assert result.t == 2
 
     def test_zero_observations_all_goals_tie(self, grid):
         problem, _ = grid
         result = recognize(problem, _grid_tables(problem), [])
-        assert result.recognized == {0, 1}
-        assert all(h == 0.0 for h in result.heuristic.values())
+        assert result.recognized == [0, 1]
+        assert all(h == 0.0 for h in result.heuristic)
 
     def test_three_goal_toy_hand_computed(self):
         # Facts f0,f1,f2; s0 empty; only goal 2 assigns positive
@@ -252,7 +252,7 @@ class TestRecognize:
         # Goal 2: sqrt(1 + .25) - 0.5; goals 0 and 1: 1 - sqrt(2) < 0.
         assert result.heuristic[2] == pytest.approx(math.sqrt(1.25) - 0.5)
         assert result.heuristic[0] == pytest.approx(1.0 - math.sqrt(2.0))
-        assert result.recognized == {2}
+        assert result.recognized == [2]
 
     def test_table_count_must_match_goals(self, grid):
         problem, events = grid
@@ -281,7 +281,7 @@ class TestRecognizeOnline:
             result = recognize(problem, tables, events[:t])
             step = trace.steps[t - 1]
             assert step.heuristic == [result.heuristic[i] for i in range(2)]
-            assert frozenset(step.recognized) == result.recognized
+            assert step.recognized == result.recognized
 
     def test_permutation_insensitivity(self, grid):
         problem, events = grid
