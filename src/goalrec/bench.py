@@ -56,14 +56,6 @@ def _line_atoms(line: str) -> list[Literal]:
         raise DatasetError(f"unparsable atom: {line!r} ({exc})") from None
 
 
-def parse_hypothesis_line(line: str) -> frozenset[Literal]:
-    """The hypothesis on one line, which must hold atoms."""
-    atoms = _line_atoms(line)
-    if not atoms:
-        raise DatasetError(f"hypothesis line has no atoms: {line!r}")
-    return frozenset(atoms)
-
-
 def parse_hypotheses(text: str) -> tuple[frozenset[Literal], ...]:
     """One hypothesis per hyps.dat line that holds atoms; a repeat is an error."""
     hypotheses: list[frozenset[Literal]] = []

@@ -226,11 +226,6 @@ def parse_literal(sexp: object, *, allow_negation: bool) -> Literal:
     return Literal(head, tuple(args))
 
 
-def parse_atom(text: str) -> Literal:
-    """One ground atom, "(pred arg ...)" or "(not (pred arg ...))"."""
-    return parse_literal(_read_single(text), allow_negation=True)
-
-
 def _flatten_conjunction(sexp: object) -> list:
     if isinstance(sexp, list) and sexp and sexp[0] == "and":
         out: list = []

@@ -5,11 +5,11 @@ to its probability vector p, minus that length from the observed relaxed state
 s.  The direction has entry p_f - s_f*p_f where p_f > 0 and -s_f where p_f = 0,
 so observing a zero-probability fact punishes the goal.  `Recognizer` keeps the
 directions as the rows of a goals x facts matrix: an observed fact sets its
-column to 0 where p_f > 0 and to -1 where p_f = 0, and each row is re-normed.
+column to 0 where p_f > 0 and to -1 where p_f = 0, and every row is re-normed
+in one np.vecdot call, which runs the same per-row dot as row.dot(row).
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +60,11 @@ def progress(observed, obs: ObservationEvent, problem: GroundProblem) -> list[in
     return sorted(f for f in added if f not in observed)
 
 
-def heuristic(start: list[float], directions: np.ndarray) -> list[float]:
-    """Each goal's reward term minus the length of its direction row.  Per row, as
-    np.linalg.norm computes it: one einsum over the matrix differs in the last bits."""
-    return [s - math.sqrt(row.dot(row)) for s, row in zip(start, directions)]
+def heuristic(start: np.ndarray, directions: np.ndarray) -> list[float]:
+    """Each goal's reward term minus the length of its direction row.  np.vecdot
+    runs the same dot per row as row.dot(row) and np.linalg.norm, so every length
+    is theirs to the last bit."""
+    return (start - np.sqrt(np.vecdot(directions, directions))).tolist()
 
 
 @dataclass
@@ -98,19 +99,24 @@ class Recognizer:
     """Online scores of every goal of `problem`, one table per goal."""
 
     def __init__(self, problem: GroundProblem, tables: list[FactProbabilityTable]):
-        if len(tables) != len(problem.goals):
-            raise ParameterError(f"{len(tables)} probability tables for {len(problem.goals)} goals")
-        if any(np.shape(t.p) != (problem.fact_count,) for t in tables):
+        shape = (len(problem.goals), problem.fact_count)
+        if len(tables) != shape[0]:
+            raise ParameterError(f"{len(tables)} probability tables for {shape[0]} goals")
+        try:  # np.empty gives a problem without goals its (0, facts) shape
+            probs = np.array([t.p for t in tables] or np.empty(shape), dtype=float)
+        except ValueError:  # ragged or non-numeric tables
+            probs = None
+        if probs is None or probs.shape != shape:
             raise ParameterError(f"every table needs {problem.fact_count} probabilities")
-        probs = np.array([t.p for t in tables], dtype=float).reshape(len(tables), problem.fact_count)
-        if not ((probs >= 0.0) & (probs <= 1.0)).all():
+        # min() rejects NaN too; it raises on an empty matrix, which needs no check.
+        if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
             raise ParameterError("probabilities must lie in [0, 1]")
         s0 = map_state(problem.s0, problem.fact_count)
         self.problem = problem
         self.positive = probs > 0
         self.directions = np.where(self.positive, probs - s0 * probs, -s0)
-        self.observed_value = np.where(self.positive, 0.0, -1.0)
-        self.start = [math.sqrt(row.dot(row)) for row in self.directions]
+        self.observed_value = self.positive - 1.0
+        self.start = np.sqrt(np.vecdot(self.directions, self.directions))
         self.observed = dict.fromkeys(sorted(problem.s0))  # insertion-ordered set
 
     def scores(self) -> list[float]:
@@ -135,7 +141,7 @@ class Recognizer:
         """Per goal: the reward term, the length left on the facts with positive
         probability, and the observed zero-probability facts, by name in observed order."""
         return [
-            {"reward": reward, "remaining": float(np.linalg.norm(row[pos])),
+            {"reward": float(reward), "remaining": float(np.linalg.norm(row[pos])),
              "penalized_facts": [self.problem.fact_name(f) for f in self.observed if not pos[f]]}
             for reward, row, pos in zip(self.start, self.directions, self.positive)
         ]
@@ -146,10 +152,10 @@ def recognize(
 ) -> TraceStep:
     """The step after all observations: every goal scored, ties all win."""
     recognizer = Recognizer(problem, tables)
-    scores = recognizer.scores()
+    scores = None
     for obs in observations:
         scores = recognizer.observe(obs)
-    return TraceStep.of(len(observations), scores)
+    return TraceStep.of(len(observations), recognizer.scores() if scores is None else scores)
 
 
 def recognize_online(

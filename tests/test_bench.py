@@ -17,7 +17,6 @@ from goalrec.bench import (
     build_problem,
     load_instance,
     parse_hypotheses,
-    parse_hypothesis_line,
     parse_observations,
     precision,
     prefix_length,
@@ -31,6 +30,7 @@ from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text, write_insta
 from goalrec.pddl import Literal
 from goalrec.recognition import RecognitionTrace, TraceStep
 
+from atoms import parse_hypothesis_line
 from conftest import FIXTURES
 
 

@@ -11,10 +11,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from goalrec.bench import build_problem, load_instance, parse_hypothesis_line, prepare_instance
+from goalrec.bench import build_problem, load_instance, prepare_instance
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
 from goalrec.probability import EMPIRICAL_UNION, NOISY_OR, estimate
 
+from atoms import parse_hypothesis_line
 from conftest import FIXTURES
 
 N_SAMPLES = 30

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalrec import bench, grounding
-from goalrec.bench import build_problem, load_instance, parse_hypothesis_line, prepare_instance
+from goalrec.bench import build_problem, load_instance, prepare_instance
 from goalrec.errors import GroundingError
 from goalrec.gridgen import DOMAIN_TEXT, example_grid, random_grid, template_text
 from goalrec.grounding import (
@@ -30,6 +30,7 @@ from goalrec.pddl import (
     parse_problem,
 )
 
+from atoms import parse_hypothesis_line
 from conftest import FIXTURES
 from exhaustive_grounding import ground_exhaustive
 

@@ -18,11 +18,11 @@ from goalrec.pddl import (
     Literal,
     _token_position,
     _token_texts,
-    parse_atom,
     parse_domain,
     parse_problem,
 )
 
+from atoms import parse_atom
 from conftest import FIXTURES, TYPED_DOMAIN
 
 MINIMAL_DOMAIN = """\

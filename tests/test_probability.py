@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalrec.bench import build_problem, parse_hypothesis_line
+from goalrec.bench import build_problem
 from goalrec.errors import (
     GoalRecError,
     SearchCapExceededError,
@@ -33,6 +33,7 @@ from goalrec.probability import (
 )
 from goalrec.relaxed import build_rpg
 
+from atoms import parse_hypothesis_line
 from conftest import TABLE1
 from reference_oracle import exact_oracle_enumerated
 from reference_rpg import relaxed_reachable
@@ -88,8 +89,6 @@ class TestEstimate:
         assert np.array_equal(a.p, b.p)
 
     def test_unreachable_goal_zero_table(self, grid_instance):
-        from goalrec.bench import build_problem, parse_hypothesis_line
-
         hyps = (
             parse_hypothesis_line("(is-at c1)"),
             parse_hypothesis_line("(is-at c7)"),  # blocked cell
@@ -179,8 +178,6 @@ class TestExactOracle:
             exact_oracle(problem, 0, max_states=5)
 
     def test_unreachable_goal_raises(self, grid_instance):
-        from goalrec.bench import build_problem, parse_hypothesis_line
-
         problem = build_problem(
             grid_instance.domain_text,
             grid_instance.template_text,

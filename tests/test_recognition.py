@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from goalrec.bench import build_problem
 from goalrec.errors import GoalRecError, ParameterError, UnknownIdError
+from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
 from goalrec.probability import FactProbabilityTable, estimate, exact_oracle
 from goalrec.recognition import ObservationEvent, Recognizer, recognize, recognize_online
 
+from atoms import parse_hypothesis_line
 from conftest import TABLE1
 from reference_recognition import direction, heuristic, map_probs, map_state, odot, progress
 from reference_rpg import RelaxedState
@@ -345,14 +348,23 @@ def recognition_cases(draw):
     return problem, tables, draw(st.lists(event, max_size=8))
 
 
-def _tiny_problem():
-    """Three facts, s0 = {f0}, two goals."""
+def _tiny_problem(goal_count=2):
+    """Three facts, s0 = {f0}, goals alternating between f1 and f2."""
     return GroundProblem(
         facts=[GroundFact(i, f"(f{i})") for i in range(3)],
         actions=[GroundAction(0, "(a0)", frozenset(), frozenset({1}), frozenset())],
         s0=frozenset({0}),
-        goals=[frozenset({1}), frozenset({2})],
+        goals=[frozenset({1 + g % 2}) for g in range(goal_count)],
     )
+
+
+def _random_grid_40():
+    """A seeded 40x40 random grid: 1,600 facts, 10 goals and a full-plan stream."""
+    spec = random_grid(np.random.default_rng(40), width=40, height=40, n_goals=10)
+    hyps = tuple(parse_hypothesis_line(f"(is-at {g})") for g in spec.goal_cells)
+    problem = build_problem(DOMAIN_TEXT, template_text(spec), hyps)
+    events = [ObservationEvent.action(problem.action_id(f"(m {a} {b})")) for a, b in spec.observations]
+    return problem, events
 
 
 class TestRecognizer:
@@ -402,12 +414,35 @@ class TestRecognizer:
         with pytest.raises(ParameterError, match="every table needs 3 probabilities"):
             Recognizer(problem, tables)
 
+    @pytest.mark.parametrize(
+        "shapes", [[(3,), (4,), (3,)], [(1, 3)], [(3,), (1, 3)], [(3, 1), (3, 1)], [(), ()]]
+    )
+    def test_table_shapes_are_checked_on_the_whole_matrix(self, shapes):
+        problem = _tiny_problem(len(shapes))
+        tables = [FactProbabilityTable(g, np.zeros(shape)) for g, shape in enumerate(shapes)]
+        with pytest.raises(ParameterError, match="every table needs 3 probabilities"):
+            Recognizer(problem, tables)
+
     @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
     def test_probabilities_must_lie_in_unit_interval(self, bad):
         problem = _tiny_problem()
         tables = [FactProbabilityTable(g, np.array([0.0, bad, 1.0])) for g in range(2)]
         with pytest.raises(ParameterError, match=r"must lie in \[0, 1\]"):
             Recognizer(problem, tables)
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+    def test_bad_probability_in_the_last_table_only(self, bad):
+        problem = _tiny_problem(3)
+        tables = [FactProbabilityTable(g, np.array([0.0, 0.5, 1.0])) for g in range(3)]
+        tables[-1].p[-1] = bad
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 1\]"):
+            Recognizer(problem, tables)
+
+    @pytest.mark.parametrize("goal_count", [0, 2])
+    def test_problem_without_facts_builds(self, goal_count):
+        problem = GroundProblem(facts=[], actions=[], s0=frozenset(), goals=[frozenset()] * goal_count)
+        tables = [FactProbabilityTable(g, np.zeros(0)) for g in range(goal_count)]
+        assert Recognizer(problem, tables).scores() == [0.0] * goal_count
 
     def test_unknown_ids_rejected(self, grid):
         problem, _ = grid
@@ -431,3 +466,26 @@ class TestRecognizer:
         assert second["remaining"] == pytest.approx(math.sqrt(3.5), abs=1e-9)
         for g, goal in enumerate((first, second)):
             assert goal["reward"] - float(np.linalg.norm(recognizer.directions[g])) == scores[g]
+
+
+class TestBitIdentityAtScale:
+    """Past the few facts that the property above draws, BLAS sums long rows
+    in blocks; every score must still equal the row-by-row norm exactly."""
+
+    @pytest.mark.parametrize("case", ["random-40x40", "logistics"])
+    def test_scores_equal_per_row_norms(self, case, logistics):
+        problem, events = _random_grid_40() if case == "random-40x40" else logistics
+        tables = [estimate(problem, g, 10, 7) for g in range(len(problem.goals))]
+        recognizer = Recognizer(problem, tables)
+        start = [math.sqrt(row.dot(row)) for row in recognizer.directions]
+        pvs = [map_probs(t) for t in tables]
+        s0v = map_state(problem.s0, problem.fact_count)
+        state = RelaxedState(problem.s0)
+        assert len(events) > 1
+        for event in events:
+            scores = recognizer.observe(event)
+            rows = [s - math.sqrt(row.dot(row)) for s, row in zip(start, recognizer.directions)]
+            assert scores == rows
+            state = progress(state, event, problem)
+            stv = map_state(state.facts, problem.fact_count)
+            assert scores == [heuristic(s0v, stv, pv) for pv in pvs]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalrec.bench import build_problem, parse_hypothesis_line
+from goalrec.bench import build_problem
 from goalrec.errors import GoalRecError, UnknownIdError
 from goalrec.gridgen import DOMAIN_TEXT, example_grid, random_grid, shortest_path, template_text
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
@@ -20,6 +20,7 @@ from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
 from goalrec.sampling import SamplerState, sample_subgoal_supporters
 
+from atoms import parse_hypothesis_line
 from reference_rpg import (
     InapplicableActionError,
     RelaxedState,

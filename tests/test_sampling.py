@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalrec.bench import build_problem, parse_hypothesis_line
+from goalrec.bench import build_problem
 from goalrec.errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
 from goalrec.gridgen import example_grid
 from goalrec.pddl import Literal
@@ -22,6 +22,7 @@ from goalrec.sampling import (
     sample_subgoal_supporters,
 )
 
+from atoms import parse_hypothesis_line
 from reference_rpg import RelaxedState, generate_goal_supporters_sequential, relaxed_apply
 
 N = 10
