@@ -100,19 +100,6 @@ def shortest_path(spec: GridSpec, source: str, target: str) -> list[str] | None:
     return _walk_back(bfs_tree(spec, source), target)
 
 
-def example_grid() -> GridSpec:
-    """The bundled 5x5 instance: two corner goals, two optimal routes each."""
-    return GridSpec(
-        width=5,
-        height=5,
-        blocked=frozenset({"c7", "c9", "c12", "c14", "c17", "c19"}),
-        start="c23",
-        goal_cells=("c1", "c5"),
-        true_goal="c1",
-        observations=(("c23", "c22"), ("c22", "c21")),
-    )
-
-
 def random_grid(
     rng: np.random.Generator,
     width: int = 7,

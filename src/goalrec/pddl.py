@@ -187,6 +187,29 @@ def _read_single(text: str) -> list:
     return sexp
 
 
+def _define_sections(text: str, kind: str) -> tuple[str, list[list]]:
+    """The name and sections of "(define (<kind> <name>) <section> ...)".
+
+    Every section is a parenthesized form headed by a symbol; only
+    :action may appear more than once.
+    """
+    sexp = _read_single(text)
+    if len(sexp) < 2 or sexp[0] != "define":
+        raise PddlSyntaxError(f"expected (define ({kind} ...) ...)")
+    header = sexp[1]
+    if not isinstance(header, list) or len(header) != 2 or header[0] != kind:
+        raise PddlSyntaxError(f"expected ({kind} <name>) header")
+    seen = set()
+    for section in sexp[2:]:
+        if not isinstance(section, list) or not section or not isinstance(section[0], str):
+            raise PddlSyntaxError(f"malformed {kind} section: {section}")
+        if section[0] in seen:
+            raise ValidationError(f"repeated {kind} section: {section[0]}")
+        if section[0] != ":action":
+            seen.add(section[0])
+    return header[1], sexp[2:]
+
+
 def _parse_typed_list(items: list) -> list[tuple[str, str]]:
     """Parse "a b - t c d - u e" into [(a,t),(b,t),(c,u),(d,u),(e,object)]."""
     out: list[tuple[str, str]] = []
@@ -245,24 +268,16 @@ def parse_domain(text: str) -> DomainAst:
 
     Raises PddlSyntaxError on malformed input, UnsupportedRequirementError
     on requirement tags outside the supported subset, and ValidationError
-    on arity mismatches, undeclared names and cyclic type declarations.
+    on repeated sections or names, arity mismatches, undeclared names and
+    cyclic type declarations.
     """
-    sexp = _read_single(text)
-    if len(sexp) < 2 or sexp[0] != "define":
-        raise PddlSyntaxError("expected (define (domain ...) ...)")
-    header = sexp[1]
-    if not isinstance(header, list) or len(header) != 2 or header[0] != "domain":
-        raise PddlSyntaxError("expected (domain <name>) header")
-    name = header[1]
-
+    name, sections = _define_sections(text, "domain")
     requirements: frozenset[str] = frozenset({":strips"})
     types: tuple[tuple[str, str], ...] = ()
     predicates: list[Predicate] = []
     schemas: list[ActionSchema] = []
 
-    for section in sexp[2:]:
-        if not isinstance(section, list) or not section or not isinstance(section[0], str):
-            raise PddlSyntaxError(f"malformed domain section: {section}")
+    for section in sections:
         head = section[0]
         if head == ":requirements":
             tags = section[1:]
@@ -343,11 +358,15 @@ def _parse_cost(part: list, action: str) -> Fraction:
 
 
 def _validate_domain(domain: DomainAst) -> None:
-    seen = set()
-    for schema in domain.schemas:
-        if schema.name in seen:
-            raise ValidationError(f"duplicate action schema name: {schema.name}")
-        seen.add(schema.name)
+    for kind, names in (
+        ("action schema", [schema.name for schema in domain.schemas]),
+        ("predicate", [pred.name for pred in domain.predicates]),
+    ):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise ValidationError(f"duplicate {kind} name: {name}")
+            seen.add(name)
 
     known_types = type_ancestors(domain)
     for pred in domain.predicates:
@@ -390,22 +409,13 @@ def _validate_domain(domain: DomainAst) -> None:
 
 def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
     """Parse a problem definition against an already parsed domain."""
-    sexp = _read_single(text)
-    if len(sexp) < 2 or sexp[0] != "define":
-        raise PddlSyntaxError("expected (define (problem ...) ...)")
-    header = sexp[1]
-    if not isinstance(header, list) or len(header) != 2 or header[0] != "problem":
-        raise PddlSyntaxError("expected (problem <name>) header")
-    name = header[1]
-
+    name, sections = _define_sections(text, "problem")
     domain_name = None
     objects: tuple[tuple[str, str], ...] = ()
     init: list[Literal] = []
     goal: list[Literal] = []
 
-    for section in sexp[2:]:
-        if not isinstance(section, list) or not section or not isinstance(section[0], str):
-            raise PddlSyntaxError(f"malformed problem section: {section}")
+    for section in sections:
         head = section[0]
         if head == ":domain":
             domain_name = section[1] if len(section) == 2 else None
@@ -417,6 +427,8 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
                     continue  # (= (total-cost) 0)
                 init.append(parse_literal(atom, allow_negation=False))
         elif head == ":goal":
+            if len(section) != 2:
+                raise ValidationError(f"(:goal) must hold one form, got {len(section) - 1}")
             for part in _flatten_conjunction(section[1]):
                 goal.append(parse_literal(part, allow_negation=True))
         elif head == ":metric":

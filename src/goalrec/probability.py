@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SearchCapExceededError, UnknownIdError
+from .errors import ParameterError, SearchCapExceededError
 from .errors import UnreachableGoalError, ValidationError
 from .grounding import GroundProblem
 from .sampling import sample_combined_sets
@@ -34,11 +34,6 @@ class FactProbabilityTable:
     p: np.ndarray  # length |F|, entries in [0, 1]
     unreachable: bool = False
     source: str = EMPIRICAL_UNION
-
-    def not_observed(self, fact_id: int) -> float:
-        if not 0 <= fact_id < len(self.p):
-            raise UnknownIdError(f"unknown fact id: {fact_id}")
-        return 1.0 - float(self.p[fact_id])
 
     def to_csv(self, problem: GroundProblem) -> str:
         out = io.StringIO()

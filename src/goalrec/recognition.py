@@ -84,9 +84,6 @@ class TraceStep:
 class RecognitionTrace:
     steps: list[TraceStep]
 
-    def final_recognized(self) -> frozenset[int]:
-        return frozenset(self.steps[-1].recognized) if self.steps else frozenset()
-
     def records(self) -> list[dict]:
         """The steps as JSON-ready dicts, as traces are written everywhere."""
         return [{"t": s.t, "h": s.heuristic, "recognized": s.recognized} for s in self.steps]
@@ -123,12 +120,15 @@ class Recognizer:
         """Current scores; exactly 0.0 for every goal before any observation."""
         return heuristic(self.start, self.directions)
 
-    def observe(self, obs: ObservationEvent) -> list[float]:
-        """Fold one observation in and return the scores after it."""
-        new = progress(self.observed, obs, self.problem)
-        for f in new:
+    def fold(self, obs: ObservationEvent) -> None:
+        """Fold one observation in without scoring."""
+        for f in progress(self.observed, obs, self.problem):
             self.directions[:, f] = self.observed_value[:, f]
             self.observed[f] = None
+
+    def observe(self, obs: ObservationEvent) -> list[float]:
+        """Fold one observation in and return the scores after it."""
+        self.fold(obs)
         return self.scores()
 
     def run(self, observations: list[ObservationEvent]) -> RecognitionTrace:
@@ -150,12 +150,11 @@ class Recognizer:
 def recognize(
     problem: GroundProblem, tables: list[FactProbabilityTable], observations: list[ObservationEvent]
 ) -> TraceStep:
-    """The step after all observations: every goal scored, ties all win."""
+    """The step after all observations, scored once: ties all win."""
     recognizer = Recognizer(problem, tables)
-    scores = None
     for obs in observations:
-        scores = recognizer.observe(obs)
-    return TraceStep.of(len(observations), recognizer.scores() if scores is None else scores)
+        recognizer.fold(obs)
+    return TraceStep.of(len(observations), recognizer.scores())
 
 
 def recognize_online(

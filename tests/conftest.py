@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from goalrec import load_instance, prepare_instance
+from goalrec.gridgen import GridSpec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,6 +32,19 @@ _G2_PATHS = (
     ("c23", "c24", "c25", "c20", "c15", "c10", "c5"),
     ("c23", "c18", "c13", "c8", "c3", "c4", "c5"),
 )
+
+
+def example_grid() -> GridSpec:
+    """The spec of the grid fixture: two corner goals, two optimal routes each."""
+    return GridSpec(
+        width=5,
+        height=5,
+        blocked=frozenset({"c7", "c9", "c12", "c14", "c17", "c19"}),
+        start="c23",
+        goal_cells=("c1", "c5"),
+        true_goal="c1",
+        observations=(("c23", "c22"), ("c22", "c21")),
+    )
 
 
 def _path_probs(paths):

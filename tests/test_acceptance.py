@@ -148,9 +148,9 @@ def test_criterion_3_estimator_properties(grid, chain, logistics):
             checks.append(
                 (f"{tag}: same seed, identical table",
                  bool(np.array_equal(table.p, again.p)), ""))
-            norm_ok = all(
-                float(table.p[f]) + table.not_observed(f) == 1.0
-                for f in range(problem.fact_count)
+            rows = [line.rsplit(",", 2) for line in table.to_csv(problem).splitlines()[2:]]
+            norm_ok = len(rows) == problem.fact_count and all(
+                float(observed) + float(not_observed) == 1.0 for _, observed, not_observed in rows
             )
             checks.append((f"{tag}: observed + not-observed = 1", norm_ok, ""))
     _report(3, checks)

@@ -66,6 +66,22 @@ class TestEstimate:
         assert code == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_goal_without_a_form_exits_one(self, tmp_path, capsys):
+        template = tmp_path / "template.pddl"
+        text = (GRID / "template.pddl").read_text()
+        template.write_text(text.replace("(:goal (and <HYPOTHESIS>))", "(:goal)"))
+        code = main(
+            [
+                "estimate",
+                "--domain", str(GRID / "domain.pddl"),
+                "--template", str(template),
+                "--hyps", str(GRID / "hyps.dat"),
+                "--output", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(
             [

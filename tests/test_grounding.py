@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from goalrec import bench, grounding
 from goalrec.bench import build_problem, load_instance, prepare_instance
 from goalrec.errors import GroundingError
-from goalrec.gridgen import DOMAIN_TEXT, example_grid, random_grid, template_text
+from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
 from goalrec.grounding import (
     GroundAction,
     GroundFact,
@@ -31,7 +31,7 @@ from goalrec.pddl import (
 )
 
 from atoms import parse_hypothesis_line
-from conftest import FIXTURES
+from conftest import FIXTURES, example_grid
 from exhaustive_grounding import ground_exhaustive
 
 SPEC = example_grid()

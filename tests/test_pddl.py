@@ -49,6 +49,15 @@ DOOR_DOMAIN = """\
 """
 
 
+GRID_PROBLEM = """\
+(define (problem p)
+  (:domain grid-nav)
+  (:objects c1 c23)
+  (:init (is-at c23))
+  (:goal (is-at c1)))
+"""
+
+
 def _problem(text: str, domain_text: str = MINIMAL_DOMAIN):
     domain = parse_domain(domain_text)
     return domain, parse_problem(text, domain)
@@ -90,6 +99,27 @@ class TestParseDomain:
 """
         with pytest.raises(ValidationError, match="duplicate"):
             parse_domain(dup)
+
+    def test_duplicate_predicate_rejected(self):
+        text = MINIMAL_DOMAIN.replace("(is-at ?x) (adj ?x ?y)", "(is-at) (is-at ?x) (adj ?x ?y)")
+        with pytest.raises(ValidationError, match="duplicate predicate name: is-at"):
+            parse_domain(text)
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "(:requirements :strips)",
+            "(:types cell)",
+            "(:predicates (q))",
+            "(:functions (total-cost))",
+        ],
+    )
+    def test_repeated_section_rejected(self, section):
+        header = "(define (domain grid-nav)"
+        text = MINIMAL_DOMAIN.replace(header, f"{header} {section} {section}")
+        head = section.split()[0][1:]
+        with pytest.raises(ValidationError, match=f"repeated domain section: {head}"):
+            parse_domain(text)
 
     def test_undeclared_variable_rejected(self):
         text = MINIMAL_DOMAIN.replace("(is-at ?y)", "(is-at ?z)")
@@ -137,15 +167,7 @@ class TestParseDomain:
 
 class TestParseProblem:
     def test_grid_problem(self):
-        _, problem = _problem(
-            """\
-(define (problem p)
-  (:domain grid-nav)
-  (:objects c1 c23)
-  (:init (is-at c23))
-  (:goal (is-at c1)))
-"""
-        )
+        _, problem = _problem(GRID_PROBLEM)
         assert problem.init == frozenset({Literal("is-at", ("c23",))})
         assert problem.goal == frozenset({Literal("is-at", ("c1",))})
 
@@ -236,6 +258,28 @@ class TestParseProblem:
 """
         )
         assert problem.goal == problem.init
+
+    @pytest.mark.parametrize("goal", ["(:goal)", "(:goal (is-at c1) (is-at c23))"])
+    def test_goal_must_hold_one_form(self, goal):
+        with pytest.raises(ValidationError, match="must hold one form"):
+            _problem(GRID_PROBLEM.replace("(:goal (is-at c1))", goal))
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "(:domain grid-nav)",
+            "(:objects c2)",
+            "(:init (is-at c1))",
+            "(:goal (is-at c23))",
+            "(:metric minimize (total-cost))",
+        ],
+    )
+    def test_repeated_section_rejected(self, section):
+        header = "(define (problem p)"
+        text = GRID_PROBLEM.replace(header, f"{header} {section} {section}")
+        head = section.split()[0][1:]
+        with pytest.raises(ValidationError, match=f"repeated problem section: {head}"):
+            _problem(text)
 
     def test_domain_name_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="grid-nav"):

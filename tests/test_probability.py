@@ -133,21 +133,6 @@ class TestEstimate:
         )
 
 
-class TestNotObserved:
-    def test_complements(self, grid):
-        problem, _ = grid
-        table = estimate(problem, 0)
-        for f in range(problem.fact_count):
-            assert table.not_observed(f) == 1.0 - table.p[f]
-            assert table.p[f] + table.not_observed(f) == 1.0
-
-    def test_unknown_fact_id_raises(self, grid):
-        problem, _ = grid
-        table = estimate(problem, 0)
-        with pytest.raises(UnknownIdError):
-            table.not_observed(problem.fact_count)
-
-
 class TestExactOracle:
     def test_grid_tables_match_hand_derived_values(self, grid):
         problem, _ = grid

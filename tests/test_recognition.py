@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from goalrec.bench import build_problem
+import goalrec.recognition
+from goalrec.bench import build_problem, estimate_tables
 from goalrec.errors import GoalRecError, ParameterError, UnknownIdError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
@@ -262,19 +263,35 @@ class TestRecognize:
         with pytest.raises(ValueError):
             recognize(problem, _grid_tables(problem)[:1], events)
 
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    def test_scores_once_for_any_number_of_observations(self, k, logistics, monkeypatch):
+        problem, events = logistics
+        assert len(events) >= k
+        tables = estimate_tables(problem, 10, 0)
+        original = goalrec.recognition.heuristic
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(goalrec.recognition, "heuristic", counted)
+        result = recognize(problem, tables, events[:k])
+        assert len(calls) == 1
+        assert result.t == k
+
 
 class TestRecognizeOnline:
     def test_trace_ends_in_goal_one(self, grid):
         problem, events = grid
         trace = recognize_online(problem, _grid_tables(problem), events)
         assert len(trace.steps) == 2
-        assert trace.final_recognized() == {0}
+        assert frozenset(trace.steps[-1].recognized) == {0}
 
     def test_empty_observations_empty_trace(self, grid):
         problem, _ = grid
         trace = recognize_online(problem, _grid_tables(problem), [])
         assert trace.steps == []
-        assert trace.final_recognized() == frozenset()
 
     def test_prefix_consistency(self, grid):
         problem, events = grid
@@ -300,7 +317,7 @@ class TestRecognizeOnline:
             [exact_oracle(problem, i) for i in range(2)],
         ):
             trace = recognize_online(problem, tables, events)
-            assert trace.final_recognized() == {0}
+            assert frozenset(trace.steps[-1].recognized) == {0}
 
     def test_json_serialization(self, grid):
         problem, events = grid

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from goalrec.bench import build_problem
 from goalrec.errors import GoalRecError, UnknownIdError
-from goalrec.gridgen import DOMAIN_TEXT, example_grid, random_grid, shortest_path, template_text
+from goalrec.gridgen import DOMAIN_TEXT, random_grid, shortest_path, template_text
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
 from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
 from goalrec.sampling import SamplerState, sample_subgoal_supporters
 
 from atoms import parse_hypothesis_line
+from conftest import example_grid
 from reference_rpg import (
     InapplicableActionError,
     RelaxedState,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from goalrec.bench import build_problem
 from goalrec.errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
-from goalrec.gridgen import example_grid
 from goalrec.pddl import Literal
 from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
@@ -23,6 +22,7 @@ from goalrec.sampling import (
 )
 
 from atoms import parse_hypothesis_line
+from conftest import example_grid
 from reference_rpg import RelaxedState, generate_goal_supporters_sequential, relaxed_apply
 
 N = 10
