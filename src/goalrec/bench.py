@@ -12,13 +12,13 @@ per line.  Anything else on a line is a DatasetError.
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from statistics import mean, pstdev
-
-import numpy as np
 
 from .errors import DatasetError, GoalRecError, ParameterError
 from .grounding import GroundProblem, ground
@@ -203,8 +203,10 @@ def _check_lambda(lam: float) -> None:
 
 
 def prefix_length(total: int, lam: float) -> int:
+    """floor(lam * total) on lam's decimal value: 0.7 * 90 is 63, where the
+    float product, 62.99999999999999, would floor to 62."""
     _check_lambda(lam)
-    return int(np.floor(total * lam))
+    return math.floor(Fraction(str(lam)) * total)
 
 
 def recognized_at(
@@ -329,8 +331,10 @@ def run_benchmark(
     lambdas = list(DEFAULT_LAMBDAS if lambdas is None else lambdas)
     if not lambdas:
         raise ParameterError("at least one lambda is required")
-    for lam in lambdas:
+    for i, lam in enumerate(lambdas):
         _check_lambda(lam)
+        if lam in lambdas[:i]:
+            raise ParameterError(f"lambda listed twice: {lam}")
     if repeats < 1:
         raise ParameterError(f"repeats must be positive, got {repeats}")
     if seed < 0:

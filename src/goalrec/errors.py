@@ -47,10 +47,6 @@ class UnsupportedFactError(GoalRecError):
     """
 
 
-class InsufficientSamplesError(GoalRecError):
-    """Fewer per-subgoal supporter sets available than requested."""
-
-
 class SearchCapExceededError(GoalRecError):
     """Exhaustive search hit the configured state cap."""
 

@@ -60,8 +60,6 @@ def estimate(
     """
     if aggregation not in (EMPIRICAL_UNION, NOISY_OR):
         raise ParameterError(f"unknown aggregation: {aggregation}")
-    if n < 1:
-        raise ParameterError(f"number of samples must be positive, got {n}")
     combined = sample_combined_sets(problem, goal_index, n, seed)
     p = np.zeros(problem.fact_count)
     if combined is None:

@@ -5,24 +5,28 @@ N sets are sampled by walking the problem's relaxed fixpoint
 (problem.relaxed_fixpoint) down from the subgoal in rounds.  The
 candidates for a demanded fact are its first achievers, the supporters one
 level below it, sorted by id; among them an action selected the fewest
-times so far is picked, and its preconditions outside s0 are demanded in
-the next round.  Those preconditions lie at lower fact levels, so each
-round's facts lie a level lower than the last round's and the walk ends by
-s0.  Only a tie between several least-selected actions draws from the
-random stream, uniformly.  The N per-subgoal sets are then combined into N
-per-goal sets, each taking one unconsumed set per subgoal uniformly at
-random; one draw per goal makes every pick.  Both give the stream that one
-Generator.integers call per pick would: a bound of 1 consumes no state,
-and an array of bounds is drawn in order, as one call per bound.
+times so far in the call is picked, and its preconditions outside s0 are
+demanded in the next round.  Those preconditions lie at lower fact levels,
+so each round's facts lie a level lower than the last round's and the walk
+ends by s0.  Only a tie between several least-selected actions draws from
+the random stream, uniformly.  The N per-subgoal sets are then combined
+into N per-goal sets, each taking one unconsumed set per subgoal uniformly
+at random; one draw per goal makes every pick.  Both give the stream that
+one Generator.integers call per pick would: a bound of 1 consumes no
+state, and an array of bounds is drawn in order, as one call per bound.
+
+sample_combined_sets is the one entry and checks N and the seed.  Subgoal
+k of the goal's sorted facts draws from the stream (seed, goal index, k),
+the combination from (seed, goal index, COMBINE_STREAM).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
+from .errors import ParameterError, UnsupportedFactError
 from .grounding import GroundProblem
 
 # Stream tag separating the per-goal combination draw from per-subgoal draws.
@@ -36,30 +40,14 @@ class SupporterSampleSet:
     actions: frozenset[int]
 
 
-@dataclass
-class SamplerState:
-    """Single-owner selection counts plus a seeded random stream."""
-
-    rng: np.random.Generator
-    counts: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_seed(cls, seed: int, *stream: int) -> "SamplerState":
-        if seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {seed}")
-        return cls(np.random.default_rng(np.random.SeedSequence([seed, *stream])))
-
-
 def sample_subgoal_supporters(
-    problem: GroundProblem, subgoal: int, n: int, sampler: SamplerState
+    problem: GroundProblem, subgoal: int, n: int, rng: np.random.Generator
 ) -> list[SupporterSampleSet]:
     """Sample n supporter sets for one subgoal fact.
 
     A subgoal already true in s0 needs no support and yields n empty sets;
     one that is relaxed-unreachable raises UnsupportedFactError.
     """
-    if n < 1:
-        raise ParameterError(f"number of samples must be positive, got {n}")
     s0 = problem.s0
     if subgoal in s0:
         return [SupporterSampleSet(frozenset()) for _ in range(n)]
@@ -71,9 +59,9 @@ def sample_subgoal_supporters(
         raise UnsupportedFactError(f"no supporter for demanded fact {problem.fact_name(subgoal)}")
 
     actions = problem.actions
-    counts = sampler.counts
+    counts: dict[int, int] = {}
     count_of = counts.get
-    draw = sampler.rng.integers
+    draw = rng.integers
     samples: list[SupporterSampleSet] = []
 
     for _ in range(n):
@@ -122,30 +110,18 @@ def sample_subgoal_supporters(
 
 
 def generate_goal_supporters(
-    per_subgoal: dict[int, list[SupporterSampleSet]],
-    n: int,
-    goal: frozenset[int],
-    sampler: SamplerState,
+    pools: list[list[SupporterSampleSet]], n: int, rng: np.random.Generator
 ) -> list[SupporterSampleSet]:
-    """Combine per-subgoal samples into n per-goal sets, each consuming one
-    unconsumed sample per subgoal, drawn uniformly without replacement."""
-    if n < 1:
-        raise ParameterError(f"number of samples must be positive, got {n}")
-    for subgoal in goal:
-        available = per_subgoal.get(subgoal, [])
-        if len(available) < n:
-            raise InsufficientSamplesError(
-                f"subgoal {subgoal} has {len(available)} samples, need {n}"
-            )
-
-    pools = [list(per_subgoal[subgoal]) for subgoal in sorted(goal)]
+    """Combine pools of n sets, one per subgoal in sorted order, into n
+    per-goal sets, each taking one unconsumed set per pool uniformly."""
     if not pools:
         return [SupporterSampleSet(frozenset()) for _ in range(n)]
-    # Pick i from a pool draws below the pool's length minus i.  One call
-    # over every bound, iteration by iteration and subgoals in sorted order,
-    # gives the values and the final state of one call per pick.
-    lengths = np.array([len(pool) for pool in pools])
-    picks = sampler.rng.integers(lengths - np.arange(n)[:, None]).tolist()
+    # Pick i from a pool draws below n - i.  One call over every bound,
+    # iteration by iteration and pools in order, gives the values and the
+    # final state of one call per pick.
+    bounds = np.arange(n, 0, -1)[:, None].repeat(len(pools), axis=1)
+    picks = rng.integers(bounds).tolist()
+    pools = [list(pool) for pool in pools]
     combined: list[SupporterSampleSet] = []
     for row in picks:
         union: set[int] = set()
@@ -160,16 +136,19 @@ def sample_combined_sets(
 ) -> list[SupporterSampleSet] | None:
     """Run the two sampling stages; None when the goal is relaxed-unreachable.
 
-    Subgoal k of the goal's sorted facts draws from stream
-    (seed, goal_index, k) and the combination from
-    (seed, goal_index, COMBINE_STREAM).
+    n and seed are checked first, whatever the goal.
     """
+    if n < 1:
+        raise ParameterError(f"number of samples must be positive, got {n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     goal = problem.goal(goal_index)
     if not goal <= problem.relaxed_fixpoint.fact_levels.keys():
         return None
-    per_subgoal = {}
-    for ordinal, subgoal in enumerate(sorted(goal)):
-        sampler = SamplerState.from_seed(seed, goal_index, ordinal)
-        per_subgoal[subgoal] = sample_subgoal_supporters(problem, subgoal, n, sampler)
-    combiner = SamplerState.from_seed(seed, goal_index, COMBINE_STREAM)
-    return generate_goal_supporters(per_subgoal, n, goal, combiner)
+    pools = [
+        sample_subgoal_supporters(problem, subgoal, n, np.random.default_rng([seed, goal_index, k]))
+        for k, subgoal in enumerate(sorted(goal))
+    ]
+    return generate_goal_supporters(
+        pools, n, np.random.default_rng([seed, goal_index, COMBINE_STREAM])
+    )

@@ -9,21 +9,17 @@ from the graph's top, with one draw per chosen supporter.  The package
 computes one fixpoint per problem and walks its first-achiever index
 instead, with no level bound and no draw over a single candidate; tests
 check that both give equal graphs, and, with the scan on the graph of
-every fact, equal sample lists, equal selection counts and equal
-generator states.  Last, the combiner that draws one pick at a time, which
-the package replaces by one draw per goal, checked the same way.
+every fact, equal sample lists and equal generator states.  Both keep
+their selection counts inside one call.  Last, the combiner that draws one
+pick at a time, which the package replaces by one draw per goal, checked
+the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from goalrec.errors import (
-    GoalRecError,
-    InsufficientSamplesError,
-    UnknownIdError,
-    UnsupportedFactError,
-)
+from goalrec.errors import GoalRecError, UnknownIdError, UnsupportedFactError
 from goalrec.grounding import GroundAction
 from goalrec.relaxed import RelaxedPlanningGraph
 from goalrec.sampling import SupporterSampleSet
@@ -104,15 +100,13 @@ def build_rpg_layered(problem, goal: frozenset[int]) -> RelaxedPlanningGraph:
     return RelaxedPlanningGraph(fact_levels, action_levels, first_achievers)
 
 
-def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, sampler, problem):
+def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, rng, problem):
     """Sample n supporter sets for one subgoal, scanning levels for candidates."""
-    if n < 1:
-        raise ValueError("n must be positive")
     if subgoal in s0:
         return [SupporterSampleSet(frozenset()) for _ in range(n)]
 
     actions = problem.actions
-    counts = sampler.counts
+    counts: dict[int, int] = {}
     samples: list[SupporterSampleSet] = []
 
     for _ in range(n):
@@ -140,7 +134,7 @@ def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, sampler, problem):
 
                 min_count = min(counts.get(a, 0) for a in candidates)
                 best = [a for a in candidates if counts.get(a, 0) == min_count]
-                chosen = int(best[sampler.rng.integers(len(best))])
+                chosen = int(best[rng.integers(len(best))])
 
                 found.add(p)
                 sups.add(chosen)
@@ -163,23 +157,16 @@ def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, sampler, problem):
     return samples
 
 
-def generate_goal_supporters_sequential(per_subgoal, n, goal, sampler):
-    """Combine per-subgoal samples into n per-goal sets, each consuming one
-    unconsumed sample per subgoal, drawn uniformly without replacement."""
-    for subgoal in goal:
-        available = per_subgoal.get(subgoal, [])
-        if len(available) < n:
-            raise InsufficientSamplesError(
-                f"subgoal {subgoal} has {len(available)} samples, need {n}"
-            )
-
-    pools = {subgoal: list(per_subgoal[subgoal]) for subgoal in goal}
+def generate_goal_supporters_sequential(pools, n, rng):
+    """Combine per-subgoal pools, in sorted-subgoal order, into n per-goal
+    sets, each consuming one unconsumed set per pool, drawn uniformly
+    without replacement."""
+    pools = [list(pool) for pool in pools]
     combined: list[SupporterSampleSet] = []
     for _ in range(n):
         union: set[int] = set()
-        for subgoal in sorted(goal):
-            pool = pools[subgoal]
-            pick = int(sampler.rng.integers(len(pool)))
+        for pool in pools:
+            pick = int(rng.integers(len(pool)))
             union |= pool.pop(pick).actions
         combined.append(SupporterSampleSet(frozenset(union)))
     return combined

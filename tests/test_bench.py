@@ -225,6 +225,11 @@ class TestMetrics:
         assert prefix_length(3, 0.1) == 0
         assert prefix_length(10, 0.25) == 2
         assert prefix_length(10, 1.0) == 10
+        # The float product 0.7 * 90 is 62.99999999999999.
+        assert prefix_length(90, 0.7) == 63
+        for k in range(1, 301):
+            for j, lam in enumerate(DEFAULT_LAMBDAS, 1):
+                assert prefix_length(k, lam) == k * j // 10, (k, lam)
 
     def test_recognized_at_zero_prefix_ties_all(self):
         trace = RecognitionTrace([TraceStep(1, [0.5, 0.1], [0])])
@@ -312,6 +317,11 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "load_instance", lambda path: pytest.fail(f"loaded {path}"))
         with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
             run_benchmark(FIXTURES, seed=-1)
+
+    def test_repeated_lambda_rejected_before_loading(self, monkeypatch):
+        monkeypatch.setattr(bench, "load_instance", lambda path: pytest.fail(f"loaded {path}"))
+        with pytest.raises(ParameterError, match=r"^lambda listed twice: 0\.5$"):
+            run_benchmark(FIXTURES, lambdas=[0.5, 1.0, 0.5])
 
     def test_json_and_csv_outputs(self):
         report = run_benchmark(FIXTURES, seed=0, repeats=2)

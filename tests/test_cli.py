@@ -16,7 +16,7 @@ from goalrec.errors import ParameterError
 from goalrec.gridgen import MAX_GRID_DRAWS, random_grid
 from goalrec.probability import DEFAULT_N_SAMPLES
 
-from conftest import FIXTURES, TABLE1, TYPED_DOMAIN
+from conftest import FIXTURES, TABLE1, TYPED_DOMAIN, example_grid
 
 GRID = FIXTURES / "grid"
 
@@ -186,6 +186,32 @@ class TestSeed:
         assert main([*argv, "--seed", "-1"]) == EXIT_INPUT_ERROR
         assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # The sampler is never run for a relaxed-unreachable goal; the seed is
+    # still checked.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--output", "out"],
+            ["recognize", "--obs", str(GRID / "obs.dat"), "--explain", "out"],
+        ],
+        ids=["estimate", "recognize"],
+    )
+    def test_negative_seed_with_only_a_blocked_goal_exits_one(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("hyps.dat").write_text(f"(is-at {sorted(example_grid().blocked)[0]})\n")
+        problem_flags = [
+            "--domain", str(GRID / "domain.pddl"),
+            "--template", str(GRID / "template.pddl"),
+            "--hyps", "hyps.dat",
+        ]
+        assert main([*argv, *problem_flags, "--seed", "-1"]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert "error: seed must be non-negative, got -1" in err
+        assert out == ""
+        assert not Path("out").exists()
 
 
 class TestUsageErrors:
@@ -414,6 +440,15 @@ class TestBench:
         )
         assert code == EXIT_INPUT_ERROR
         assert "lambda must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+    def test_repeated_lambda_exits_one(self, tmp_path, capsys):
+        code = main(
+            ["bench", "--dataset", str(FIXTURES), "--lambdas", "0.5", "0.5",
+             "--output", str(tmp_path / "out")]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "error: lambda listed twice: 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_dataset_exits_one(self, tmp_path, capsys):
         code = main(

@@ -18,7 +18,7 @@ from goalrec.gridgen import DOMAIN_TEXT, random_grid, shortest_path, template_te
 from goalrec.grounding import GroundAction, GroundFact, GroundProblem
 from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
-from goalrec.sampling import SamplerState, sample_subgoal_supporters
+from goalrec.sampling import sample_subgoal_supporters
 
 from atoms import parse_hypothesis_line
 from conftest import example_grid
@@ -223,16 +223,16 @@ def _random_grid_problem(seed, width, height):
 
 
 def _outcome(sample, subgoals, seed):
-    """Samples and generator state after each subgoal, then the selection
-    counts, or the error raised after the subgoals before it."""
-    sampler = SamplerState.from_seed(seed, 0, 0)
+    """Samples and generator state after each subgoal, all drawn from one
+    generator, or those and the error raised after the subgoals before it."""
+    rng = np.random.default_rng([seed, 0, 0])
     steps = []
     try:
         for f in subgoals:
-            steps.append((sample(f, sampler), sampler.rng.bit_generator.state))
+            steps.append((sample(f, rng), rng.bit_generator.state))
     except GoalRecError as exc:
         return steps, type(exc), str(exc)
-    return steps, sampler.counts
+    return steps
 
 
 def _assert_matches_reference(problem, n, seed):
@@ -249,13 +249,13 @@ def _assert_matches_reference(problem, n, seed):
     assert problem.relaxed_fixpoint == replace(full, unreached_goal_facts=frozenset())
     assert list(problem.relaxed_fixpoint.fact_levels.items()) == list(full.fact_levels.items())
 
-    def walk(f, sampler):
-        return sample_subgoal_supporters(problem, f, n, sampler)
+    def walk(f, rng):
+        return sample_subgoal_supporters(problem, f, n, rng)
 
-    def scan(f, sampler):
-        return sample_subgoal_supporters_scan(f, full, problem.s0, n, sampler, problem)
+    def scan(f, rng):
+        return sample_subgoal_supporters_scan(f, full, problem.s0, n, rng, problem)
 
-    # Each goal's subgoals in order, sharing one sampler, then every fact.
+    # Each goal's subgoals in order, sharing one generator, then every fact.
     orders = [sorted(goal) for goal in problem.goals]
     orders += [[f] for f in range(problem.fact_count)]
     for order in orders:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalrec.bench import build_problem
-from goalrec.errors import InsufficientSamplesError, ParameterError, UnsupportedFactError
+from goalrec import sampling
+from goalrec.errors import ParameterError, UnsupportedFactError
 from goalrec.pddl import Literal
 from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
 from goalrec.sampling import (
     COMBINE_STREAM,
-    SamplerState,
     SupporterSampleSet,
     generate_goal_supporters,
     sample_combined_sets,
@@ -43,9 +43,20 @@ def _sample(problem, goal, n=N, seed=0):
     rpg = build_rpg(problem, goal)
     per_subgoal = {}
     for ordinal, subgoal in enumerate(sorted(goal)):
-        sampler = SamplerState.from_seed(seed, 0, ordinal)
-        per_subgoal[subgoal] = sample_subgoal_supporters(problem, subgoal, n, sampler)
+        rng = np.random.default_rng([seed, 0, ordinal])
+        per_subgoal[subgoal] = sample_subgoal_supporters(problem, subgoal, n, rng)
     return rpg, per_subgoal
+
+
+@pytest.fixture
+def reachable_and_blocked(grid_instance):
+    """The grid with goal 0 (is-at c1) and goal 1 a blocked cell."""
+    blocked = sorted(example_grid().blocked)[0]
+    return build_problem(
+        grid_instance.domain_text,
+        grid_instance.template_text,
+        (parse_hypothesis_line("(is-at c1)"), parse_hypothesis_line(f"(is-at {blocked})")),
+    )
 
 
 def _replay(problem, rpg, action_ids):
@@ -60,45 +71,11 @@ def _replay(problem, rpg, action_ids):
     return state
 
 
-class TestSamplerState:
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
-            SamplerState.from_seed(-1, 0, 0)
-
-    # The sampler skips draws over one candidate and the combiner draws all
-    # its picks in one call; both keep the stream only while these hold.
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        bounds=st.lists(
-            st.one_of(st.just(1), st.integers(2, 40), st.integers(2**31, 2**62)),
-            min_size=1,
-            max_size=40,
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_numpy_bounded_draws_keep_the_stream(self, seed, bounds):
-        scalar = np.random.default_rng(seed)
-        expected = []
-        for bound in bounds:
-            before = scalar.bit_generator.state
-            assert scalar.integers(1) == 0 and scalar.bit_generator.state == before, (
-                "numpy assumption broken: integers(1) returns 0 and consumes no random state"
-            )
-            expected.append(int(scalar.integers(bound)))
-        vector = np.random.default_rng(seed)
-        assert vector.integers(np.array(bounds)).tolist() == expected, (
-            "numpy assumption broken: integers(bounds array) draws what one call per bound draws"
-        )
-        assert vector.bit_generator.state == scalar.bit_generator.state, (
-            "numpy assumption broken: integers(bounds array) ends in the state of one call per bound"
-        )
-
-
 class TestSubgoalSampling:
     def test_subgoal_in_s0_yields_empty_sets(self, grid):
         problem, _ = grid
         (s0_fact,) = problem.s0
-        samples = sample_subgoal_supporters(problem, s0_fact, N, SamplerState.from_seed(0, 0, 0))
+        samples = sample_subgoal_supporters(problem, s0_fact, N, np.random.default_rng(0))
         assert len(samples) == N
         assert all(s.actions == frozenset() for s in samples)
 
@@ -137,13 +114,12 @@ class TestSubgoalSampling:
 
     def test_min_count_balance(self, grid):
         # c1 has exactly two supporters at its first level; across N samples
-        # their selection counts may differ by at most one.
+        # the numbers of sets holding each may differ by at most one.
         problem, _ = grid
         (subgoal,) = problem.goals[0]
-        sampler = SamplerState.from_seed(3, 0, 0)
-        sample_subgoal_supporters(problem, subgoal, N, sampler)
-        a = sampler.counts.get(problem.action_id("(m c2 c1)"), 0)
-        b = sampler.counts.get(problem.action_id("(m c6 c1)"), 0)
+        samples = sample_subgoal_supporters(problem, subgoal, N, np.random.default_rng(3))
+        a = sum(problem.action_id("(m c2 c1)") in s.actions for s in samples)
+        b = sum(problem.action_id("(m c6 c1)") in s.actions for s in samples)
         assert a + b == N
         assert abs(a - b) <= 1
 
@@ -153,20 +129,15 @@ class TestSubgoalSampling:
         _, second = _sample(problem, problem.goals[0], seed=42)
         assert first == second
 
-    def test_invalid_n_rejected(self, grid):
-        problem, _ = grid
-        (subgoal,) = problem.goals[0]
-        with pytest.raises(ValueError):
-            sample_subgoal_supporters(problem, subgoal, 0, SamplerState.from_seed(0, 0, 0))
-
     def test_unreachable_subgoal_raises(self, grid):
         problem, _ = grid
         blocked = problem.fact_id(f"(is-at {sorted(example_grid().blocked)[0]})")
-        sampler = SamplerState.from_seed(0, 0, 0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         name = re.escape(problem.fact_name(blocked))
         with pytest.raises(UnsupportedFactError, match=f"^no supporter for demanded fact {name}$"):
-            sample_subgoal_supporters(problem, blocked, N, sampler)
-        assert sampler.counts == {}
+            sample_subgoal_supporters(problem, blocked, N, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestGoalCombination:
@@ -174,24 +145,16 @@ class TestGoalCombination:
         problem, _ = grid
         goal = problem.goals[0]
         _, per_subgoal = _sample(problem, goal)
-        combined = generate_goal_supporters(
-            per_subgoal, N, goal, SamplerState.from_seed(0, 0, 99)
-        )
+        (samples,) = per_subgoal.values()
+        combined = generate_goal_supporters([samples], N, np.random.default_rng(99))
         from collections import Counter
 
-        assert Counter(s.actions for s in combined) == Counter(
-            s.actions for s in per_subgoal[next(iter(goal))]
-        )
+        assert Counter(s.actions for s in combined) == Counter(s.actions for s in samples)
 
     def test_two_subgoals_consume_each_sample_once(self):
         a_sets = [SupporterSampleSet(frozenset({i})) for i in range(N)]
         b_sets = [SupporterSampleSet(frozenset({100 + i})) for i in range(N)]
-        combined = generate_goal_supporters(
-            {0: a_sets, 1: b_sets},
-            N,
-            frozenset({0, 1}),
-            SamplerState.from_seed(5, 0, 99),
-        )
+        combined = generate_goal_supporters([a_sets, b_sets], N, np.random.default_rng(5))
         assert len(combined) == N
         used_a = sorted(min(s.actions) for s in combined)
         used_b = sorted(max(s.actions) for s in combined)
@@ -200,27 +163,16 @@ class TestGoalCombination:
 
     def test_n_equal_one(self):
         combined = generate_goal_supporters(
-            {0: [SupporterSampleSet(frozenset({7}))]},
-            1,
-            frozenset({0}),
-            SamplerState.from_seed(0, 0, 99),
+            [[SupporterSampleSet(frozenset({7}))]], 1, np.random.default_rng(0)
         )
         assert combined == [SupporterSampleSet(frozenset({7}))]
-
-    def test_insufficient_samples_raises(self):
-        short = [SupporterSampleSet(frozenset({1}))]
-        with pytest.raises(InsufficientSamplesError):
-            generate_goal_supporters(
-                {0: short}, 2, frozenset({0}), SamplerState.from_seed(0, 0, 99)
-            )
 
     def test_goal_fact_coverage(self, logistics):
         problem, _ = logistics
         goal = problem.goals[0]  # two subgoals
         rpg, per_subgoal = _sample(problem, goal)
-        combined = generate_goal_supporters(
-            per_subgoal, N, goal, SamplerState.from_seed(0, 0, 99)
-        )
+        pools = [per_subgoal[f] for f in sorted(goal)]
+        combined = generate_goal_supporters(pools, N, np.random.default_rng(99))
         for sample in combined:
             for subgoal in goal - problem.s0:
                 assert any(
@@ -228,54 +180,59 @@ class TestGoalCombination:
                 )
             assert goal <= _replay(problem, rpg, sample.actions).facts
 
-    @pytest.mark.parametrize("n", [0, -2])
-    def test_invalid_n_rejected(self, n):
-        with pytest.raises(
-            ParameterError, match=f"^number of samples must be positive, got {n}$"
-        ):
-            generate_goal_supporters({}, n, frozenset(), SamplerState.from_seed(0, 0, 99))
-
     def test_empty_goal_gives_n_empty_sets(self):
-        sampler = SamplerState.from_seed(0, 0, 99)
-        state = sampler.rng.bit_generator.state
-        combined = generate_goal_supporters({}, 3, frozenset(), sampler)
+        rng = np.random.default_rng(99)
+        state = rng.bit_generator.state
+        combined = generate_goal_supporters([], 3, rng)
         assert combined == [SupporterSampleSet(frozenset())] * 3
-        assert sampler.rng.bit_generator.state == state
+        assert rng.bit_generator.state == state
 
 
 class TestCombinedSets:
     def test_stream_per_subgoal_and_one_per_combination(self, logistics):
         problem, _ = logistics
+
+        def stream(*key):
+            return np.random.default_rng(np.random.SeedSequence([7, *key]))
+
         for goal_index, goal in enumerate(problem.goals):
-            per_subgoal = {
-                f: sample_subgoal_supporters(
-                    problem, f, N, SamplerState.from_seed(7, goal_index, ordinal)
-                )
+            pools = [
+                sample_subgoal_supporters(problem, f, N, stream(goal_index, ordinal))
                 for ordinal, f in enumerate(sorted(goal))
-            }
-            combiner = SamplerState.from_seed(7, goal_index, COMBINE_STREAM)
+            ]
+            combiner = stream(goal_index, COMBINE_STREAM)
             assert sample_combined_sets(problem, goal_index, N, 7) == generate_goal_supporters(
-                per_subgoal, N, goal, combiner
+                pools, N, combiner
             )
 
-    def test_relaxed_unreachable_goal_gives_none(self, grid_instance):
-        blocked = sorted(example_grid().blocked)[0]
-        problem = build_problem(
-            grid_instance.domain_text,
-            grid_instance.template_text,
-            (parse_hypothesis_line(f"(is-at {blocked})"),),
-        )
-        assert sample_combined_sets(problem, 0, N, 0) is None
+    def test_relaxed_unreachable_goal_gives_none(self, reachable_and_blocked):
+        assert sample_combined_sets(reachable_and_blocked, 1, N, 0) is None
+
+    # Both checks come before the goal lookup and the reachability
+    # shortcut, so the blocked goal 1 is rejected as goal 0 is.
+    def test_negative_seed_rejected(self, reachable_and_blocked):
+        for run in (sample_combined_sets, estimate):
+            for goal_index in (0, 1):
+                with pytest.raises(ParameterError, match="^seed must be non-negative, got -1$"):
+                    run(reachable_and_blocked, goal_index, N, -1)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_invalid_n_rejected(self, reachable_and_blocked, n):
+        for run in (sample_combined_sets, estimate):
+            for goal_index in (0, 1):
+                with pytest.raises(
+                    ParameterError, match=f"^number of samples must be positive, got {n}$"
+                ):
+                    run(reachable_and_blocked, goal_index, n, 0)
 
 
 @st.composite
 def combiner_inputs(draw):
-    """0-4 subgoals, each with a pool of n or more sets, some of them empty."""
+    """0-4 subgoal pools of n sets each, some of the sets empty."""
     n = draw(st.integers(1, 6))
     sets = st.builds(SupporterSampleSet, st.frozensets(st.integers(0, 20), max_size=3))
-    subgoals = draw(st.lists(st.integers(0, 30), max_size=4, unique=True))
-    per_subgoal = {f: draw(st.lists(sets, min_size=n, max_size=n + 4)) for f in subgoals}
-    return per_subgoal, n
+    pools = draw(st.lists(st.lists(sets, min_size=n, max_size=n), max_size=4))
+    return pools, n
 
 
 class _CountingGenerator:
@@ -291,17 +248,44 @@ class _CountingGenerator:
 
 
 class TestDrawStream:
+    # The sampler skips draws over one candidate and the combiner draws all
+    # its picks in one call; both keep the stream only while these hold.
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        bounds=st.lists(
+            st.one_of(st.just(1), st.integers(2, 40), st.integers(2**31, 2**62)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_bounded_draws_keep_the_stream(self, seed, bounds):
+        scalar = np.random.default_rng(seed)
+        expected = []
+        for bound in bounds:
+            before = scalar.bit_generator.state
+            assert scalar.integers(1) == 0 and scalar.bit_generator.state == before, (
+                "numpy assumption broken: integers(1) returns 0 and consumes no random state"
+            )
+            expected.append(int(scalar.integers(bound)))
+        vector = np.random.default_rng(seed)
+        assert vector.integers(np.array(bounds)).tolist() == expected, (
+            "numpy assumption broken: integers(bounds array) draws what one call per bound draws"
+        )
+        assert vector.bit_generator.state == scalar.bit_generator.state, (
+            "numpy assumption broken: integers(bounds array) ends in the state of one call per bound"
+        )
+
     @given(inputs=combiner_inputs(), seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=300, deadline=None)
     def test_combiner_identical_to_sequential_reference(self, inputs, seed):
-        per_subgoal, n = inputs
-        goal = frozenset(per_subgoal)
-        fast = SamplerState.from_seed(seed, 0, COMBINE_STREAM)
-        slow = SamplerState.from_seed(seed, 0, COMBINE_STREAM)
-        assert generate_goal_supporters(
-            per_subgoal, n, goal, fast
-        ) == generate_goal_supporters_sequential(per_subgoal, n, goal, slow)
-        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+        pools, n = inputs
+        fast = np.random.default_rng([seed, 0, COMBINE_STREAM])
+        slow = np.random.default_rng([seed, 0, COMBINE_STREAM])
+        assert generate_goal_supporters(pools, n, fast) == generate_goal_supporters_sequential(
+            pools, n, slow
+        )
+        assert fast.bit_generator.state == slow.bit_generator.state
 
     @pytest.mark.parametrize("name", ["grid", "logistics"])
     def test_draws_only_on_ties_and_once_per_combination(self, request, monkeypatch, name):
@@ -309,27 +293,24 @@ class TestDrawStream:
         goals = range(len(problem.goals))
         expected = [estimate(problem, g, n=N, seed=3).p for g in goals]
 
-        generators = {}
-        from_seed = SamplerState.from_seed.__func__
+        # Each stage is wrapped where sample_combined_sets looks it up, as
+        # the benchmark's tracer wraps it, and the generator it receives as
+        # its last argument is wrapped to record the draws.
+        draws = {"sample_subgoal_supporters": [], "generate_goal_supporters": []}
 
-        def counting(cls, seed, *stream):
-            sampler = from_seed(cls, seed, *stream)
-            sampler.rng = generators[stream] = _CountingGenerator(sampler.rng)
-            return sampler
+        def counting(name, stage):
+            def wrapped(*args):
+                generator = _CountingGenerator(args[-1])
+                draws[name].append(generator.bounds)
+                return stage(*args[:-1], generator)
 
-        monkeypatch.setattr(SamplerState, "from_seed", classmethod(counting))
+            return wrapped
+
+        for stage in draws:
+            monkeypatch.setattr(sampling, stage, counting(stage, getattr(sampling, stage)))
         for g in goals:
             assert np.array_equal(estimate(problem, g, n=N, seed=3).p, expected[g])
 
-        tie_bounds = [
-            bound
-            for stream, generator in generators.items()
-            if stream[-1] != COMBINE_STREAM
-            for bound in generator.bounds
-        ]
+        tie_bounds = [b for bounds in draws["sample_subgoal_supporters"] for b in bounds]
         assert all(bound > 1 for bound in tie_bounds)
-        assert {
-            stream: len(generator.bounds)
-            for stream, generator in generators.items()
-            if stream[-1] == COMBINE_STREAM
-        } == {(g, COMBINE_STREAM): 1 for g in goals}
+        assert [len(bounds) for bounds in draws["generate_goal_supporters"]] == [1] * len(goals)
