@@ -2,12 +2,14 @@
 
 Covers `goalrec estimate` CSVs under both aggregations, `goalrec
 recognize` stdout (JSON, text and `--at-lambda 0`) and `goalrec bench`'s
-precision.csv on the grid and logistics fixtures at a fixed seed.  Any
+precision.csv and report.json (timing fields removed) on the grid and
+logistics fixtures at a fixed seed.  Any
 change to argument handling, problem loading, the random stream or the
 output formats shows up here as a different hash.
 """
 
 import hashlib
+import json
 import shutil
 
 import pytest
@@ -47,6 +49,8 @@ GOLDEN = {
     ("logistics", "recognize-text"): "cf860c2503d4b2c11975be4ed83ef03a3210bc98c673449f5edc5f817754547d",
     ("logistics", "recognize-lambda0"): "998fc62bbb6a20a91ac2512c37fb30602bffc2738c45406696a4344bc231da2d",
     ("logistics", "bench"): "aeebdf0150481a99557a1955cdbfa16ac190934b91eb44a30c77c72a6daa6179",
+    ("grid", "report"): "09b203c5d9e0216e98b0622d7bc20e906a3af134926c09dfe9e0060ea6a10a85",
+    ("logistics", "report"): "5d074c790492f87f8663f1473e3faae3356fb241414d805f81050bbb1c55cd61",
 }
 
 
@@ -98,8 +102,8 @@ def test_recognize_stdout(case, output, capsys):
     assert _sha(capsys.readouterr().out) == GOLDEN[(case, output)]
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_bench_precision_csv(case, tmp_path, capsys):
+def _bench(case, tmp_path):
+    """Run `goalrec bench` over one fixture; return its output directory."""
     dataset = tmp_path / "dataset"
     shutil.copytree(FIXTURES / case, dataset / case)
     out = tmp_path / "out"
@@ -114,4 +118,22 @@ def test_bench_precision_csv(case, tmp_path, capsys):
         ]
     )
     assert code == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bench_precision_csv(case, tmp_path, capsys):
+    out = _bench(case, tmp_path)
     assert _sha((out / "precision.csv").read_bytes()) == GOLDEN[(case, "bench")]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bench_report_json(case, tmp_path, capsys):
+    """Everything but the wall-clock fields, re-serialized as bench writes it."""
+    text = (_bench(case, tmp_path) / "report.json").read_text()
+    payload = json.loads(text)
+    assert json.dumps(payload, indent=2) == text
+    del payload["timing"]
+    for record in payload["instances"]:
+        del record["estimation_seconds"]
+    assert _sha(json.dumps(payload, indent=2)) == GOLDEN[(case, "report")]
