@@ -233,13 +233,16 @@ class InstanceRecord:
 
 @dataclass
 class EvaluationReport:
+    """Per-λ statistics across repeats, λ ascending.  The uniform baseline
+    recognizes every goal, so it holds one value for every λ."""
+
     lambdas: list[float]
     precision_mean: dict[float, float]
     precision_std: dict[float, float]
     spread_mean: dict[float, float]
     spread_std: dict[float, float]
-    baseline_precision: dict[float, float]
-    baseline_spread: dict[float, float]
+    baseline_precision: float
+    baseline_spread: float
     instances: list[InstanceRecord]
     failures: list[tuple[str, str]]
     n_samples: int
@@ -250,6 +253,14 @@ class EvaluationReport:
     seconds_per_observation: float
 
     def to_json(self) -> str:
+        per_lambda = {
+            "precision_mean": self.precision_mean,
+            "precision_std": self.precision_std,
+            "spread_mean": self.spread_mean,
+            "spread_std": self.spread_std,
+            "baseline_precision": dict.fromkeys(self.lambdas, self.baseline_precision),
+            "baseline_spread": dict.fromkeys(self.lambdas, self.baseline_spread),
+        }
         payload = {
             "config": {
                 "n_samples": self.n_samples,
@@ -258,14 +269,10 @@ class EvaluationReport:
                 "aggregation": self.aggregation,
                 "lambdas": self.lambdas,
             },
-            "precision_mean": {str(k): v for k, v in self.precision_mean.items()},
-            "precision_std": {str(k): v for k, v in self.precision_std.items()},
-            "spread_mean": {str(k): v for k, v in self.spread_mean.items()},
-            "spread_std": {str(k): v for k, v in self.spread_std.items()},
-            "baseline_precision": {
-                str(k): v for k, v in self.baseline_precision.items()
+            **{
+                key: {str(lam): values[lam] for lam in self.lambdas}
+                for key, values in per_lambda.items()
             },
-            "baseline_spread": {str(k): v for k, v in self.baseline_spread.items()},
             "timing": {
                 "estimation_seconds_per_goal": self.estimation_seconds_per_goal,
                 "seconds_per_observation": self.seconds_per_observation,
@@ -286,25 +293,19 @@ class EvaluationReport:
         return json.dumps(payload, indent=2)
 
     def precision_csv(self) -> str:
-        header = "method," + ",".join(str(l) for l in self.lambdas) + ",spread"
-        rows = [header]
-        rows.append(
-            "fpv,"
-            + ",".join(f"{self.precision_mean[l]:.4f}" for l in self.lambdas)
-            + f",{self.spread_mean[self.lambdas[-1]]:.4f}"
-        )
+        """One row per method: its value at each λ, then its spread at the
+        largest λ."""
+        top = max(self.lambdas)
+        uniform = dict.fromkeys(self.lambdas, self.baseline_precision)
+        rows = [("fpv", self.precision_mean, self.spread_mean[top])]
         if self.repeats > 1:
-            rows.append(
-                "fpv-std,"
-                + ",".join(f"{self.precision_std[l]:.4f}" for l in self.lambdas)
-                + f",{self.spread_std[self.lambdas[-1]]:.4f}"
-            )
-        rows.append(
-            "uniform,"
-            + ",".join(f"{self.baseline_precision[l]:.4f}" for l in self.lambdas)
-            + f",{self.baseline_spread[self.lambdas[-1]]:.4f}"
-        )
-        return "\n".join(rows) + "\n"
+            rows.append(("fpv-std", self.precision_std, self.spread_std[top]))
+        rows.append(("uniform", uniform, self.baseline_spread))
+        lines = ["method," + ",".join(map(str, self.lambdas)) + ",spread"]
+        for method, values, spread_value in rows:
+            cells = [values[l] for l in self.lambdas] + [spread_value]
+            lines.append(",".join([method, *(f"{v:.4f}" for v in cells)]))
+        return "\n".join(lines) + "\n"
 
 
 def _instance_seed(seed: int, repeat: int, name: str) -> int:
@@ -335,6 +336,7 @@ def run_benchmark(
         _check_lambda(lam)
         if lam in lambdas[:i]:
             raise ParameterError(f"lambda listed twice: {lam}")
+    lambdas.sort()  # columns ascend, and the spread column is the largest λ's
     if repeats < 1:
         raise ParameterError(f"repeats must be positive, got {repeats}")
     if seed < 0:
@@ -355,15 +357,15 @@ def run_benchmark(
     if not prepared:
         raise DatasetError(f"all {len(candidates)} instances failed to load")
 
-    per_repeat_precision: list[dict[float, float]] = []
-    per_repeat_spread: list[dict[float, float]] = []
+    truths = [instance.true_goal_index for instance, _, _ in prepared]
+    precisions: dict[float, list[float]] = {lam: [] for lam in lambdas}
+    spreads: dict[float, list[float]] = {lam: [] for lam in lambdas}
     records: list[InstanceRecord] = []
     estimation_times: list[float] = []
     observation_times: list[float] = []
 
     for repeat in range(repeats):
         recognized: dict[float, list[frozenset[int]]] = {l: [] for l in lambdas}
-        truths: list[int] = []
         for instance, problem, events in prepared:
             inst_seed = _instance_seed(seed, repeat, instance.name)
             t0 = time.perf_counter()
@@ -374,7 +376,6 @@ def run_benchmark(
             obs_seconds = time.perf_counter() - t0
             goal_count = len(problem.goals)
             total = len(instance.observations)
-            truths.append(instance.true_goal_index)
             for lam in lambdas:
                 recognized[lam].append(recognized_at(trace, goal_count, total, lam))
             estimation_times.append(est_seconds / goal_count)
@@ -391,29 +392,19 @@ def run_benchmark(
                         trace,
                     )
                 )
-        per_repeat_precision.append(
-            {lam: precision(recognized[lam], truths) for lam in lambdas}
-        )
-        per_repeat_spread.append({lam: spread(recognized[lam]) for lam in lambdas})
+        for lam in lambdas:
+            precisions[lam].append(precision(recognized[lam], truths))
+            spreads[lam].append(spread(recognized[lam]))
 
     goal_counts = [rec.goal_count for rec in records]
-    baseline_precision = {lam: mean(1.0 / g for g in goal_counts) for lam in lambdas}
-    baseline_spread = {lam: mean(goal_counts) for lam in lambdas}
-
     return EvaluationReport(
         lambdas=lambdas,
-        precision_mean={
-            lam: mean(r[lam] for r in per_repeat_precision) for lam in lambdas
-        },
-        precision_std={
-            lam: pstdev([r[lam] for r in per_repeat_precision]) for lam in lambdas
-        },
-        spread_mean={lam: mean(r[lam] for r in per_repeat_spread) for lam in lambdas},
-        spread_std={
-            lam: pstdev([r[lam] for r in per_repeat_spread]) for lam in lambdas
-        },
-        baseline_precision=baseline_precision,
-        baseline_spread=baseline_spread,
+        precision_mean={lam: mean(v) for lam, v in precisions.items()},
+        precision_std={lam: pstdev(v) for lam, v in precisions.items()},
+        spread_mean={lam: mean(v) for lam, v in spreads.items()},
+        spread_std={lam: pstdev(v) for lam, v in spreads.items()},
+        baseline_precision=mean(1.0 / g for g in goal_counts),
+        baseline_spread=mean(goal_counts),
         instances=records,
         failures=failures,
         n_samples=n_samples,

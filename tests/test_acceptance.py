@@ -346,11 +346,11 @@ def test_criterion_8_fixture_benchmark():
         8,
         [
             ("FPV precision >= uniform baseline at lambda=1",
-             report.precision_mean[1.0] >= report.baseline_precision[1.0],
-             f"{report.precision_mean[1.0]} vs {report.baseline_precision[1.0]}"),
+             report.precision_mean[1.0] >= report.baseline_precision,
+             f"{report.precision_mean[1.0]} vs {report.baseline_precision}"),
             ("FPV spread <= uniform baseline at lambda=1",
-             report.spread_mean[1.0] <= report.baseline_spread[1.0],
-             f"{report.spread_mean[1.0]} vs {report.baseline_spread[1.0]}"),
+             report.spread_mean[1.0] <= report.baseline_spread,
+             f"{report.spread_mean[1.0]} vs {report.baseline_spread}"),
             ("grid fixture precision 1.0 and spread 1.0",
              final == [grid_record.true_goal_index], f"{final}"),
             ("20-repeat std-dev <= 0.08 at every lambda", std_ok,

@@ -260,7 +260,7 @@ class TestRunBenchmark:
         assert report.spread_mean[1.0] == 1.0
         assert report.precision_std[1.0] == 0.0
         # lambda = 0.1 gives 0-length prefixes on these short sequences.
-        base = report.baseline_precision[0.1]
+        base = report.baseline_precision
         assert report.precision_mean[0.1] == pytest.approx(base)
         assert 0.0 < base < 1.0
 
@@ -322,6 +322,15 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "load_instance", lambda path: pytest.fail(f"loaded {path}"))
         with pytest.raises(ParameterError, match=r"^lambda listed twice: 0\.5$"):
             run_benchmark(FIXTURES, lambdas=[0.5, 1.0, 0.5])
+
+    def test_lambdas_ascend_whatever_order_they_are_given(self):
+        given, reversed_ = (run_benchmark(FIXTURES, lambdas=l, seed=0) for l in ([0.3, 1.0], [1.0, 0.3]))
+        assert reversed_.lambdas == [0.3, 1.0]
+        assert json.loads(reversed_.to_json())["config"]["lambdas"] == [0.3, 1.0]
+        assert reversed_.precision_csv() == given.precision_csv()
+        # The spread column is the largest lambda's.
+        fpv = reversed_.precision_csv().splitlines()[1]
+        assert fpv.endswith(f",{reversed_.spread_mean[1.0]:.4f}")
 
     def test_json_and_csv_outputs(self):
         report = run_benchmark(FIXTURES, seed=0, repeats=2)

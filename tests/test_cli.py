@@ -450,6 +450,16 @@ class TestBench:
         assert "error: lambda listed twice: 0.5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_lambda_order_leaves_csv_unchanged(self, tmp_path, capsys):
+        written = []
+        for order in (["0.3", "1.0"], ["1.0", "0.3"]):
+            out = tmp_path / "-".join(order)
+            args = ["bench", "--dataset", str(FIXTURES), "--lambdas", *order]
+            assert main([*args, "--output", str(out)]) == EXIT_OK
+            written.append((out / "precision.csv").read_bytes())
+        assert written[0] == written[1]
+        assert written[0].startswith(b"method,0.3,1.0,spread\n")
+
     def test_empty_dataset_exits_one(self, tmp_path, capsys):
         code = main(
             ["bench", "--dataset", str(tmp_path / "none"), "--output", str(tmp_path)]
