@@ -141,6 +141,14 @@ def build_problem(
             f"hypothesis atom {missing[0]} is not in the template goal, "
             f"which must hold {HYPOTHESIS_PLACEHOLDER}"
         )
+    # Grounding keeps only the hypotheses' goals, so any other goal atom
+    # would be dropped.
+    extra = sorted(lit.canonical() for lit in problem.goal - atoms)
+    if extra:
+        raise DatasetError(
+            f"template goal atom {extra[0]} is in no hypothesis; "
+            f"the template goal must hold only {HYPOTHESIS_PLACEHOLDER}"
+        )
     domain, problem = compile_negations(domain, problem)
     compiled = [frozenset(map(complement_literal, hyp)) for hyp in hypotheses]
     return ground(domain, problem, compiled)

@@ -20,6 +20,10 @@ SUPPORTED_REQUIREMENTS = frozenset(
 
 ROOT_TYPE = "object"
 
+# The reader and the repr of a form in an error message both recurse once
+# per level, so a deeper form is a syntax error, not a RecursionError.
+MAX_NESTING_DEPTH = 100
+
 
 # ── ASTs ─────────────────────────────────────────────────────────────────
 
@@ -66,7 +70,6 @@ class ActionSchema:
 @dataclass(frozen=True)
 class DomainAst:
     name: str
-    requirements: frozenset[str]
     types: tuple[tuple[str, str], ...]  # (type, parent); object is implicit
     predicates: tuple[Predicate, ...]
     schemas: tuple[ActionSchema, ...]
@@ -85,8 +88,6 @@ class DomainAst:
 
 @dataclass(frozen=True)
 class ProblemAst:
-    name: str
-    domain_name: str
     objects: tuple[tuple[str, str], ...]  # (object, type)
     init: frozenset[Literal]
     goal: frozenset[Literal]
@@ -138,9 +139,11 @@ class _Malformed(Exception):
         self.index = index
 
 
-def _read_sexp(tokens: list[str], pos: int) -> tuple[object, int]:
+def _read_sexp(tokens: list[str], pos: int, depth: int = 1) -> tuple[object, int]:
     tok = tokens[pos]
     if tok == "(":
+        if depth > MAX_NESTING_DEPTH:
+            raise _Malformed(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", pos)
         items: list[object] = []
         start = pos
         pos += 1
@@ -149,7 +152,7 @@ def _read_sexp(tokens: list[str], pos: int) -> tuple[object, int]:
                 raise _Malformed("unclosed parenthesis", start)
             if tokens[pos] == ")":
                 return items, pos + 1
-            item, pos = _read_sexp(tokens, pos)
+            item, pos = _read_sexp(tokens, pos, depth + 1)
             items.append(item)
     if tok == ")":
         raise _Malformed("unexpected ')'", pos)
@@ -272,7 +275,6 @@ def parse_domain(text: str) -> DomainAst:
     cyclic type declarations.
     """
     name, sections = _define_sections(text, "domain")
-    requirements: frozenset[str] = frozenset({":strips"})
     types: tuple[tuple[str, str], ...] = ()
     predicates: list[Predicate] = []
     schemas: list[ActionSchema] = []
@@ -280,11 +282,9 @@ def parse_domain(text: str) -> DomainAst:
     for section in sections:
         head = section[0]
         if head == ":requirements":
-            tags = section[1:]
-            for tag in tags:
+            for tag in section[1:]:
                 if tag not in SUPPORTED_REQUIREMENTS:
                     raise UnsupportedRequirementError(tag)
-            requirements = frozenset(tags) | {":strips"}
         elif head == ":types":
             types = tuple(_parse_typed_list(section[1:]))
         elif head == ":predicates":
@@ -303,7 +303,7 @@ def parse_domain(text: str) -> DomainAst:
         else:
             raise ValidationError(f"unsupported domain section: {head}")
 
-    domain = DomainAst(name, requirements, types, tuple(predicates), tuple(schemas))
+    domain = DomainAst(name, types, tuple(predicates), tuple(schemas))
     _validate_domain(domain)
     return domain
 
@@ -441,7 +441,7 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
             f"problem {name} references domain {domain_name!r}, expected {domain.name!r}"
         )
 
-    problem = ProblemAst(name, domain_name, objects, frozenset(init), frozenset(goal))
+    problem = ProblemAst(objects, frozenset(init), frozenset(goal))
     _validate_problem(problem, domain)
     return problem
 

@@ -128,6 +128,12 @@ class TestDatasetLines:
         with pytest.raises(DatasetError, match="unparsable"):
             parse_observations(line + "\n")
 
+    def test_deep_nesting_is_a_dataset_error(self):
+        line = "(is-at c1) " + "(" * 3000 + ")" * 3000
+        message = r"parentheses nested deeper than 100 \(line 1, column 112\)"
+        with pytest.raises(DatasetError, match=message):
+            parse_hypotheses(line + "\n")
+
     def test_duplicate_hypothesis_raises(self, tmp_path):
         shutil.copytree(FIXTURES / "logistics", tmp_path / "inst")
         hyps = tmp_path / "inst" / "hyps.dat"
@@ -190,6 +196,14 @@ class TestBuildProblem:
         with pytest.raises(DatasetError, match=r"\(is-at c5\) .*<HYPOTHESIS>"):
             self._build(template.replace("<HYPOTHESIS>", goal), ["(is-at c1)", "(is-at c5)"])
 
+
+    @pytest.mark.parametrize("stray", ["(is-at c25)", "(not (is-at c25))"])
+    def test_template_goal_atom_in_no_hypothesis_raises(self, stray):
+        # Grounding keeps only the hypotheses' goals; the stray atom was dropped.
+        template = (FIXTURES / "grid" / "template.pddl").read_text()
+        template = template.replace("<HYPOTHESIS>", f"{stray} <HYPOTHESIS>")
+        with pytest.raises(DatasetError, match=rf"^template goal atom {re.escape(stray)} is in no"):
+            self._build(template, ["(is-at c1)", "(is-at c5)"])
 
 class TestMetrics:
     def test_precision_unit_cases(self):
@@ -289,6 +303,16 @@ class TestRunBenchmark:
         report = run_benchmark(tmp_path, seed=0)
         assert [name for name, _ in report.failures] == ["broken"]
         assert len(report.instances) == 2
+
+    def test_template_goal_atom_in_no_hypothesis_fails_the_instance(self, tmp_path):
+        for name in ("grid", "chain"):
+            shutil.copytree(FIXTURES / name, tmp_path / name)
+        template = tmp_path / "grid" / "template.pddl"
+        template.write_text(template.read_text().replace("<HYPOTHESIS>", "(is-at c25) <HYPOTHESIS>"))
+        report = run_benchmark(tmp_path, seed=0)
+        assert [rec.name for rec in report.instances] == ["chain"]
+        [(name, error)] = report.failures
+        assert name == "grid" and error.startswith("template goal atom (is-at c25) is in no")
 
     def test_seconds_per_observation_times_whole_call(self, monkeypatch):
         # A fake clock that only recognize_online moves, by one second per

@@ -151,6 +151,42 @@ class TestEstimate:
         assert "<HYPOTHESIS>" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_template_goal_atom_in_no_hypothesis_exits_one(self, tmp_path, capsys):
+        template = tmp_path / "template.pddl"
+        text = (GRID / "template.pddl").read_text()
+        template.write_text(text.replace("<HYPOTHESIS>", "(is-at c25) <HYPOTHESIS>"))
+        code = main(
+            [
+                "estimate",
+                "--domain", str(GRID / "domain.pddl"),
+                "--template", str(template),
+                "--hyps", str(GRID / "hyps.dat"),
+                "--output", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: template goal atom (is-at c25) is in no")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("deep", ["domain", "hyps"])
+    def test_deep_nesting_exits_one(self, tmp_path, capsys, deep):
+        files = {"domain": GRID / "domain.pddl", "hyps": GRID / "hyps.dat"}
+        files[deep] = tmp_path / deep
+        files[deep].write_text("(" * 3000 + ")" * 3000 + "\n")
+        code = main(
+            [
+                "estimate",
+                "--domain", str(files["domain"]),
+                "--template", str(GRID / "template.pddl"),
+                "--hyps", str(files["hyps"]),
+                "--output", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "parentheses nested deeper than 100 (line 1, column 101)" in err
+
     def test_mistyped_init_atom_exits_one(self, tmp_path, capsys):
         (tmp_path / "domain.pddl").write_text(TYPED_DOMAIN)
         (tmp_path / "template.pddl").write_text(

@@ -329,15 +329,9 @@ def typed_tasks(draw):
             )
         )
 
-    domain = DomainAst(
-        "random",
-        frozenset({":strips", ":typing", ":negative-preconditions"}),
-        types,
-        tuple(statics + fluents),
-        tuple(schemas),
-    )
+    domain = DomainAst("random", types, tuple(statics + fluents), tuple(schemas))
     objects = tuple((f"o{i}", draw(type_of)) for i in range(draw(st.integers(0, 5))))
-    universe = objects_by_type(domain, ProblemAst("p", "random", objects, frozenset(), frozenset()))
+    universe = objects_by_type(domain, ProblemAst(objects, frozenset(), frozenset()))
 
     def atoms(pred):
         return [Literal(pred.name, args) for args in ground_instantiations(pred.params, universe)]
@@ -345,7 +339,7 @@ def typed_tasks(draw):
     init = [lit for pred in statics[:-1] + fluents for lit in _subset(draw, atoms(pred))]
     changing = [p for p in fluents if p.name not in static_predicates(domain)]
     goal = _subset(draw, [lit for pred in changing for lit in atoms(pred)])
-    problem = ProblemAst("p", "random", objects, frozenset(init), frozenset(goal))
+    problem = ProblemAst(objects, frozenset(init), frozenset(goal))
     return compile_negations(domain, problem)
 
 

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,13 @@ from goalrec.errors import (
 from goalrec.gridgen import DOMAIN_TEXT
 from goalrec.negation import compile_negations
 from goalrec.pddl import (
+    MAX_NESTING_DEPTH,
     Literal,
     _token_position,
     _token_texts,
     parse_domain,
     parse_problem,
+    read_forms,
 )
 
 from atoms import parse_atom
@@ -445,6 +448,25 @@ class TestTokenizer:
         with pytest.raises(PddlSyntaxError, match=re.escape(message)) as info:
             parse_domain(text)
         assert (info.value.line, info.value.column) == (line, column)
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("(" * 3000 + ")" * 3000, 1, 101),
+            # "(define" opens level 1, so line 2's 100th parenthesis opens level 101.
+            ("(define\n" + "(" * 100 + ")" * 101, 2, 100),
+        ],
+        ids=["3000-deep", "101-deep"],
+    )
+    def test_nesting_past_the_bound_is_a_syntax_error(self, text, line, column):
+        assert MAX_NESTING_DEPTH == 100
+        with pytest.raises(PddlSyntaxError, match="parentheses nested deeper than 100") as info:
+            parse_domain(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
+    def test_nesting_at_the_bound_is_read(self):
+        text = "(" * MAX_NESTING_DEPTH + ")" * MAX_NESTING_DEPTH
+        assert read_forms(text) == [reduce(lambda inner, _: [inner], range(MAX_NESTING_DEPTH - 1), [])]
 
     def test_comment_and_positions(self):
         assert _triples("(A ;x y)\n  b)") == [("(", 1, 1), ("a", 1, 2), ("b", 2, 3), (")", 2, 4)]
