@@ -308,7 +308,8 @@ class TestRunBenchmark:
         for name in ("grid", "chain"):
             shutil.copytree(FIXTURES / name, tmp_path / name)
         template = tmp_path / "grid" / "template.pddl"
-        template.write_text(template.read_text().replace("<HYPOTHESIS>", "(is-at c25) <HYPOTHESIS>"))
+        text = template.read_text()
+        template.write_text(text.replace("<HYPOTHESIS>", "(is-at c25) <HYPOTHESIS>"))
         report = run_benchmark(tmp_path, seed=0)
         assert [rec.name for rec in report.instances] == ["chain"]
         [(name, error)] = report.failures
@@ -348,7 +349,8 @@ class TestRunBenchmark:
             run_benchmark(FIXTURES, lambdas=[0.5, 1.0, 0.5])
 
     def test_lambdas_ascend_whatever_order_they_are_given(self):
-        given, reversed_ = (run_benchmark(FIXTURES, lambdas=l, seed=0) for l in ([0.3, 1.0], [1.0, 0.3]))
+        given = run_benchmark(FIXTURES, lambdas=[0.3, 1.0], seed=0)
+        reversed_ = run_benchmark(FIXTURES, lambdas=[1.0, 0.3], seed=0)
         assert reversed_.lambdas == [0.3, 1.0]
         assert json.loads(reversed_.to_json())["config"]["lambdas"] == [0.3, 1.0]
         assert reversed_.precision_csv() == given.precision_csv()

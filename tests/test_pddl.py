@@ -466,7 +466,8 @@ class TestTokenizer:
 
     def test_nesting_at_the_bound_is_read(self):
         text = "(" * MAX_NESTING_DEPTH + ")" * MAX_NESTING_DEPTH
-        assert read_forms(text) == [reduce(lambda inner, _: [inner], range(MAX_NESTING_DEPTH - 1), [])]
+        deepest = reduce(lambda inner, _: [inner], range(MAX_NESTING_DEPTH - 1), [])
+        assert read_forms(text) == [deepest]
 
     def test_comment_and_positions(self):
         assert _triples("(A ;x y)\n  b)") == [("(", 1, 1), ("a", 1, 2), ("b", 2, 3), (")", 2, 4)]
