@@ -42,6 +42,11 @@ class RecognitionInstance:
     observations: tuple[str, ...]  # canonical ground action names
 
 
+def _quoted(line: str) -> str:
+    """The repr of a .dat line, cut to 60 characters and "…" when it is longer."""
+    return repr(line if len(line) <= 60 else line[:60] + "…")
+
+
 def _line_atoms(line: str) -> list[Literal]:
     """The atoms of one .dat line, none for a blank or comment-only line."""
     try:
@@ -53,7 +58,7 @@ def _line_atoms(line: str) -> list[Literal]:
             if not (form == "," and 0 < i < len(forms) - 1 and forms[i - 1] != ",")
         ]
     except GoalRecError as exc:
-        raise DatasetError(f"unparsable atom: {line!r} ({exc})") from None
+        raise DatasetError(f"unparsable atom: {_quoted(line)} ({exc})") from None
 
 
 def parse_hypotheses(text: str) -> tuple[frozenset[Literal], ...]:
@@ -78,7 +83,7 @@ def parse_observations(text: str) -> tuple[str, ...]:
         if not atoms:
             continue
         if len(atoms) != 1 or atoms[0].negated:
-            raise DatasetError(f"unparsable observation line: {line!r}")
+            raise DatasetError(f"unparsable observation line: {_quoted(line)}")
         names.append(atoms[0].canonical())
     return tuple(names)
 

@@ -7,9 +7,13 @@ instantiated by joining its static preconditions against the static init
 atoms, indexed by predicate and by the values at bound argument positions;
 parameters that no static precondition mentions range over their type.
 Only bindings that satisfy every static precondition are named, so the
-cost follows the number of actions rather than |objects|^arity.  No
-reachability pruning is applied; the result is deterministic, with facts
-and actions numbered in lexicographic name order.
+cost follows the number of actions rather than |objects|^arity.  Each
+schema's bindings are then taken as one list, and the fact ids of each
+fluent literal are looked up as one column over all of them, in a dict
+per predicate from argument values to fact id; each action's pre, add and
+delete sets are built from those columns.  No reachability pruning is
+applied; the result is deterministic, with facts and actions numbered in
+lexicographic name order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import itemgetter
 
 from .errors import GroundingError, UnknownIdError
 from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, atom_name, type_ancestors
@@ -56,10 +61,20 @@ class StaticIndex:
         table = self._by_positions.get(key)
         if table is None:
             table = defaultdict(list)
+            values = _key_getter(positions)
             for args in self._atoms.get(predicate, ()):
-                table[tuple(args[j] for j in positions)].append(args)
+                table[values(args)].append(args)
             self._by_positions[key] = table
         return table
+
+
+def _key_getter(positions):
+    """A C-level getter of the values at positions, for use as a dict key.
+
+    It returns a tuple, except that one position gives the bare value;
+    every table a key indexes is built with the same getter.
+    """
+    return itemgetter(*positions) if positions else (lambda _: ())
 
 
 def _join_order(literals, index: StaticIndex) -> list[Literal]:
@@ -93,12 +108,14 @@ def _join(params, pools, literals, index: StaticIndex):
             else:
                 fresh[s] = j
         table = index.lookup(lit.predicate, keyed)
+        key = _key_getter([slots[j] for j in keyed])
+        checks = [(j, typed[s]) for s, j in fresh.items()]
         grown = []
         for binding in partial:
-            for args in table.get(tuple(binding[slots[j]] for j in keyed), ()):
-                if any(args[j] != args[k] for j, k in repeats):
+            for args in table.get(key(binding), ()):
+                if repeats and any(args[j] != args[k] for j, k in repeats):
                     continue
-                if any(args[j] not in typed[s] for s, j in fresh.items()):
+                if any(args[j] not in pool for j, pool in checks):
                     continue
                 extended = list(binding)
                 for s, j in fresh.items():
@@ -201,18 +218,6 @@ def static_predicates(domain: DomainAst) -> frozenset[str]:
     return frozenset(p.name for p in domain.predicates) - fluent
 
 
-def _templates(literals, slot_of: dict[str, int]) -> list[tuple[str, list[int]]]:
-    """Each literal as its predicate and the parameter slots of its arguments."""
-    return [(lit.predicate, [slot_of[arg] for arg in lit.args]) for lit in literals]
-
-
-def _bound_ids(templates, binding: tuple[str, ...], fact_ids: dict[str, int]) -> frozenset[int]:
-    """Fact ids of (predicate, parameter slots) templates under a binding."""
-    return frozenset(
-        fact_ids[atom_name(pred, tuple(binding[i] for i in slots))] for pred, slots in templates
-    )
-
-
 def ground(
     domain: DomainAst,
     problem: ProblemAst,
@@ -237,15 +242,22 @@ def ground(
     universe = objects_by_type(domain, problem)
     statics = static_predicates(domain)
 
-    fact_names: list[str] = []
+    # Each fluent predicate maps the key of an argument tuple (see
+    # _key_getter) to its fact name, and then to its fact id.
+    names_of: dict[str, dict] = {}
     for pred in domain.predicates:
-        if pred.name in statics:
-            continue
-        for args in ground_instantiations(pred.params, universe):
-            fact_names.append(atom_name(pred.name, tuple(args)))
-    fact_names.sort()
+        if pred.name not in statics:
+            key = _key_getter(range(pred.arity))
+            names_of[pred.name] = {
+                key(args): atom_name(pred.name, tuple(args))
+                for args in ground_instantiations(pred.params, universe)
+            }
+    fact_names = sorted(name for names in names_of.values() for name in names.values())
     fact_ids = {name: i for i, name in enumerate(fact_names)}
     facts = [GroundFact(i, name) for i, name in enumerate(fact_names)]
+    ids_of = {}
+    for pred, names in names_of.items():
+        ids_of[pred] = {k: fact_ids[name] for k, name in names.items()}
 
     index = StaticIndex(lit for lit in problem.init if lit.predicate in statics)
 
@@ -253,20 +265,29 @@ def ground(
     for schema in domain.schemas:
         slot_of = {var: i for i, (var, _) in enumerate(schema.params)}
         static_pre = [lit for lit in schema.pre if lit.predicate in statics]
-        pre = _templates((lit for lit in schema.pre if lit.predicate not in statics), slot_of)
-        add = _templates(schema.add, slot_of)
-        delete = _templates(schema.delete, slot_of)
-        for binding in ground_instantiations(schema.params, universe, static_pre, index):
-            added = _bound_ids(add, binding, fact_ids)
-            grounded.append(
-                (
-                    atom_name(schema.name, binding),
-                    _bound_ids(pre, binding, fact_ids),
-                    added,
-                    _bound_ids(delete, binding, fact_ids) - added,
-                    schema.cost,
+        bindings = list(ground_instantiations(schema.params, universe, static_pre, index))
+
+        def id_sets(literals):
+            """One frozenset of the literals' fact ids per binding, built column by column."""
+            columns = [
+                map(
+                    ids_of[lit.predicate].__getitem__,
+                    map(_key_getter([slot_of[arg] for arg in lit.args]), bindings),
                 )
+                for lit in literals
+            ]
+            return map(frozenset, zip(*columns)) if columns else [frozenset()] * len(bindings)
+
+        added = list(id_sets(schema.add))
+        grounded.extend(
+            zip(
+                map(atom_name, repeat(schema.name), bindings),
+                id_sets([lit for lit in schema.pre if lit.predicate not in statics]),
+                added,
+                map(frozenset.__sub__, id_sets(schema.delete), added),
+                repeat(schema.cost),
             )
+        )
 
     grounded.sort(key=lambda item: item[0])
     actions = [

@@ -20,8 +20,8 @@ SUPPORTED_REQUIREMENTS = frozenset(
 
 ROOT_TYPE = "object"
 
-# The reader and the repr of a form in an error message both recurse once
-# per level, so a deeper form is a syntax error, not a RecursionError.
+# The repr of a form in an error message recurses once per level, so the
+# reader rejects a deeper form as a syntax error, not a RecursionError.
 MAX_NESTING_DEPTH = 100
 
 
@@ -139,39 +139,44 @@ class _Malformed(Exception):
         self.index = index
 
 
-def _read_sexp(tokens: list[str], pos: int, depth: int = 1) -> tuple[object, int]:
-    tok = tokens[pos]
-    if tok == "(":
-        if depth > MAX_NESTING_DEPTH:
-            raise _Malformed(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", pos)
-        items: list[object] = []
-        start = pos
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise _Malformed("unclosed parenthesis", start)
-            if tokens[pos] == ")":
-                return items, pos + 1
-            item, pos = _read_sexp(tokens, pos, depth + 1)
-            items.append(item)
-    if tok == ")":
-        raise _Malformed("unexpected ')'", pos)
-    return tok, pos + 1
+def _read(tokens: list[str], single: bool = False) -> list:
+    """The forms of a token list, read in one pass with an explicit stack.
+
+    Each error is raised at its token, in token order; an unclosed
+    parenthesis at the innermost open '('.  With single, any token after
+    the first complete form is trailing input."""
+    forms: list = []
+    items = forms
+    stack: list[tuple[list, int]] = []  # the enclosing list and index of each open '('
+    last = len(tokens) - 1
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            if len(stack) == MAX_NESTING_DEPTH:
+                raise _Malformed(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", i)
+            stack.append((items, i))
+            items = []
+        elif tok == ")":
+            if not stack:
+                raise _Malformed("unexpected ')'", i)
+            outer = stack.pop()[0]
+            outer.append(items)
+            items = outer
+        else:
+            items.append(tok)
+        if single and not stack and i < last:
+            raise _Malformed("trailing input after top-level form", i + 1)
+    if stack:
+        raise _Malformed("unclosed parenthesis", stack[-1][1])
+    return forms
 
 
 def read_forms(text: str) -> list:
     """Every top-level form of text, in order: a list for a parenthesized
     form, a string for a bare symbol; none for blank or comment-only text."""
-    tokens = _token_texts(text)
-    forms: list = []
-    pos = 0
     try:
-        while pos < len(tokens):
-            form, pos = _read_sexp(tokens, pos)
-            forms.append(form)
+        return _read(_token_texts(text))
     except _Malformed as exc:
         raise PddlSyntaxError(exc.message, *_token_position(text, exc.index)) from None
-    return forms
 
 
 def _read_single(text: str) -> list:
@@ -180,9 +185,7 @@ def _read_single(text: str) -> list:
     if not tokens:
         raise PddlSyntaxError("empty input", 1, 1)
     try:
-        sexp, pos = _read_sexp(tokens, 0)
-        if pos != len(tokens):
-            raise _Malformed("trailing input after top-level form", pos)
+        [sexp] = _read(tokens, single=True)
         if not isinstance(sexp, list):
             raise _Malformed("expected a parenthesized form", 0)
     except _Malformed as exc:
@@ -247,7 +250,7 @@ def parse_literal(sexp: object, *, allow_negation: bool) -> Literal:
             raise ValidationError(f"malformed negated literal: {sexp}")
         return parse_literal(sexp[1], allow_negation=False).negate()
     head, *args = sexp
-    if not all(isinstance(a, str) for a in args):
+    if list in map(type, args):
         raise ValidationError(f"malformed literal arguments: {sexp}")
     return Literal(head, tuple(args))
 

@@ -131,8 +131,17 @@ class TestDatasetLines:
     def test_deep_nesting_is_a_dataset_error(self):
         line = "(is-at c1) " + "(" * 3000 + ")" * 3000
         message = r"parentheses nested deeper than 100 \(line 1, column 112\)"
-        with pytest.raises(DatasetError, match=message):
+        with pytest.raises(DatasetError, match=message) as info:
             parse_hypotheses(line + "\n")
+        # Only the start of the line is quoted; the position locates the fault.
+        assert str(info.value).startswith(f"unparsable atom: {line[:60] + '…'!r} (")
+        assert len(str(info.value)) < 150
+
+    def test_long_observation_line_is_quoted_short(self):
+        atoms = " ".join(f"(m c{i} c{i + 1})" for i in range(1, 500))
+        with pytest.raises(DatasetError) as info:
+            parse_observations(atoms + "\n")
+        assert str(info.value) == f"unparsable observation line: {atoms[:60] + '…'!r}"
 
     def test_duplicate_hypothesis_raises(self, tmp_path):
         shutil.copytree(FIXTURES / "logistics", tmp_path / "inst")

@@ -186,6 +186,7 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert "parentheses nested deeper than 100 (line 1, column 101)" in err
+        assert len(err) < 200  # a .dat error quotes only the start of its line
 
     def test_mistyped_init_atom_exits_one(self, tmp_path, capsys):
         (tmp_path / "domain.pddl").write_text(TYPED_DOMAIN)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goalrec import bench, grounding
@@ -343,8 +343,48 @@ def typed_tasks(draw):
     return compile_negations(domain, problem)
 
 
+def _parsed_task(domain_text, problem_text):
+    domain = parse_domain(domain_text)
+    return compile_negations(domain, parse_problem(problem_text, domain))
+
+
+_EDGE_PROBLEM = """\
+(define (problem p) (:domain edge) (:objects o1 o2)
+  (:init (adj o1 o1) (adj o1 o2) (adj o2 o2) (at o1) (h)) (:goal (at o2)))
+"""
+
+# A fluent predicate with no objects of its type, in a delete list: its
+# schema has no bindings and the predicate no facts.
+EMPTY_TYPE_DELETE = _parsed_task(
+    """\
+(define (domain edge) (:requirements :strips :typing) (:types t)
+  (:predicates (adj ?x ?y) (at ?x) (h) (gone ?x - t))
+  (:action drop :parameters (?x - t) :precondition (and) :effect (not (gone ?x)))
+  (:action m :parameters (?x ?y) :precondition (and (at ?x) (adj ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))
+""",
+    _EDGE_PROBLEM,
+)
+
+# 0-ary fluents in preconditions, adds and deletes, and a variable repeated
+# within a static precondition.
+NULLARY_AND_REPEATED = _parsed_task(
+    """\
+(define (domain edge) (:requirements :strips)
+  (:predicates (adj ?x ?y) (at ?x) (h) (k))
+  (:action m :parameters (?x ?y) :precondition (and (h) (at ?x) (adj ?x ?y))
+    :effect (and (k) (at ?y) (not (at ?x)) (not (h))))
+  (:action stay :parameters (?x) :precondition (and (k) (adj ?x ?x) (at ?x))
+    :effect (and (h) (not (k)))))
+""",
+    _EDGE_PROBLEM,
+)
+
+
 class TestReferenceProperty:
     @given(task=typed_tasks())
+    @example(task=EMPTY_TYPE_DELETE)
+    @example(task=NULLARY_AND_REPEATED)
     @settings(max_examples=300, deadline=None)
     def test_identical_to_reference(self, task):
         domain, problem = task

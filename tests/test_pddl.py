@@ -18,6 +18,7 @@ from goalrec.negation import compile_negations
 from goalrec.pddl import (
     MAX_NESTING_DEPTH,
     Literal,
+    _read_single,
     _token_position,
     _token_texts,
     parse_domain,
@@ -27,6 +28,7 @@ from goalrec.pddl import (
 
 from atoms import parse_atom
 from conftest import FIXTURES, TYPED_DOMAIN
+from reference_reader import reference_read_forms, reference_read_single
 
 MINIMAL_DOMAIN = """\
 (define (domain grid-nav)
@@ -471,3 +473,38 @@ class TestTokenizer:
 
     def test_comment_and_positions(self):
         assert _triples("(A ;x y)\n  b)") == [("(", 1, 1), ("a", 1, 2), ("b", 2, 3), (")", 2, 4)]
+
+
+def _outcome(read, text):
+    """The forms read from text, or the syntax error's message and position."""
+    try:
+        return read(text)
+    except PddlSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+@st.composite
+def token_texts(draw):
+    """Random token lists of "(", ")" and symbols, some nested past the bound.
+
+    Tokens are joined by random blanks and newlines, so positions vary.
+    """
+    opening = draw(st.sampled_from([0, 0, 1, MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH,
+                                    MAX_NESTING_DEPTH + 1]))
+    body = draw(st.lists(st.sampled_from(["(", ")", "a", "b2", ":x"]), max_size=60))
+    closing = draw(st.integers(0, opening + 1))
+    tokens = ["("] * opening + body + [")"] * closing
+    gaps = draw(st.lists(st.sampled_from(["", " ", "\n", " ; c\n"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    # Two symbols need a blank between them to stay two tokens.
+    return "".join(
+        tok + (gap or ("" if tok in "()" else " ")) for tok, gap in zip(tokens, gaps)
+    )
+
+
+class TestReaderAgainstReference:
+    @given(text=token_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_forms_and_errors_match_recursive_reader(self, text):
+        assert _outcome(read_forms, text) == _outcome(reference_read_forms, text)
+        assert _outcome(_read_single, text) == _outcome(reference_read_single, text)
