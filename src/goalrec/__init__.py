@@ -10,7 +10,7 @@ from .bench import (
     run_benchmark,
     spread,
 )
-from .grounding import GroundAction, GroundFact, GroundProblem, ground
+from .grounding import GroundAction, GroundProblem, ground
 from .negation import compile_negations
 from .pddl import DomainAst, Literal, ProblemAst, parse_domain, parse_problem
 from .probability import FactProbabilityTable, estimate, exact_oracle
@@ -27,7 +27,6 @@ __all__ = [
     "EvaluationReport",
     "FactProbabilityTable",
     "GroundAction",
-    "GroundFact",
     "GroundProblem",
     "Literal",
     "ObservationEvent",

@@ -88,14 +88,22 @@ def parse_observations(text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def read_input(path: str | Path) -> str:
+    """The text of an input file, which must exist and be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_instance(directory: str | Path) -> RecognitionInstance:
     path = Path(directory)
-    files = {}
-    for name in ("domain.pddl", "template.pddl", "hyps.dat", "obs.dat", "real_hyp.dat"):
-        f = path / name
-        if not f.is_file():
-            raise DatasetError(f"{path.name}: missing file {name}")
-        files[name] = f.read_text()
+    files = {
+        name: read_input(path / name)
+        for name in ("domain.pddl", "template.pddl", "hyps.dat", "obs.dat", "real_hyp.dat")
+    }
 
     hypotheses = parse_hypotheses(files["hyps.dat"])
     if not hypotheses:

@@ -21,6 +21,7 @@ from .bench import (
     parse_hypotheses,
     parse_observations,
     prefix_length,
+    read_input,
     run_benchmark,
 )
 from .errors import GoalRecError, ParameterError, SearchCapExceededError
@@ -39,15 +40,10 @@ EXIT_INPUT_ERROR = 1
 EXIT_CAP_EXCEEDED = 2
 
 
-def _read(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise GoalRecError(f"no such file: {path}")
-    return p.read_text()
-
-
 def _load_problem(args):
-    return build_problem(_read(args.domain), _read(args.template), parse_hypotheses(_read(args.hyps)))
+    return build_problem(
+        read_input(args.domain), read_input(args.template), parse_hypotheses(read_input(args.hyps))
+    )
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -97,7 +93,7 @@ def cmd_recognize(args) -> int:
     problem = _load_problem(args)
     events = [
         ObservationEvent.action(problem.action_id(name))
-        for name in parse_observations(_read(args.obs))
+        for name in parse_observations(read_input(args.obs))
     ]
     if args.at_lambda is not None:
         events = events[: prefix_length(len(events), args.at_lambda)]

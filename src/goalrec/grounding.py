@@ -11,9 +11,11 @@ cost follows the number of actions rather than |objects|^arity.  Each
 schema's bindings are then taken as one list, and the fact ids of each
 fluent literal are looked up as one column over all of them, in a dict
 per predicate from argument values to fact id; each action's pre, add and
-delete sets are built from those columns.  No reachability pruning is
-applied; the result is deterministic, with facts and actions numbered in
-lexicographic name order.
+delete sets are built from those columns.  A binding whose object does not
+fit the type of a fluent slot it fills has no fact there, and grounding
+raises GroundingError.  No reachability pruning is applied; the result is
+deterministic.  A fact's or action's id is its position in the problem's
+list, in lexicographic name order.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from itertools import product, repeat
 from operator import itemgetter
 
 from .errors import GroundingError, UnknownIdError
-from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, atom_name, type_ancestors
+from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, atom_name
 from .relaxed import RelaxedPlanningGraph, compute_fixpoint
 
 
 def objects_by_type(domain: DomainAst, problem: ProblemAst) -> dict[str, list[str]]:
     """Sorted object lists per type, honoring the type hierarchy."""
-    ancestors = type_ancestors(domain)
+    ancestors = domain.type_ancestors
     out: dict[str, list[str]] = {typ: [] for typ in ancestors}
     for obj, typ in sorted(problem.objects):
         for anc in ancestors.get(typ, {ROOT_TYPE}):
@@ -153,14 +155,7 @@ def ground_instantiations(
 
 
 @dataclass(frozen=True)
-class GroundFact:
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
 class GroundAction:
-    id: int
     name: str
     pre: frozenset[int]
     add: frozenset[int]
@@ -170,7 +165,7 @@ class GroundAction:
 
 @dataclass
 class GroundProblem:
-    facts: list[GroundFact]
+    facts: list[str]  # fact i is named facts[i]
     actions: list[GroundAction]
     s0: frozenset[int]
     goals: list[frozenset[int]]
@@ -181,8 +176,8 @@ class GroundProblem:
     relaxed_fixpoint: RelaxedPlanningGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.fact_ids = {f.name: f.id for f in self.facts}
-        self.action_ids = {a.name: a.id for a in self.actions}
+        self.fact_ids = {name: i for i, name in enumerate(self.facts)}
+        self.action_ids = {a.name: i for i, a in enumerate(self.actions)}
         self.relaxed_fixpoint = compute_fixpoint(self)
 
     @property
@@ -195,7 +190,7 @@ class GroundProblem:
         return self.goals[goal_index]
 
     def fact_name(self, fact_id: int) -> str:
-        return self.facts[fact_id].name
+        return self.facts[fact_id]
 
     def fact_id(self, name: str) -> int:
         try:
@@ -208,6 +203,24 @@ class GroundProblem:
             return self.action_ids[name]
         except KeyError:
             raise GroundingError(f"unknown action: {name}") from None
+
+
+def _misfit(domain, problem, schema, bindings) -> GroundingError:
+    """The error for a binding that puts an object in a fluent slot of a type
+    it does not fit, the only way a fact lookup can miss.  An object fits a
+    type as in the problem's init and goal atoms."""
+    slot_of = {var: i for i, (var, _) in enumerate(schema.params)}
+    object_type = dict(problem.objects)
+    for lit in schema.pre + schema.add + schema.delete:
+        for arg, (_, typ) in zip(lit.args, domain.predicate_map[lit.predicate].params):
+            for binding in bindings:
+                obj = binding[slot_of[arg]]
+                if typ not in domain.type_ancestors[object_type[obj]]:
+                    return GroundingError(
+                        f"object {obj} of type {object_type[obj]} does not fit {typ} "
+                        f"in {lit.canonical()} of schema {schema.name}"
+                    )
+    raise AssertionError(f"no misfit in schema {schema.name}")
 
 
 def static_predicates(domain: DomainAst) -> frozenset[str]:
@@ -252,9 +265,8 @@ def ground(
                 key(args): atom_name(pred.name, tuple(args))
                 for args in ground_instantiations(pred.params, universe)
             }
-    fact_names = sorted(name for names in names_of.values() for name in names.values())
-    fact_ids = {name: i for i, name in enumerate(fact_names)}
-    facts = [GroundFact(i, name) for i, name in enumerate(fact_names)]
+    facts = sorted(name for names in names_of.values() for name in names.values())
+    fact_ids = {name: i for i, name in enumerate(facts)}
     ids_of = {}
     for pred, names in names_of.items():
         ids_of[pred] = {k: fact_ids[name] for k, name in names.items()}
@@ -278,22 +290,22 @@ def ground(
             ]
             return map(frozenset, zip(*columns)) if columns else [frozenset()] * len(bindings)
 
-        added = list(id_sets(schema.add))
-        grounded.extend(
-            zip(
-                map(atom_name, repeat(schema.name), bindings),
-                id_sets([lit for lit in schema.pre if lit.predicate not in statics]),
-                added,
-                map(frozenset.__sub__, id_sets(schema.delete), added),
-                repeat(schema.cost),
+        try:
+            added = list(id_sets(schema.add))
+            grounded.extend(
+                zip(
+                    map(atom_name, repeat(schema.name), bindings),
+                    id_sets([lit for lit in schema.pre if lit.predicate not in statics]),
+                    added,
+                    map(frozenset.__sub__, id_sets(schema.delete), added),
+                    repeat(schema.cost),
+                )
             )
-        )
+        except KeyError:
+            raise _misfit(domain, problem, schema, bindings) from None
 
     grounded.sort(key=lambda item: item[0])
-    actions = [
-        GroundAction(i, name, pre, add, delete, cost)
-        for i, (name, pre, add, delete, cost) in enumerate(grounded)
-    ]
+    actions = [GroundAction(*item) for item in grounded]
 
     s0 = frozenset(
         fact_ids[atom_name(lit.predicate, lit.args)]

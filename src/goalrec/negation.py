@@ -46,7 +46,7 @@ def compile_negations(
     if not negated:
         return domain, problem
 
-    preds = domain.predicate_map()
+    preds = domain.predicate_map
     for name in negated:
         if COMPLEMENT_PREFIX + name in preds:
             raise ValidationError(

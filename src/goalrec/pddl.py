@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import PddlSyntaxError, UnsupportedRequirementError, ValidationError
@@ -74,16 +75,29 @@ class DomainAst:
     predicates: tuple[Predicate, ...]
     schemas: tuple[ActionSchema, ...]
 
+    @cached_property
     def predicate_map(self) -> dict[str, Predicate]:
         return {p.name: p for p in self.predicates}
 
-    def type_parents(self) -> dict[str, str | None]:
+    @cached_property
+    def type_ancestors(self) -> dict[str, set[str]]:
+        """Each declared type mapped to itself plus all its ancestors, up to object."""
         parents: dict[str, str | None] = {ROOT_TYPE: None}
         for name, parent in self.types:
             parents.setdefault(parent, ROOT_TYPE)
             parents[name] = parent
         parents[ROOT_TYPE] = None
-        return parents
+        out: dict[str, set[str]] = {}
+        for typ in parents:
+            chain = set()
+            cur: str | None = typ
+            while cur is not None:
+                if cur in chain:
+                    raise ValidationError(f"type {typ} is its own ancestor")
+                chain.add(cur)
+                cur = parents.get(cur)
+            out[typ] = chain
+        return out
 
 
 @dataclass(frozen=True)
@@ -91,22 +105,6 @@ class ProblemAst:
     objects: tuple[tuple[str, str], ...]  # (object, type)
     init: frozenset[Literal]
     goal: frozenset[Literal]
-
-
-def type_ancestors(domain: DomainAst) -> dict[str, set[str]]:
-    """Map each type to itself plus all its ancestors (up to object)."""
-    parents = domain.type_parents()
-    out: dict[str, set[str]] = {}
-    for typ in parents:
-        chain = set()
-        cur: str | None = typ
-        while cur is not None:
-            if cur in chain:
-                raise ValidationError(f"type {typ} is its own ancestor")
-            chain.add(cur)
-            cur = parents.get(cur)
-        out[typ] = chain
-    return out
 
 
 # ── Tokenizer / s-expression reader ──────────────────────────────────────
@@ -286,6 +284,8 @@ def parse_domain(text: str) -> DomainAst:
         head = section[0]
         if head == ":requirements":
             for tag in section[1:]:
+                if not isinstance(tag, str):
+                    raise ValidationError(f"requirement tags are symbols, got {tag}")
                 if tag not in SUPPORTED_REQUIREMENTS:
                     raise UnsupportedRequirementError(tag)
         elif head == ":types":
@@ -360,6 +360,19 @@ def _parse_cost(part: list, action: str) -> Fraction:
     return cost
 
 
+def _predicate_of(lit: Literal, domain: DomainAst, where: str) -> Predicate:
+    """The declared predicate of lit, whose arity lit's arguments must match."""
+    pred = domain.predicate_map.get(lit.predicate)
+    if pred is None:
+        raise ValidationError(f"undeclared predicate {lit.predicate} in {where}")
+    if len(lit.args) != pred.arity:
+        raise ValidationError(
+            f"arity mismatch for {lit.predicate} in {where}: "
+            f"expected {pred.arity}, got {len(lit.args)}"
+        )
+    return pred
+
+
 def _validate_domain(domain: DomainAst) -> None:
     for kind, names in (
         ("action schema", [schema.name for schema in domain.schemas]),
@@ -371,13 +384,12 @@ def _validate_domain(domain: DomainAst) -> None:
                 raise ValidationError(f"duplicate {kind} name: {name}")
             seen.add(name)
 
-    known_types = type_ancestors(domain)
+    known_types = domain.type_ancestors
     for pred in domain.predicates:
         for _, typ in pred.params:
             if typ not in known_types:
                 raise ValidationError(f"unknown type {typ} in predicate {pred.name}")
 
-    preds = domain.predicate_map()
     for schema in domain.schemas:
         declared = {v for v, _ in schema.params}
         if len(declared) != len(schema.params):
@@ -386,16 +398,7 @@ def _validate_domain(domain: DomainAst) -> None:
             if typ not in known_types:
                 raise ValidationError(f"unknown type {typ} in schema {schema.name}")
         for lit in schema.pre + schema.add + schema.delete:
-            pred = preds.get(lit.predicate)
-            if pred is None:
-                raise ValidationError(
-                    f"undeclared predicate {lit.predicate} in schema {schema.name}"
-                )
-            if len(lit.args) != pred.arity:
-                raise ValidationError(
-                    f"arity mismatch for {lit.predicate} in schema {schema.name}: "
-                    f"expected {pred.arity}, got {len(lit.args)}"
-                )
+            _predicate_of(lit, domain, f"schema {schema.name}")
             for arg in lit.args:
                 if arg.startswith("?") and arg not in declared:
                     raise ValidationError(
@@ -450,7 +453,7 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
 
 
 def _validate_problem(problem: ProblemAst, domain: DomainAst) -> None:
-    ancestors = type_ancestors(domain)
+    ancestors = domain.type_ancestors
     object_type: dict[str, str] = {}
     for obj, typ in problem.objects:
         if typ not in ancestors:
@@ -458,16 +461,9 @@ def _validate_problem(problem: ProblemAst, domain: DomainAst) -> None:
         if obj in object_type:
             raise ValidationError(f"object {obj} is declared more than once")
         object_type[obj] = typ
-    preds = domain.predicate_map()
     for where, literals in (("init", problem.init), ("goal", problem.goal)):
         for lit in literals:
-            pred = preds.get(lit.predicate)
-            if pred is None:
-                raise ValidationError(f"undeclared predicate {lit.predicate} in {where}")
-            if len(lit.args) != pred.arity:
-                raise ValidationError(
-                    f"arity mismatch for {lit.predicate} in {where}"
-                )
+            pred = _predicate_of(lit, domain, where)
             for arg, (_, typ) in zip(lit.args, pred.params):
                 if arg not in object_type:
                     raise ValidationError(f"undeclared object {arg} in {where}")

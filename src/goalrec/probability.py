@@ -39,9 +39,9 @@ class FactProbabilityTable:
         out = io.StringIO()
         out.write(f"# aggregation: {self.source}\n")
         out.write("fact_name,p_observed,p_not_observed\n")
-        for fact in problem.facts:
-            p = float(self.p[fact.id])
-            out.write(f"{fact.name},{p},{1.0 - p}\n")
+        for fact_id, name in enumerate(problem.facts):
+            p = float(self.p[fact_id])
+            out.write(f"{name},{p},{1.0 - p}\n")
         return out.getvalue()
 
 

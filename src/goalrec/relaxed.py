@@ -51,14 +51,14 @@ def compute_fixpoint(problem: GroundProblem) -> RelaxedPlanningGraph:
     actions = problem.actions
     unmet = [len(a.pre) for a in actions]
     needed_by: dict[int, list[int]] = {}
-    for a in actions:
+    for aid, a in enumerate(actions):
         for f in a.pre:
-            needed_by.setdefault(f, []).append(a.id)
+            needed_by.setdefault(f, []).append(aid)
 
     fact_levels = {f: 0 for f in problem.s0}
     action_levels: list[frozenset[int]] = []
     first_achievers: dict[int, tuple[int, ...]] = {}
-    ready = [a.id for a in actions if not a.pre]
+    ready = [aid for aid, a in enumerate(actions) if not a.pre]
     frontier = problem.s0
     level = 0
     while True:

@@ -14,7 +14,6 @@ from itertools import product
 from goalrec.errors import GroundingError
 from goalrec.grounding import (
     GroundAction,
-    GroundFact,
     GroundProblem,
     objects_by_type,
     static_predicates,
@@ -49,7 +48,6 @@ def ground_exhaustive(domain, problem, hypotheses=None) -> GroundProblem:
             fact_names.append(atom_name(pred.name, tuple(args)))
     fact_names.sort()
     fact_ids = {name: i for i, name in enumerate(fact_names)}
-    facts = [GroundFact(i, name) for i, name in enumerate(fact_names)]
 
     static_truth = {
         atom_name(lit.predicate, lit.args)
@@ -87,10 +85,7 @@ def ground_exhaustive(domain, problem, hypotheses=None) -> GroundProblem:
             grounded.append((name, frozenset(pre), add, delete - add, schema.cost))
 
     grounded.sort(key=lambda item: item[0])
-    actions = [
-        GroundAction(i, name, pre, add, delete, cost)
-        for i, (name, pre, add, delete, cost) in enumerate(grounded)
-    ]
+    actions = [GroundAction(*item) for item in grounded]
 
     s0 = frozenset(
         fact_ids[atom_name(lit.predicate, lit.args)]
@@ -112,4 +107,4 @@ def ground_exhaustive(domain, problem, hypotheses=None) -> GroundProblem:
             ids.add(fact_ids[name])
         goals.append(frozenset(ids))
 
-    return GroundProblem(facts, actions, s0, goals)
+    return GroundProblem(fact_names, actions, s0, goals)

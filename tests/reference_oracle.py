@@ -45,7 +45,7 @@ def optimal_plans(problem: GroundProblem, goal: frozenset[int], max_states: int)
         expanded.add(state)
         if len(expanded) > max_states:
             raise SearchCapExceededError(max_states)
-        for action in problem.actions:
+        for aid, action in enumerate(problem.actions):
             if not action.pre <= state:
                 continue
             succ = frozenset((state - action.delete) | action.add)
@@ -55,11 +55,11 @@ def optimal_plans(problem: GroundProblem, goal: frozenset[int], max_states: int)
             old = dist.get(succ)
             if old is None or ng < old:
                 dist[succ] = ng
-                preds[succ] = [(state, action.id)]
+                preds[succ] = [(state, aid)]
                 heapq.heappush(heap, (ng, tie, succ))
                 tie += 1
             elif ng == old:
-                preds[succ].append((state, action.id))
+                preds[succ].append((state, aid))
 
     if best is None:
         raise UnreachableGoalError("goal unreachable under full semantics")

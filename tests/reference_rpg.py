@@ -69,9 +69,9 @@ def build_rpg_layered(problem, goal: frozenset[int]) -> RelaxedPlanningGraph:
 
     while not goal <= reached:
         new_actions = frozenset(
-            a.id
-            for a in problem.actions
-            if a.id not in seen_actions and a.pre <= reached
+            aid
+            for aid, a in enumerate(problem.actions)
+            if aid not in seen_actions and a.pre <= reached
         )
         new_facts = set()
         for aid in new_actions:

@@ -45,7 +45,7 @@ def _report(number: int, checks: list[tuple[str, bool, str]]) -> None:
 
 def _table1_tables(problem):
     return [
-        FactProbabilityTable(i, np.array([TABLE1[f.name][i] for f in problem.facts]))
+        FactProbabilityTable(i, np.array([TABLE1[name][i] for name in problem.facts]))
         for i in range(2)
     ]
 

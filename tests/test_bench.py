@@ -313,6 +313,16 @@ class TestRunBenchmark:
         assert [name for name, _ in report.failures] == ["broken"]
         assert len(report.instances) == 2
 
+    def test_undecodable_instance_recorded_not_fatal(self, tmp_path):
+        for name in ("grid", "chain"):
+            shutil.copytree(FIXTURES / name, tmp_path / name)
+        hyps = tmp_path / "grid" / "hyps.dat"
+        hyps.write_bytes(hyps.read_bytes() + b"\xff\n")
+        report = run_benchmark(tmp_path, seed=0)
+        assert [rec.name for rec in report.instances] == ["chain"]
+        [(name, error)] = report.failures
+        assert name == "grid" and error.startswith(f"{hyps} is not UTF-8 text")
+
     def test_template_goal_atom_in_no_hypothesis_fails_the_instance(self, tmp_path):
         for name in ("grid", "chain"):
             shutil.copytree(FIXTURES / name, tmp_path / name)

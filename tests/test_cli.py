@@ -3,11 +3,15 @@
 import argparse
 import json
 import re
+import shutil
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goalrec import Recognizer, load_instance, prepare_instance
 from goalrec.bench import DEFAULT_LAMBDAS, estimate_tables
@@ -94,6 +98,25 @@ class TestEstimate:
         )
         assert code == EXIT_INPUT_ERROR
         assert "nope.pddl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--domain", "--template", "--hyps"])
+    def test_undecodable_file_exits_one(self, tmp_path, capsys, flag):
+        args = _grid_args("estimate", "--output", str(tmp_path / "out"))
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff" + Path(args[args.index(flag) + 1]).read_bytes())
+        args[args.index(flag) + 1] = str(bad)
+        assert main(args) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8 text") and "Traceback" not in err
+
+    def test_parenthesised_requirement_tag_exits_one(self, tmp_path, capsys):
+        domain = tmp_path / "domain.pddl"
+        text = (GRID / "domain.pddl").read_text()
+        domain.write_text(text.replace("(:requirements :strips)", "(:requirements (:strips))"))
+        args = _grid_args("estimate", "--output", str(tmp_path / "out"))
+        args[args.index("--domain") + 1] = str(domain)
+        assert main(args) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: requirement tags are symbols, got [':strips']\n"
 
     def test_noisy_or_tagged_in_header(self, tmp_path, capsys):
         code = main(
@@ -574,6 +597,78 @@ class TestGenGrid:
         a = (tmp_path / "a" / "template.pddl").read_text()
         b = (tmp_path / "b" / "template.pddl").read_text()
         assert a == b
+
+
+# ── Front-end fuzz: one token edit of one fixture file ──────────────────
+
+FUZZED_FILES = ("domain.pddl", "template.pddl", "hyps.dat", "obs.dat")
+FUZZ_VOCABULARY = (
+    b"-", b"(", b")", b"not", b"and", b"?x", b"either", b":constants", b"<HYPOTHESIS>",
+    b":typing", b"object", b"=", b",", b";", b"0", b"\xff",
+)
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """A fixture, one of its input files, and that file's bytes after one
+    edit: a token replaced, deleted, duplicated, swapped with another token,
+    or a vocabulary token inserted before it."""
+    fixture = draw(st.sampled_from(sorted(p.name for p in FIXTURES.iterdir())))
+    name = draw(st.sampled_from(FUZZED_FILES))
+    text = (FIXTURES / fixture / name).read_bytes()
+    spans = [m.span() for m in re.finditer(rb"[()]|[^\s()]+", text)]
+    index = st.integers(0, len(spans) - 1)
+    (a, b), other = spans[draw(index)], spans[draw(index)]
+    (s, t), (u, v) = sorted([(a, b), other])
+    word = draw(st.sampled_from(FUZZ_VOCABULARY))
+    edits = {
+        "replace": text[:a] + word + text[b:],
+        "delete": text[:a] + text[b:],
+        "duplicate": text[:b] + b" " + text[a:b] + text[b:],
+        "swap": text[:s] + text[u:v] + text[t:u] + text[s:t] + text[v:] if t <= u else text,
+        "insert": text[:a] + word + b" " + text[a:],
+    }
+    return fixture, name, edits[draw(st.sampled_from(sorted(edits)))]
+
+
+def _logistics_with(old, new):
+    text = (FIXTURES / "logistics" / "domain.pddl").read_bytes()
+    assert text.count(old) == 1
+    return "logistics", "domain.pddl", text.replace(old, new)
+
+
+class TestFrontEndFuzz:
+    @given(case=fuzzed_inputs())
+    @example(
+        case=(
+            "grid",
+            "domain.pddl",
+            (GRID / "domain.pddl").read_bytes().replace(b":strips", b"(:strips)"),
+        )
+    )
+    @example(case=_logistics_with(b"(at-pkg ?p ?l) (not", b"(at-pkg ?p ?l) (at-truck ?p ?l) (not"))
+    @example(case=_logistics_with(b"(at-truck ?t ?l) (at-pkg ?p", b"(at-truck ?t ?l) (at-pkg ?t"))
+    @example(case=("chain", "obs.dat", b"\xff" + (FIXTURES / "chain" / "obs.dat").read_bytes()))
+    @settings(max_examples=100, deadline=None)
+    def test_one_edit_exits_with_a_code_and_no_exception(self, case):
+        fixture, name, content = case
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for f in FUZZED_FILES:
+                shutil.copy(FIXTURES / fixture / f, root / f)
+            (root / name).write_bytes(content)
+            files = [
+                "--domain", str(root / "domain.pddl"),
+                "--template", str(root / "template.pddl"),
+                "--hyps", str(root / "hyps.dat"),
+            ]
+            out = ["--output", str(root / "out")]
+            for args in (
+                ["estimate", *files, *out],
+                ["recognize", *files, "--obs", str(root / "obs.dat")],
+                ["oracle", *files, "--max-states", "20000", *out],
+            ):
+                assert main(args) in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_CAP_EXCEEDED)
 
 
 def _readme_usage() -> dict[str, set[str]]:

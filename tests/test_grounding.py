@@ -11,7 +11,6 @@ from goalrec.errors import GroundingError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
 from goalrec.grounding import (
     GroundAction,
-    GroundFact,
     GroundProblem,
     ground,
     ground_instantiations,
@@ -49,7 +48,7 @@ class TestGridGrounding:
     def test_fact_universe_is_25_cells(self):
         problem = _grid_problem()
         assert problem.fact_count == 25
-        assert {f.name for f in problem.facts} == {
+        assert set(problem.facts) == {
             f"(is-at c{i})" for i in range(1, 26)
         }
 
@@ -85,22 +84,20 @@ class TestGridGrounding:
 class TestGroundProblemContracts:
     def test_fact_id_bijection(self):
         problem = _grid_problem()
-        for fact in problem.facts:
-            assert problem.fact_id(fact.name) == fact.id
-            assert problem.fact_name(fact.id) == fact.name
-        assert [f.id for f in problem.facts] == list(range(problem.fact_count))
+        for fact_id, name in enumerate(problem.facts):
+            assert problem.fact_id(name) == fact_id
+            assert problem.fact_name(fact_id) == name
 
     def test_ids_follow_lexicographic_names(self):
         problem = _grid_problem()
-        names = [f.name for f in problem.facts]
-        assert names == sorted(names)
+        assert problem.facts == sorted(problem.facts)
         assert [a.name for a in problem.actions] == sorted(
             a.name for a in problem.actions
         )
 
     def test_grounding_is_deterministic(self):
         a, b = _grid_problem(), _grid_problem()
-        assert [f.name for f in a.facts] == [f.name for f in b.facts]
+        assert a.facts == b.facts
         assert [(x.name, x.pre, x.add, x.delete) for x in a.actions] == [
             (x.name, x.pre, x.add, x.delete) for x in b.actions
         ]
@@ -120,8 +117,8 @@ class TestGroundProblemContracts:
 
     def test_hand_built_problem_resolves_names(self):
         problem = GroundProblem(
-            [GroundFact(0, "(f0)"), GroundFact(1, "(f1)")],
-            [GroundAction(0, "(a0)", frozenset({0}), frozenset({1}), frozenset())],
+            ["(f0)", "(f1)"],
+            [GroundAction("(a0)", frozenset({0}), frozenset({1}), frozenset())],
             frozenset({0}),
             [frozenset({1})],
         )
@@ -219,10 +216,49 @@ class TestTypedGrounding:
 
     def test_logistics_fact_universe_excludes_statics(self, logistics):
         problem, _ = logistics
-        names = {f.name for f in problem.facts}
+        names = set(problem.facts)
         assert not any(n.startswith("(link") for n in names)
         # at-truck: 1x3, at-pkg: 2x3, in: 2x1
         assert problem.fact_count == 3 + 6 + 2
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                ":precondition (and (at-truck ?t ?l) (at-pkg ?p ?l))",
+                ":precondition (and (at-truck ?t ?l) (at-pkg ?t ?l))",
+                r"object t1 of type truck does not fit package "
+                r"in \(at-pkg \?t \?l\) of schema load",
+            ),
+            (
+                ":effect (and (at-pkg ?p ?l) (not (in ?p ?t))",
+                ":effect (and (at-pkg ?p ?l) (at-truck ?p ?l) (not (in ?p ?t))",
+                r"object p1 of type package does not fit truck "
+                r"in \(at-truck \?p \?l\) of schema unload",
+            ),
+        ],
+        ids=["precondition", "effect"],
+    )
+    def test_variable_in_a_fluent_slot_it_does_not_fit_raises(self, old, new, message):
+        instance = load_instance(FIXTURES / "logistics")
+        assert instance.domain_text.count(old) == 1
+        with pytest.raises(GroundingError, match=message):
+            build_problem(
+                instance.domain_text.replace(old, new), instance.template_text, instance.hypotheses
+            )
+
+    def test_static_precondition_narrows_a_supertype_variable_to_its_fluent_slot(self):
+        domain = parse_domain("""\
+(define (domain narrow) (:requirements :strips :typing) (:types a - object c - a)
+  (:predicates (at ?x - c) (is-c ?x - c) (on ?y))
+  (:action go :parameters (?x ?y) :precondition (and (is-c ?x) (on ?y))
+    :effect (at ?x)))
+""")
+        problem = parse_problem("""\
+(define (problem p) (:domain narrow) (:objects x1 - a z1 - c)
+  (:init (is-c z1) (on x1)) (:goal (at z1)))
+""", domain)
+        assert [a.name for a in ground(domain, problem).actions] == ["(go z1 x1)"]
 
 
 # ── Join grounder against the exhaustive reference ──────────────────────

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "EvaluationReport",
     "FactProbabilityTable",
     "GroundAction",
-    "GroundFact",
     "GroundProblem",
     "Literal",
     "ObservationEvent",
@@ -51,8 +50,14 @@ def test_public_surface_is_pinned():
         assert getattr(goalrec, name) is not None
 
 
+def test_readme_counts_the_exported_names():
+    [count] = re.findall(r"The package exports (\d+) names", (ROOT / "README.md").read_text())
+    assert int(count) == len(goalrec.__all__)
+
+
 def test_every_error_class_is_raised_in_the_package():
-    # An error that only tests raise belongs with those tests.
+    # An error that only tests raise belongs with those tests.  The base
+    # class is only caught, by the CLI and the benchmark.
     raised = set()
     for path in (ROOT / "src" / "goalrec").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -65,7 +70,7 @@ def test_every_error_class_is_raised_in_the_package():
         for name, obj in vars(goalrec.errors).items()
         if isinstance(obj, type) and obj.__module__ == goalrec.errors.__name__
     }
-    assert sorted(defined - raised) == []
+    assert sorted(defined - raised) == ["GoalRecError"]
 
 
 # Definitions that no package path calls, each with the reason it stays.

@@ -86,6 +86,14 @@ class TestParseDomain:
         with pytest.raises(UnsupportedRequirementError, match=":adl"):
             parse_domain(text)
 
+    @pytest.mark.parametrize("tag", ["(:strips)", "()"])
+    def test_parenthesised_requirement_tag_rejected(self, tag):
+        text = MINIMAL_DOMAIN.replace(
+            "(:predicates", f"(:requirements :typing {tag})\n  (:predicates"
+        )
+        with pytest.raises(ValidationError, match="requirement tags are symbols"):
+            parse_domain(text)
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(PddlSyntaxError):
             parse_domain("(define (domain d)")
@@ -212,6 +220,18 @@ class TestParseProblem:
 """,
                 TYPED_DOMAIN,
             )
+
+    @pytest.mark.parametrize("where", ["init", "goal"])
+    def test_arity_mismatch_names_expected_and_got(self, where):
+        atoms = {"init": "(is-at c23)", "goal": "(is-at c1)"}
+        atoms[where] = "(adj c1)"
+        text = GRID_PROBLEM.replace("(is-at c23))", f"{atoms['init']})").replace(
+            "(:goal (is-at c1))", f"(:goal {atoms['goal']})"
+        )
+        with pytest.raises(
+            ValidationError, match=f"arity mismatch for adj in {where}: expected 2, got 1"
+        ):
+            _problem(text)
 
     def test_mistyped_init_atom_rejected(self):
         with pytest.raises(ValidationError, match=r"y1 of type b does not fit a in init atom \(at y1\)"):

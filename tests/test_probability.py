@@ -22,7 +22,7 @@ from goalrec.errors import (
     ValidationError,
 )
 from goalrec.gridgen import DOMAIN_TEXT, GridSpec, random_grid, template_text
-from goalrec.grounding import GroundAction, GroundFact, GroundProblem
+from goalrec.grounding import GroundAction, GroundProblem
 from goalrec.probability import (
     DEFAULT_STATE_CAP,
     EMPIRICAL_UNION,
@@ -201,12 +201,12 @@ class TestExactOracle:
         # skip it.
         moves = [(0, 1), (1, 3), (0, 2), (2, 3)]
         actions = [
-            GroundAction(i, f"(m{a}{b})", frozenset({a}), frozenset({b}), frozenset({a}))
+            GroundAction(f"(m{a}{b})", frozenset({a}), frozenset({b}), frozenset({a}))
             for i, (a, b) in enumerate(moves)
         ]
         pre = frozenset(noop_pre)
-        actions.append(GroundAction(4, "(noop)", pre, pre & {1}, frozenset(), Fraction(0)))
-        facts = [GroundFact(i, f"(f{i})") for i in range(4)]
+        actions.append(GroundAction("(noop)", pre, pre & {1}, frozenset(), Fraction(0)))
+        facts = [f"(f{i})" for i in range(4)]
         problem = GroundProblem(facts, actions, frozenset({0}), [frozenset({3})])
         table = exact_oracle(problem, 0)
         assert table.p.tolist() == [1.0, 0.5, 0.5, 1.0]
@@ -214,11 +214,11 @@ class TestExactOracle:
 
     def test_zero_cost_cycle_raises(self):
         # (back) returns to s0 at no cost after (go): a zero-cost cycle.
-        facts = [GroundFact(i, f"(f{i})") for i in range(3)]
+        facts = [f"(f{i})" for i in range(3)]
         actions = [
-            GroundAction(0, "(go)", frozenset({0}), frozenset({1}), frozenset({0}), Fraction(0)),
-            GroundAction(1, "(back)", frozenset({1}), frozenset({0}), frozenset({1}), Fraction(0)),
-            GroundAction(2, "(finish)", frozenset({1}), frozenset({2}), frozenset()),
+            GroundAction("(go)", frozenset({0}), frozenset({1}), frozenset({0}), Fraction(0)),
+            GroundAction("(back)", frozenset({1}), frozenset({0}), frozenset({1}), Fraction(0)),
+            GroundAction("(finish)", frozenset({1}), frozenset({2}), frozenset()),
         ]
         problem = GroundProblem(facts, actions, frozenset({0}), [frozenset({2})])
         with pytest.raises(ValidationError, match=r"zero-cost action \(back\)"):
@@ -234,10 +234,9 @@ def costed_strips_problems(draw):
     """
     n_facts = draw(st.integers(1, 7))
     fact = st.integers(0, n_facts - 1)
-    facts = [GroundFact(i, f"(f{i})") for i in range(n_facts)]
+    facts = [f"(f{i})" for i in range(n_facts)]
     actions = [
         GroundAction(
-            i,
             f"(a{i})",
             frozenset(draw(st.lists(fact, max_size=2))),
             frozenset(draw(st.lists(fact, min_size=1, max_size=2))),
@@ -297,5 +296,5 @@ class TestCsvDump:
         assert lines[1] == "fact_name,p_observed,p_not_observed"
         assert len(lines) == 2 + problem.fact_count
         name, observed, rest = lines[2].split(",")
-        assert name == problem.facts[0].name
+        assert name == problem.facts[0]
         assert float(observed) + float(rest) == 1.0

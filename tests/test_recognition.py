@@ -17,7 +17,7 @@ import goalrec.recognition
 from goalrec.bench import build_problem, estimate_tables
 from goalrec.errors import GoalRecError, ParameterError, UnknownIdError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
-from goalrec.grounding import GroundAction, GroundFact, GroundProblem
+from goalrec.grounding import GroundAction, GroundProblem
 from goalrec.probability import FactProbabilityTable, estimate, exact_oracle
 from goalrec.recognition import ObservationEvent, Recognizer, recognize, recognize_online
 
@@ -35,7 +35,7 @@ def _grid_tables(problem):
     return [
         FactProbabilityTable(
             i,
-            np.array([TABLE1[f.name][i] for f in problem.facts]),
+            np.array([TABLE1[name][i] for name in problem.facts]),
         )
         for i in range(2)
     ]
@@ -237,10 +237,8 @@ class TestRecognize:
     def test_three_goal_toy_hand_computed(self):
         # Facts f0,f1,f2; s0 empty; only goal 2 assigns positive
         # probability to the observed fact f0.
-        from goalrec.grounding import GroundFact, GroundProblem
-
         problem = GroundProblem(
-            facts=[GroundFact(i, f"(f{i})") for i in range(3)],
+            facts=[f"(f{i})" for i in range(3)],
             actions=[],
             s0=frozenset(),
             goals=[frozenset({1}), frozenset({2}), frozenset({0})],
@@ -346,9 +344,9 @@ def recognition_cases(draw):
     adds = draw(st.lists(st.frozensets(fact, max_size=3), max_size=5))
     goal_count = draw(st.integers(1, 4))
     problem = GroundProblem(
-        facts=[GroundFact(i, f"(f{i})") for i in range(fact_count)],
+        facts=[f"(f{i})" for i in range(fact_count)],
         actions=[
-            GroundAction(i, f"(a{i})", frozenset(), add, frozenset())
+            GroundAction(f"(a{i})", frozenset(), add, frozenset())
             for i, add in enumerate(adds)
         ],
         s0=draw(st.frozensets(fact, max_size=fact_count)),
@@ -368,8 +366,8 @@ def recognition_cases(draw):
 def _tiny_problem(goal_count=2):
     """Three facts, s0 = {f0}, goals alternating between f1 and f2."""
     return GroundProblem(
-        facts=[GroundFact(i, f"(f{i})") for i in range(3)],
-        actions=[GroundAction(0, "(a0)", frozenset(), frozenset({1}), frozenset())],
+        facts=[f"(f{i})" for i in range(3)],
+        actions=[GroundAction("(a0)", frozenset(), frozenset({1}), frozenset())],
         s0=frozenset({0}),
         goals=[frozenset({1 + g % 2}) for g in range(goal_count)],
     )

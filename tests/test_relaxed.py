@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from goalrec.bench import build_problem
 from goalrec.errors import GoalRecError, UnknownIdError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, shortest_path, template_text
-from goalrec.grounding import GroundAction, GroundFact, GroundProblem
+from goalrec.grounding import GroundAction, GroundProblem
 from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
 from goalrec.sampling import sample_subgoal_supporters
@@ -200,10 +200,9 @@ def strips_problems(draw):
     """Random STRIPS tasks: random pre/add sets, some goals unreachable."""
     n_facts = draw(st.integers(1, 10))
     fact = st.integers(0, n_facts - 1)
-    facts = [GroundFact(i, f"(f{i})") for i in range(n_facts)]
+    facts = [f"(f{i})" for i in range(n_facts)]
     actions = [
         GroundAction(
-            i,
             f"(a{i})",
             frozenset(draw(st.lists(fact, max_size=3))),
             frozenset(draw(st.lists(fact, min_size=1, max_size=3))),
