@@ -19,7 +19,7 @@ def main() -> None:
     problem, events = prepare_instance(instance)
     print(f"instance: {instance.name}")
     print(f"facts: {problem.fact_count}, actions: {len(problem.actions)}")
-    print(f"hypotheses: {[sorted(problem.fact_name(f) for f in g) for g in problem.goals]}")
+    print(f"hypotheses: {[sorted(problem.facts[f] for f in g) for g in problem.goals]}")
     print(f"observations: {instance.observations}")
     print()
 
@@ -27,7 +27,7 @@ def main() -> None:
     print("exact observation probabilities (nonzero rows):")
     for i, table in enumerate(tables):
         rows = [
-            f"  {problem.fact_name(f)}: {table.p[f]:.1f}"
+            f"  {problem.facts[f]}: {table.p[f]:.1f}"
             for f in range(problem.fact_count)
             if table.p[f] > 0
         ]

@@ -32,7 +32,7 @@ def main() -> None:
         print(f"  mean |exact - sampled| = {diff.mean():.3f}")
         worst = int(diff.argmax())
         print(
-            f"  largest gap at {problem.fact_name(worst)}: "
+            f"  largest gap at {problem.facts[worst]}: "
             f"exact {exact.p[worst]:.2f}, sampled {sampled.p[worst]:.2f}"
         )
 

@@ -5,14 +5,10 @@ from .bench import (
     RecognitionInstance,
     build_problem,
     load_instance,
-    precision,
     prepare_instance,
     run_benchmark,
-    spread,
 )
-from .grounding import GroundAction, GroundProblem, ground
-from .negation import compile_negations
-from .pddl import DomainAst, Literal, ProblemAst, parse_domain, parse_problem
+from .grounding import GroundAction, GroundProblem
 from .probability import FactProbabilityTable, estimate, exact_oracle
 from .recognition import (
     ObservationEvent,
@@ -23,29 +19,20 @@ from .recognition import (
 )
 
 __all__ = [
-    "DomainAst",
     "EvaluationReport",
     "FactProbabilityTable",
     "GroundAction",
     "GroundProblem",
-    "Literal",
     "ObservationEvent",
-    "ProblemAst",
     "RecognitionInstance",
     "RecognitionTrace",
     "Recognizer",
     "build_problem",
-    "compile_negations",
     "estimate",
     "exact_oracle",
-    "ground",
     "load_instance",
-    "parse_domain",
-    "parse_problem",
-    "precision",
     "prepare_instance",
     "recognize",
     "recognize_online",
     "run_benchmark",
-    "spread",
 ]

@@ -189,9 +189,6 @@ class GroundProblem:
             raise UnknownIdError(f"unknown goal index: {goal_index}")
         return self.goals[goal_index]
 
-    def fact_name(self, fact_id: int) -> str:
-        return self.facts[fact_id]
-
     def fact_id(self, name: str) -> int:
         try:
             return self.fact_ids[name]
@@ -234,15 +231,12 @@ def static_predicates(domain: DomainAst) -> frozenset[str]:
 def ground(
     domain: DomainAst,
     problem: ProblemAst,
-    hypotheses: list[frozenset[Literal]] | None = None,
+    hypotheses: list[frozenset[Literal]],
 ) -> GroundProblem:
     """Ground a compiled (negation-free) domain/problem pair.
 
-    Each hypothesis literal set becomes one goal description; when none
-    are given, the problem's own goal is the single hypothesis.
+    Each hypothesis literal set becomes one goal description.
     """
-    if hypotheses is None:
-        hypotheses = [problem.goal]
     if not hypotheses:
         raise GroundingError("at least one goal hypothesis is required")
 

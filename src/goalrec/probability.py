@@ -155,7 +155,7 @@ def exact_oracle(
                 raise ValidationError(f"zero-cost action {action.name} returns to a counted state")
 
     if best is None:
-        raise UnreachableGoalError("goal unreachable under full semantics")
+        raise UnreachableGoalError(f"goal {goal_index} is unreachable under full semantics")
     n = total[-1]
     p = np.array([(n - n_f) / n for n_f in total[:-1]])
     p[sorted(problem.s0)] = 1.0

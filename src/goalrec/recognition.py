@@ -142,7 +142,7 @@ class Recognizer:
         probability, and the observed zero-probability facts, by name in observed order."""
         return [
             {"reward": float(reward), "remaining": float(np.linalg.norm(row[pos])),
-             "penalized_facts": [self.problem.fact_name(f) for f in self.observed if not pos[f]]}
+             "penalized_facts": [self.problem.facts[f] for f in self.observed if not pos[f]]}
             for reward, row, pos in zip(self.start, self.directions, self.positive)
         ]
 

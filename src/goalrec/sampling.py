@@ -56,7 +56,7 @@ def sample_subgoal_supporters(
     # The subgoal is the only fact the walk can lack achievers for: every
     # precondition it demands later belongs to a reachable action.
     if subgoal not in first_achievers:
-        raise UnsupportedFactError(f"no supporter for demanded fact {problem.fact_name(subgoal)}")
+        raise UnsupportedFactError(f"no supporter for demanded fact {problem.facts[subgoal]}")
 
     actions = problem.actions
     counts: dict[int, int] = {}

@@ -25,9 +25,7 @@ def _type_product(params, universe):
     return product(*(universe.get(typ, []) for _, typ in params))
 
 
-def ground_exhaustive(domain, problem, hypotheses=None) -> GroundProblem:
-    if hypotheses is None:
-        hypotheses = [problem.goal]
+def ground_exhaustive(domain, problem, hypotheses) -> GroundProblem:
     if not hypotheses:
         raise GroundingError("at least one goal hypothesis is required")
 
@@ -40,14 +38,14 @@ def ground_exhaustive(domain, problem, hypotheses=None) -> GroundProblem:
     universe = objects_by_type(domain, problem)
     statics = static_predicates(domain)
 
-    fact_names: list[str] = []
+    facts: list[str] = []
     for pred in domain.predicates:
         if pred.name in statics:
             continue
         for args in _type_product(pred.params, universe):
-            fact_names.append(atom_name(pred.name, tuple(args)))
-    fact_names.sort()
-    fact_ids = {name: i for i, name in enumerate(fact_names)}
+            facts.append(atom_name(pred.name, tuple(args)))
+    facts.sort()
+    fact_ids = {name: i for i, name in enumerate(facts)}
 
     static_truth = {
         atom_name(lit.predicate, lit.args)
@@ -107,4 +105,4 @@ def ground_exhaustive(domain, problem, hypotheses=None) -> GroundProblem:
             ids.add(fact_ids[name])
         goals.append(frozenset(ids))
 
-    return GroundProblem(fact_names, actions, s0, goals)
+    return GroundProblem(facts, actions, s0, goals)

@@ -19,8 +19,9 @@ from goalrec.grounding import GroundProblem
 from goalrec.probability import DEFAULT_STATE_CAP, EXACT, FactProbabilityTable
 
 
-def optimal_plans(problem: GroundProblem, goal: frozenset[int], max_states: int):
+def optimal_plans(problem: GroundProblem, goal_index: int, max_states: int):
     """Enumerate all cost-optimal plans via a uniform-cost predecessor DAG."""
+    goal = problem.goals[goal_index]
     start = frozenset(problem.s0)
     dist: dict[frozenset[int], object] = {start: 0}
     preds: dict[frozenset[int], list] = {start: []}
@@ -62,7 +63,7 @@ def optimal_plans(problem: GroundProblem, goal: frozenset[int], max_states: int)
                 preds[succ].append((state, aid))
 
     if best is None:
-        raise UnreachableGoalError("goal unreachable under full semantics")
+        raise UnreachableGoalError(f"goal {goal_index} is unreachable under full semantics")
 
     plans: list[tuple[int, ...]] = []
 
@@ -92,7 +93,7 @@ def exact_oracle_enumerated(
     """
     if max_states < 1:
         raise ParameterError(f"state cap must be positive, got {max_states}")
-    plans = optimal_plans(problem, problem.goals[goal_index], max_states)
+    plans = optimal_plans(problem, goal_index, max_states)
     counts = np.zeros(problem.fact_count)
     for plan in plans:
         observed = set(problem.s0)

@@ -129,7 +129,7 @@ def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, rng, problem):
                         break
                 if not candidates:
                     raise UnsupportedFactError(
-                        f"no supporter for demanded fact {problem.fact_name(p)}"
+                        f"no supporter for demanded fact {problem.facts[p]}"
                     )
 
                 min_count = min(counts.get(a, 0) for a in candidates)

@@ -461,6 +461,24 @@ class TestOracle:
         assert err.startswith("error: zero-cost action (back)")
         assert not out.exists()
 
+    def test_unreachable_goal_is_named_by_index(self, tmp_path, capsys):
+        hyps = tmp_path / "hyps.dat"
+        hyps.write_text(f"(is-at c1)\n(is-at {sorted(example_grid().blocked)[0]})\n")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "oracle",
+                "--domain", str(GRID / "domain.pddl"),
+                "--template", str(GRID / "template.pddl"),
+                "--hyps", str(hyps),
+                "--output", str(out),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: goal 1 is unreachable under full semantics\n"
+        assert not out.exists()
+
 
 class TestBench:
     def test_writes_report_and_csv(self, tmp_path, capsys):

@@ -401,7 +401,7 @@ class TestRecognizer:
             assert goal["reward"] == float(np.linalg.norm(direction(odot(s0v, pv), pv)))
             left = direction(odot(stv, pv), pv)[pv > 0]
             assert goal["remaining"] == float(np.linalg.norm(left))
-            zero = {problem.fact_name(f) for f in state.facts if pv[f] == 0}
+            zero = {problem.facts[f] for f in state.facts if pv[f] == 0}
             assert sorted(goal["penalized_facts"]) == sorted(zero)
 
     @given(recognition_cases())

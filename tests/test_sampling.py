@@ -134,7 +134,7 @@ class TestSubgoalSampling:
         blocked = problem.fact_id(f"(is-at {sorted(example_grid().blocked)[0]})")
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        name = re.escape(problem.fact_name(blocked))
+        name = re.escape(problem.facts[blocked])
         with pytest.raises(UnsupportedFactError, match=f"^no supporter for demanded fact {name}$"):
             sample_subgoal_supporters(problem, blocked, N, rng)
         assert rng.bit_generator.state == state
