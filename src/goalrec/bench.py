@@ -23,7 +23,8 @@ from statistics import mean, pstdev
 from .errors import DatasetError, GoalRecError, ParameterError
 from .grounding import GroundProblem, ground
 from .negation import complement_literal, compile_negations
-from .pddl import Literal, parse_domain, parse_literal, parse_problem, read_forms
+from .pddl import Literal, ProblemAst, parse_domain, parse_literal, parse_problem, read_forms
+from .pddl import validate_problem
 from .probability import DEFAULT_N_SAMPLES, EMPIRICAL_UNION, FactProbabilityTable, estimate
 from .recognition import ObservationEvent, RecognitionTrace, recognize_online
 
@@ -137,31 +138,26 @@ def build_problem(
     template_text: str,
     hypotheses: tuple[frozenset[Literal], ...],
 ) -> GroundProblem:
-    """Parse, substitute the goal placeholder, compile negations, ground."""
+    """Parse, compile negations and ground, with the hypotheses as the goals."""
     domain = parse_domain(domain_text)
-    # Substituting the union of all hypothesis atoms validates every
-    # hypothesis object and lets negation compilation see every negated
-    # predicate, so each hypothesis takes the goal's rewrite; grounding
-    # receives the per-hypothesis goal sets separately.
-    atoms = {lit for hyp in hypotheses for lit in hyp}
-    problem_text = template_text.replace(
-        HYPOTHESIS_PLACEHOLDER, " ".join(sorted(lit.canonical() for lit in atoms))
-    )
-    problem = parse_problem(problem_text, domain)
-    missing = sorted(lit.canonical() for lit in atoms - problem.goal)
-    if missing:
+    # The template is parsed once, with the placeholder read as an empty
+    # conjunction.  Grounding keeps only the hypotheses' goals, so any atom
+    # left in the template goal would be dropped.
+    problem = parse_problem(template_text.replace(HYPOTHESIS_PLACEHOLDER, "(and)"), domain)
+    atoms = frozenset(lit for hyp in hypotheses for lit in hyp)
+    if problem.goal:
+        extra = min(problem.goal, key=Literal.canonical)
+        kind = "also a hypothesis atom" if extra in atoms else "in no hypothesis"
         raise DatasetError(
-            f"hypothesis atom {missing[0]} is not in the template goal, "
-            f"which must hold {HYPOTHESIS_PLACEHOLDER}"
-        )
-    # Grounding keeps only the hypotheses' goals, so any other goal atom
-    # would be dropped.
-    extra = sorted(lit.canonical() for lit in problem.goal - atoms)
-    if extra:
-        raise DatasetError(
-            f"template goal atom {extra[0]} is in no hypothesis; "
+            f"template goal atom {extra.canonical()} is {kind}; "
             f"the template goal must hold only {HYPOTHESIS_PLACEHOLDER}"
         )
+    # The goal takes every hypothesis atom, so negation compilation sees
+    # every negated predicate and each hypothesis takes the goal's rewrite;
+    # grounding receives the per-hypothesis goal sets separately.  The atoms
+    # are checked as goal atoms; init was checked with the template.
+    validate_problem(ProblemAst(problem.objects, frozenset(), atoms), domain)
+    problem = ProblemAst(problem.objects, problem.init, atoms)
     domain, problem = compile_negations(domain, problem)
     compiled = [frozenset(map(complement_literal, hyp)) for hyp in hypotheses]
     return ground(domain, problem, compiled)

@@ -448,11 +448,11 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
         )
 
     problem = ProblemAst(objects, frozenset(init), frozenset(goal))
-    _validate_problem(problem, domain)
+    validate_problem(problem, domain)
     return problem
 
 
-def _validate_problem(problem: ProblemAst, domain: DomainAst) -> None:
+def validate_problem(problem: ProblemAst, domain: DomainAst) -> None:
     ancestors = domain.type_ancestors
     object_type: dict[str, str] = {}
     for obj, typ in problem.objects:

@@ -61,13 +61,10 @@ def estimate(
     if aggregation not in (EMPIRICAL_UNION, NOISY_OR):
         raise ParameterError(f"unknown aggregation: {aggregation}")
     combined = sample_combined_sets(problem, goal_index, n, seed)
+    samples = combined or []  # an unreachable goal samples nothing
     p = np.zeros(problem.fact_count)
-    if combined is None:
-        p[sorted(problem.s0)] = 1.0
-        return FactProbabilityTable(goal_index, p, unreachable=True, source=aggregation)
-
     if aggregation == EMPIRICAL_UNION:
-        for sample in combined:
+        for sample in samples:
             covered: set[int] = set()
             for aid in sample.actions:
                 covered |= problem.actions[aid].add
@@ -75,7 +72,7 @@ def estimate(
         p /= n
     else:
         action_counts = np.zeros(len(problem.actions))
-        for sample in combined:
+        for sample in samples:
             action_counts[sorted(sample.actions)] += 1.0
         miss = np.ones(problem.fact_count)
         for aid in np.flatnonzero(action_counts).tolist():
@@ -85,7 +82,7 @@ def estimate(
         p = 1.0 - miss
 
     p[sorted(problem.s0)] = 1.0
-    return FactProbabilityTable(goal_index, p, source=aggregation)
+    return FactProbabilityTable(goal_index, p, unreachable=combined is None, source=aggregation)
 
 
 # ── Exact oracle ─────────────────────────────────────────────────────────

@@ -1,19 +1,22 @@
 """Sampling supporter-action sets per subgoal and combining them per goal.
 
-A supporter of a fact f is an action with f in its add list.  Per subgoal,
-N sets are sampled by walking the problem's relaxed fixpoint
-(problem.relaxed_fixpoint) down from the subgoal in rounds.  The
-candidates for a demanded fact are its first achievers, the supporters one
-level below it, sorted by id; among them an action selected the fewest
-times so far in the call is picked, and its preconditions outside s0 are
-demanded in the next round.  Those preconditions lie at lower fact levels,
-so each round's facts lie a level lower than the last round's and the walk
-ends by s0.  Only a tie between several least-selected actions draws from
-the random stream, uniformly.  The N per-subgoal sets are then combined
-into N per-goal sets, each taking one unconsumed set per subgoal uniformly
-at random; one draw per goal makes every pick.  Both give the stream that
-one Generator.integers call per pick would: a bound of 1 consumes no
-state, and an array of bounds is drawn in order, as one call per bound.
+A supporter of a fact f is an action with f in its add list.  Per subgoal, N
+sets are sampled by walking the problem's relaxed fixpoint
+(problem.relaxed_fixpoint) down from the subgoal, one pass per round over
+the round's demanded facts in id order.  A demanded fact's candidates are
+its first achievers, the supporters one level below it, sorted by id; an
+action selected the fewest times so far in the call is picked, and its
+preconditions outside s0 and not yet found are needed, the next round's
+demand.  A fact is found once an action is picked for it, or once a picked
+action adds it while it is demanded or needed; a found fact is never
+demanded again in that walk.  Needed facts lie a level lower than the
+round's, so the walk ends by s0; a subgoal in s0 demands nothing.  Only a
+tie between least-selected actions draws from the random stream,
+uniformly.  The N per-subgoal sets are then combined into N per-goal sets,
+each taking one unconsumed set per subgoal uniformly at random; one draw
+per goal makes every pick.  Both give the stream that one Generator.integers
+call per pick would: a bound of 1 consumes no state, and an array of bounds
+is drawn in order, as one call per bound.
 
 sample_combined_sets is the one entry and checks N and the seed.  Subgoal
 k of the goal's sorted facts draws from the stream (seed, goal index, k),
@@ -45,17 +48,15 @@ def sample_subgoal_supporters(
 ) -> list[SupporterSampleSet]:
     """Sample n supporter sets for one subgoal fact.
 
-    A subgoal already true in s0 needs no support and yields n empty sets;
+    A subgoal already true in s0 demands nothing and yields n empty sets;
     one that is relaxed-unreachable raises UnsupportedFactError.
     """
     s0 = problem.s0
-    if subgoal in s0:
-        return [SupporterSampleSet(frozenset()) for _ in range(n)]
-
     first_achievers = problem.relaxed_fixpoint.first_achievers
+    start = {subgoal} - s0
     # The subgoal is the only fact the walk can lack achievers for: every
     # precondition it demands later belongs to a reachable action.
-    if subgoal not in first_achievers:
+    if not start <= first_achievers.keys():
         raise UnsupportedFactError(f"no supporter for demanded fact {problem.facts[subgoal]}")
 
     actions = problem.actions
@@ -65,44 +66,38 @@ def sample_subgoal_supporters(
     samples: list[SupporterSampleSet] = []
 
     for _ in range(n):
-        demanded = {subgoal}
+        demanded = start
         found: set[int] = set()
         sups: set[int] = set()
 
-        # Each round demands only preconditions of first achievers, which
-        # lie a fact level lower than the round's facts, and never s0
-        # facts, so the rounds end.
+        # A fact is found once an action is picked for it, or once a picked
+        # action adds it while it is demanded or needed; a found fact is
+        # never demanded again in this walk.  The add loop marks both, since
+        # the action picked for a demanded fact adds it.  Needed facts lie a
+        # level lower than the round's and outside s0, so the rounds end.
         while demanded:
-            new_demanded: set[int] = set()
-            while demanded:
-                p = min(demanded)  # deterministic pop order
-                demanded.discard(p)
-
+            needed: set[int] = set()
+            for p in sorted(demanded):
+                if p in found:
+                    continue
                 candidates = first_achievers[p]
                 if len(candidates) > 1:
                     min_count = min(count_of(a, 0) for a in candidates)
                     candidates = [a for a in candidates if count_of(a, 0) == min_count]
                 # A draw over one candidate returns 0 and consumes no random state.
-                if len(candidates) == 1:
-                    chosen = candidates[0]
-                else:
-                    chosen = candidates[draw(len(candidates))]
+                chosen = candidates[draw(len(candidates)) if len(candidates) > 1 else 0]
 
-                found.add(p)
                 sups.add(chosen)
                 counts[chosen] = count_of(chosen, 0) + 1
 
-                for need in actions[chosen].pre:
-                    if need not in s0 and need not in found and need not in demanded:
-                        new_demanded.add(need)
-                for got in actions[chosen].add:
-                    if got in demanded:
-                        demanded.discard(got)
+                action = actions[chosen]
+                for need in action.pre:
+                    if need not in s0 and need not in found:
+                        needed.add(need)
+                for got in action.add:
+                    if got in demanded or got in needed:
                         found.add(got)
-                    if got in new_demanded:
-                        new_demanded.discard(got)
-                        found.add(got)
-            demanded = new_demanded
+            demanded = needed
 
         samples.append(SupporterSampleSet(frozenset(sups)))
 
@@ -114,11 +109,9 @@ def generate_goal_supporters(
 ) -> list[SupporterSampleSet]:
     """Combine pools of n sets, one per subgoal in sorted order, into n
     per-goal sets, each taking one unconsumed set per pool uniformly."""
-    if not pools:
-        return [SupporterSampleSet(frozenset()) for _ in range(n)]
     # Pick i from a pool draws below n - i.  One call over every bound,
     # iteration by iteration and pools in order, gives the values and the
-    # final state of one call per pick.
+    # final state of one call per pick; with no pools it draws nothing.
     bounds = np.arange(n, 0, -1)[:, None].repeat(len(pools), axis=1)
     picks = rng.integers(bounds).tolist()
     pools = [list(pool) for pool in pools]

@@ -25,7 +25,7 @@ from goalrec.bench import (
     run_benchmark,
     spread,
 )
-from goalrec.errors import DatasetError, GoalRecError, ParameterError
+from goalrec.errors import DatasetError, GoalRecError, ParameterError, ValidationError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text, write_instance
 from goalrec.pddl import Literal
 from goalrec.recognition import RecognitionTrace, TraceStep
@@ -202,17 +202,33 @@ class TestBuildProblem:
     @pytest.mark.parametrize("goal", ["(is-at c1)", "(is-at c1)\n ; <HYPOTHESIS>\n"])
     def test_goal_without_placeholder_raises(self, goal):
         template = (FIXTURES / "grid" / "template.pddl").read_text()
-        with pytest.raises(DatasetError, match=r"\(is-at c5\) .*<HYPOTHESIS>"):
+        message = r"^template goal atom \(is-at c1\) is also a hypothesis atom; .*<HYPOTHESIS>$"
+        with pytest.raises(DatasetError, match=message):
             self._build(template.replace("<HYPOTHESIS>", goal), ["(is-at c1)", "(is-at c5)"])
 
-
-    @pytest.mark.parametrize("stray", ["(is-at c25)", "(not (is-at c25))"])
+    @pytest.mark.parametrize("stray", ["(is-at c25)", "(not (is-at c25))", "(is-at c1)"])
     def test_template_goal_atom_in_no_hypothesis_raises(self, stray):
-        # Grounding keeps only the hypotheses' goals; the stray atom was dropped.
+        # Grounding keeps only the hypotheses' goals, so the stray atom was
+        # dropped, (is-at c1) too, though it is also the first hypothesis.
         template = (FIXTURES / "grid" / "template.pddl").read_text()
         template = template.replace("<HYPOTHESIS>", f"{stray} <HYPOTHESIS>")
-        with pytest.raises(DatasetError, match=rf"^template goal atom {re.escape(stray)} is in no"):
+        kind = "also a hypothesis atom" if stray == "(is-at c1)" else "in no hypothesis"
+        message = rf"^template goal atom {re.escape(stray)} is {kind}; .*<HYPOTHESIS>$"
+        with pytest.raises(DatasetError, match=message):
             self._build(template, ["(is-at c1)", "(is-at c5)"])
+
+    @pytest.mark.parametrize(
+        "hypothesis, message",
+        [
+            ("(is-at c99)", "undeclared object c99 in goal"),
+            ("(is-at c1 c5)", "arity mismatch for is-at in goal: expected 1, got 2"),
+        ],
+    )
+    def test_hypothesis_atom_is_checked_against_the_problem(self, hypothesis, message):
+        template = (FIXTURES / "grid" / "template.pddl").read_text()
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+            self._build(template, ["(is-at c1)", hypothesis])
+
 
 class TestMetrics:
     def test_precision_unit_cases(self):

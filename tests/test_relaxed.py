@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goalrec.bench import build_problem
@@ -234,6 +234,26 @@ def _outcome(sample, subgoals, seed):
     return steps
 
 
+def _strips(n_facts, actions, goal):
+    """A task with facts f0.. and empty s0; each action is a (pre, add) pair."""
+    return GroundProblem(
+        [f"(f{i})" for i in range(n_facts)],
+        [
+            GroundAction(f"(a{i})", frozenset(pre), frozenset(add), frozenset())
+            for i, (pre, add) in enumerate(actions)
+        ],
+        frozenset(),
+        [frozenset(goal)],
+    )
+
+
+# Walks in which a fact is found by a later pick's add list: f1 while it is
+# still demanded in the round a2 is picked for f0, and f1 while it is needed
+# in the next round, by the a1 picked for f0.
+FOUND_WHILE_DEMANDED = _strips(3, [((), {1}), ({0, 1}, {2}), ((), {0, 1})], {2})
+FOUND_WHILE_NEEDED = _strips(2, [((), {1}), ({1}, {0, 1})], {0})
+
+
 def _assert_matches_reference(problem, n, seed):
     for goal in problem.goals:
         rpg = build_rpg(problem, goal)
@@ -268,6 +288,8 @@ class TestReferenceEquality:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
+    @example(problem=FOUND_WHILE_DEMANDED, n=1, seed=0)
+    @example(problem=FOUND_WHILE_NEEDED, n=1, seed=0)
     def test_random_strips_identical_to_reference(self, problem, n, seed):
         _assert_matches_reference(problem, n, seed)
 
