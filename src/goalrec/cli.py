@@ -60,22 +60,20 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--hyps", required=True, help="hyps.dat path")
 
 
-def _write_tables(problem, tables, out_dir: str) -> list[Path]:
+def _write_tables(problem, tables, out_dir: str) -> None:
+    """Write one CSV per goal and print each path as it is written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for i, table in enumerate(tables):
         path = out / f"goal_{i}.csv"
-        path.write_text(table.to_csv(problem))
-        written.append(path)
-    return written
+        path.write_text(table.to_csv(problem), encoding="utf-8")
+        print(path)
 
 
 def cmd_estimate(args) -> int:
     problem = _load_problem(args)
     tables = estimate_tables(problem, args.n_samples, args.seed, args.aggregation)
-    for path in _write_tables(problem, tables, args.output):
-        print(path)
+    _write_tables(problem, tables, args.output)
     return EXIT_OK
 
 
@@ -84,8 +82,7 @@ def cmd_oracle(args) -> int:
     tables = [
         exact_oracle(problem, i, args.max_states) for i in range(len(problem.goals))
     ]
-    for path in _write_tables(problem, tables, args.output):
-        print(path)
+    _write_tables(problem, tables, args.output)
     return EXIT_OK
 
 
@@ -107,7 +104,8 @@ def cmd_recognize(args) -> int:
     if args.explain is not None:
         explain = Path(args.explain)
         explain.parent.mkdir(parents=True, exist_ok=True)
-        explain.write_text(json.dumps(recognizer.explain(), indent=2) + "\n")
+        text = json.dumps(recognizer.explain(), indent=2) + "\n"
+        explain.write_text(text, encoding="utf-8")
     if args.format == "text":
         for step in trace.steps:
             scores = ", ".join(f"{h:.4f}" for h in step.heuristic)
@@ -128,13 +126,12 @@ def cmd_bench(args) -> int:
     )
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json())
-    (out / "precision.csv").write_text(report.precision_csv())
+    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    (out / "precision.csv").write_text(report.precision_csv(), encoding="utf-8")
     print(out / "report.json")
     print(out / "precision.csv")
-    if report.failures:
-        for name, error in report.failures:
-            print(f"failed instance {name}: {error}", file=sys.stderr)
+    for name, error in report.failures:
+        print(f"failed instance {name}: {error}", file=sys.stderr)
     return EXIT_OK
 
 

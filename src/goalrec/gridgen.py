@@ -189,9 +189,9 @@ def obs_text(spec: GridSpec) -> str:
 def write_instance(directory: str | Path, spec: GridSpec) -> Path:
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    (path / "domain.pddl").write_text(DOMAIN_TEXT)
-    (path / "template.pddl").write_text(template_text(spec))
-    (path / "hyps.dat").write_text(hyps_text(spec))
-    (path / "obs.dat").write_text(obs_text(spec))
-    (path / "real_hyp.dat").write_text(real_hyp_text(spec))
+    (path / "domain.pddl").write_text(DOMAIN_TEXT, encoding="utf-8")
+    (path / "template.pddl").write_text(template_text(spec), encoding="utf-8")
+    (path / "hyps.dat").write_text(hyps_text(spec), encoding="utf-8")
+    (path / "obs.dat").write_text(obs_text(spec), encoding="utf-8")
+    (path / "real_hyp.dat").write_text(real_hyp_text(spec), encoding="utf-8")
     return path

@@ -4,8 +4,10 @@ Predicates that never occur in any add or delete effect are static: they
 restrict instantiation against the initial state and are then dropped, so
 the fact universe only contains fluent facts.  An action schema is
 instantiated by joining its static preconditions against the static init
-atoms, indexed by predicate and by the values at bound argument positions;
-parameters that no static precondition mentions range over their type.
+atoms.  Each literal's atoms are indexed when that literal is joined: those
+whose repeated variables agree and whose newly bound objects fit their
+types, by their values at the already bound positions.  Parameters that no
+static precondition mentions range over their type.
 Only bindings that satisfy every static precondition are named, so the
 cost follows the number of actions rather than |objects|^arity.  Each
 schema's bindings are then taken as one list, and the fact ids of each
@@ -41,35 +43,6 @@ def objects_by_type(domain: DomainAst, problem: ProblemAst) -> dict[str, list[st
     return out
 
 
-class StaticIndex:
-    """Static init atoms by predicate, and by their values at chosen positions.
-
-    A positional index is built on first use and kept for the lifetime of
-    the index, so each (predicate, positions) pair is scanned once.
-    """
-
-    def __init__(self, atoms):
-        self._atoms: dict[str, list[tuple[str, ...]]] = defaultdict(list)
-        for lit in atoms:
-            self._atoms[lit.predicate].append(lit.args)
-        self._by_positions: dict[tuple, dict[tuple[str, ...], list[tuple[str, ...]]]] = {}
-
-    def count(self, predicate: str) -> int:
-        return len(self._atoms.get(predicate, ()))
-
-    def lookup(self, predicate: str, positions: tuple[int, ...]):
-        """Map from the values at `positions` to the atoms carrying them."""
-        key = (predicate, positions)
-        table = self._by_positions.get(key)
-        if table is None:
-            table = defaultdict(list)
-            values = _key_getter(positions)
-            for args in self._atoms.get(predicate, ()):
-                table[values(args)].append(args)
-            self._by_positions[key] = table
-        return table
-
-
 def _key_getter(positions):
     """A C-level getter of the values at positions, for use as a dict key.
 
@@ -79,9 +52,11 @@ def _key_getter(positions):
     return itemgetter(*positions) if positions else (lambda _: ())
 
 
-def _join_order(literals, index: StaticIndex) -> list[Literal]:
+def _join_order(literals, atoms) -> list[Literal]:
     """Fewest matching atoms first, preferring literals on bound variables."""
-    remaining = sorted(literals, key=lambda lit: (index.count(lit.predicate), lit.canonical()))
+    remaining = sorted(
+        literals, key=lambda lit: (len(atoms.get(lit.predicate, ())), lit.canonical())
+    )
     order: list[Literal] = []
     bound: set[str] = set()
     while remaining:
@@ -92,33 +67,30 @@ def _join_order(literals, index: StaticIndex) -> list[Literal]:
     return order
 
 
-def _join(params, pools, literals, index: StaticIndex):
+def _join(params, pools, literals, atoms):
     slot_of = {var: i for i, (var, _) in enumerate(params)}
     typed = [frozenset(pool) for pool in pools]
     partial: list[tuple] = [(None,) * len(params)]
     bound: set[int] = set()
-    for lit in _join_order(literals, index):
+    for lit in _join_order(literals, atoms):
         slots = [slot_of[arg] for arg in lit.args]
-        keyed = tuple(j for j, s in enumerate(slots) if s in bound)
+        keyed = [j for j, s in enumerate(slots) if s in bound]
         fresh: dict[int, int] = {}  # slot -> first position binding it
-        repeats: list[tuple[int, int]] = []  # positions that must agree
+        checks = []  # (position, first position of its slot, type pool)
         for j, s in enumerate(slots):
-            if s in bound:
-                continue
-            if s in fresh:
-                repeats.append((j, fresh[s]))
-            else:
-                fresh[s] = j
-        table = index.lookup(lit.predicate, keyed)
+            if s not in bound:
+                checks.append((j, fresh.setdefault(s, j), typed[s]))
+        # The literal's atoms whose repeated slots agree and whose new
+        # objects fit their types, by their values at the bound positions.
+        atom_key = _key_getter(keyed)
+        table = defaultdict(list)
+        for args in atoms.get(lit.predicate, ()):
+            if all(args[j] == args[first] and args[j] in pool for j, first, pool in checks):
+                table[atom_key(args)].append(args)
         key = _key_getter([slots[j] for j in keyed])
-        checks = [(j, typed[s]) for s, j in fresh.items()]
         grown = []
         for binding in partial:
             for args in table.get(key(binding), ()):
-                if repeats and any(args[j] != args[k] for j, k in repeats):
-                    continue
-                if any(args[j] not in pool for j, pool in checks):
-                    continue
                 extended = list(binding)
                 for s, j in fresh.items():
                     extended[s] = args[j]
@@ -139,19 +111,19 @@ def _join(params, pools, literals, index: StaticIndex):
             yield tuple(extended)
 
 
-def ground_instantiations(
-    params, universe: dict[str, list[str]], statics=(), index: StaticIndex | None = None
-):
+def ground_instantiations(params, universe: dict[str, list[str]], statics=(), atoms=None):
     """Type-consistent argument tuples for a typed parameter list.
 
     With no static literals this is the full type product.  Given literals
-    over the parameters and a StaticIndex of the init atoms, only the
-    tuples under which every literal is an init atom are produced.
+    over the parameters and a map from each static predicate to the argument
+    tuples of its init atoms, only the tuples under which every literal is
+    an init atom are produced; each literal's atoms are indexed when that
+    literal is joined.
     """
     pools = [universe.get(typ, []) for _, typ in params]
     if not statics:
         return product(*pools)
-    return _join(params, pools, statics, index)
+    return _join(params, pools, statics, atoms)
 
 
 @dataclass(frozen=True)
@@ -265,13 +237,16 @@ def ground(
     for pred, names in names_of.items():
         ids_of[pred] = {k: fact_ids[name] for k, name in names.items()}
 
-    index = StaticIndex(lit for lit in problem.init if lit.predicate in statics)
+    static_atoms: dict[str, list[tuple[str, ...]]] = defaultdict(list)
+    for lit in problem.init:
+        if lit.predicate in statics:
+            static_atoms[lit.predicate].append(lit.args)
 
     grounded: list[tuple[str, frozenset[int], frozenset[int], frozenset[int], Fraction]] = []
     for schema in domain.schemas:
         slot_of = {var: i for i, (var, _) in enumerate(schema.params)}
         static_pre = [lit for lit in schema.pre if lit.predicate in statics]
-        bindings = list(ground_instantiations(schema.params, universe, static_pre, index))
+        bindings = list(ground_instantiations(schema.params, universe, static_pre, static_atoms))
 
         def id_sets(literals):
             """One frozenset of the literals' fact ids per binding, built column by column."""

@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -229,6 +232,32 @@ class TestEstimate:
         )
         assert code == EXIT_INPUT_ERROR
         assert "(at y1)" in capsys.readouterr().err
+
+    def test_non_ascii_names_are_written_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # Inputs are read as UTF-8 whatever the locale, so outputs are written as UTF-8 too.
+        for name in ("domain.pddl", "template.pddl", "hyps.dat"):
+            text = (GRID / name).read_text(encoding="utf-8")
+            (tmp_path / name).write_text(re.sub(r"\bc1\b", "cé1", text), encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for var in ("PYTHONUTF8", "PYTHONIOENCODING"):
+            env.pop(var, None)
+        result = subprocess.run(
+            [
+                sys.executable, "-X", "utf8=0", "-m", "goalrec.cli", "estimate",
+                "--domain", str(tmp_path / "domain.pddl"),
+                "--template", str(tmp_path / "template.pddl"),
+                "--hyps", str(tmp_path / "hyps.dat"),
+                "--output", str(tmp_path / "out"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "(is-at cé1)," in (tmp_path / "out" / "goal_0.csv").read_text(encoding="utf-8")
 
 
 class TestSeed:

@@ -417,11 +417,29 @@ NULLARY_AND_REPEATED = _parsed_task(
     _EDGE_PROBLEM,
 )
 
+# A static literal joined on two already bound variables, over atoms that
+# are not symmetric: its table must be keyed on those positions in order.
+TWO_BOUND_POSITIONS = _parsed_task(
+    """\
+(define (domain edge) (:requirements :strips)
+  (:predicates (adj ?x ?y) (link ?x ?y) (at ?x))
+  (:action m :parameters (?x ?y) :precondition (and (at ?x) (adj ?x ?y) (link ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))
+""",
+    """\
+(define (problem p) (:domain edge) (:objects o1 o2 o3)
+  (:init (adj o1 o2) (adj o2 o1) (adj o2 o3)
+    (link o1 o2) (link o2 o3) (link o3 o2) (link o1 o3) (at o1))
+  (:goal (at o3)))
+""",
+)
+
 
 class TestReferenceProperty:
     @given(task=typed_tasks())
     @example(task=EMPTY_TYPE_DELETE)
     @example(task=NULLARY_AND_REPEATED)
+    @example(task=TWO_BOUND_POSITIONS)
     @settings(max_examples=300, deadline=None)
     def test_identical_to_reference(self, task):
         domain, problem = task
