@@ -90,9 +90,10 @@ def parse_observations(text: str) -> tuple[str, ...]:
 
 
 def read_input(path: str | Path) -> str:
-    """The text of an input file, which must exist and be UTF-8."""
+    """The text of an input file, which must exist and be UTF-8; a leading
+    byte-order mark is dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

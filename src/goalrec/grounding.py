@@ -67,19 +67,27 @@ def _join_order(literals, atoms) -> list[Literal]:
     return order
 
 
-def _join(params, pools, literals, atoms):
+def ground_instantiations(params, universe: dict[str, list[str]], statics=(), atoms=None):
+    """Type-consistent argument tuples for a typed parameter list.
+
+    Given literals over the parameters and a map from each static predicate
+    to the argument tuples of its init atoms, only the tuples under which
+    every literal is an init atom are produced; each literal's atoms are
+    indexed when that literal is joined.  A parameter that no literal binds
+    ranges over its type, so with no literals this is the type product.
+    """
+    pools = [universe.get(typ, []) for _, typ in params]
     slot_of = {var: i for i, (var, _) in enumerate(params)}
-    typed = [frozenset(pool) for pool in pools]
     partial: list[tuple] = [(None,) * len(params)]
     bound: set[int] = set()
-    for lit in _join_order(literals, atoms):
+    for lit in _join_order(statics, atoms):
         slots = [slot_of[arg] for arg in lit.args]
         keyed = [j for j, s in enumerate(slots) if s in bound]
         fresh: dict[int, int] = {}  # slot -> first position binding it
         checks = []  # (position, first position of its slot, type pool)
         for j, s in enumerate(slots):
             if s not in bound:
-                checks.append((j, fresh.setdefault(s, j), typed[s]))
+                checks.append((j, fresh.setdefault(s, j), frozenset(pools[s])))
         # The literal's atoms whose repeated slots agree and whose new
         # objects fit their types, by their values at the bound positions.
         atom_key = _key_getter(keyed)
@@ -99,31 +107,11 @@ def _join(params, pools, literals, atoms):
         bound.update(fresh)
         if not partial:
             return
-    free = [i for i in range(len(params)) if i not in bound]
-    if not free:
+    if len(bound) == len(params):
         yield from partial
         return
     for binding in partial:
-        for values in product(*(pools[i] for i in free)):
-            extended = list(binding)
-            for i, value in zip(free, values):
-                extended[i] = value
-            yield tuple(extended)
-
-
-def ground_instantiations(params, universe: dict[str, list[str]], statics=(), atoms=None):
-    """Type-consistent argument tuples for a typed parameter list.
-
-    With no static literals this is the full type product.  Given literals
-    over the parameters and a map from each static predicate to the argument
-    tuples of its init atoms, only the tuples under which every literal is
-    an init atom are produced; each literal's atoms are indexed when that
-    literal is joined.
-    """
-    pools = [universe.get(typ, []) for _, typ in params]
-    if not statics:
-        return product(*pools)
-    return _join(params, pools, statics, atoms)
+        yield from product(*[(v,) if i in bound else pools[i] for i, v in enumerate(binding)])
 
 
 @dataclass(frozen=True)

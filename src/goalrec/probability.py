@@ -9,6 +9,7 @@ of reachable states, not of plans.  Initial-state facts get probability 1.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import io
 from dataclasses import dataclass
@@ -38,10 +39,11 @@ class FactProbabilityTable:
     def to_csv(self, problem: GroundProblem) -> str:
         out = io.StringIO()
         out.write(f"# aggregation: {self.source}\n")
-        out.write("fact_name,p_observed,p_not_observed\n")
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(["fact_name", "p_observed", "p_not_observed"])
         for fact_id, name in enumerate(problem.facts):
             p = float(self.p[fact_id])
-            out.write(f"{name},{p},{1.0 - p}\n")
+            rows.writerow([name, p, 1.0 - p])
         return out.getvalue()
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import argparse
+import codecs
+import csv
 import json
 import os
 import re
@@ -258,6 +260,44 @@ class TestEstimate:
         )
         assert result.returncode == EXIT_OK, result.stderr
         assert "(is-at cé1)," in (tmp_path / "out" / "goal_0.csv").read_text(encoding="utf-8")
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # Many Windows editors start a UTF-8 file with the mark EF BB BF.
+        for name in ("domain.pddl", "template.pddl", "hyps.dat"):
+            mark = codecs.BOM_UTF8 if name != "template.pddl" else b""
+            (tmp_path / name).write_bytes(mark + (GRID / name).read_bytes())
+        assert main(_grid_args("estimate", "--output", str(tmp_path / "plain"))) == EXIT_OK
+        args = [
+            "estimate",
+            "--domain", str(tmp_path / "domain.pddl"),
+            "--template", str(tmp_path / "template.pddl"),
+            "--hyps", str(tmp_path / "hyps.dat"),
+            "--output", str(tmp_path / "marked"),
+        ]
+        assert main(args) == EXIT_OK
+        plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert plain and sorted(p.name for p in (tmp_path / "marked").iterdir()) == plain
+        for name in plain:
+            marked = (tmp_path / "marked" / name).read_bytes()
+            assert marked == (tmp_path / "plain" / name).read_bytes()
+
+    def test_fact_name_with_a_comma_reads_back_as_one_field(self, tmp_path):
+        for name in ("domain.pddl", "template.pddl", "hyps.dat"):
+            text = (GRID / name).read_text(encoding="utf-8")
+            (tmp_path / name).write_text(re.sub(r"\bc1\b", "c,1", text), encoding="utf-8")
+        args = [
+            "estimate",
+            "--domain", str(tmp_path / "domain.pddl"),
+            "--template", str(tmp_path / "template.pddl"),
+            "--hyps", str(tmp_path / "hyps.dat"),
+            "--output", str(tmp_path / "out"),
+        ]
+        assert main(args) == EXIT_OK
+        lines = (tmp_path / "out" / "goal_0.csv").read_text(encoding="utf-8").splitlines()
+        rows = list(csv.reader(lines[1:]))
+        assert rows[0] == ["fact_name", "p_observed", "p_not_observed"]
+        assert all(len(row) == 3 for row in rows)
+        assert "(is-at c,1)" in [row[0] for row in rows]
 
 
 class TestSeed:

@@ -1,5 +1,7 @@
 """Grounding: dense ids, static-predicate handling, determinism."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -320,7 +322,11 @@ def typed_tasks(draw):
     and random parameter types; the last one never has init atoms.  Schema
     literals draw their variables independently, so a variable may repeat
     within a literal and a parameter may be bound by no static literal.
-    Negated static preconditions are compiled away before grounding.
+    A schema with enough variables for some static predicate of arity 2 or
+    3 also gets a literal over distinct variables and the same literal in
+    reverse order, so that the join keys one of them on two or more bound
+    positions, over atoms that are seldom symmetric.  Negated static
+    preconditions are compiled away before grounding.
     """
     n_types = draw(st.integers(0, 3))
     types = tuple(
@@ -358,7 +364,13 @@ def typed_tasks(draw):
                 out.append(Literal(pred.name, args, negated))
             return out
 
-        pre = literals(statics, 3, negatable=True) + literals(fluents, 2)
+        static_pre = literals(statics, 3, negatable=True)
+        binary = [p for p in statics[:-1] if 2 <= p.arity <= len(variables)]
+        if binary:
+            pred = draw(st.sampled_from(binary))
+            args = tuple(draw(st.permutations(variables))[: pred.arity])
+            static_pre += [Literal(pred.name, args), Literal(pred.name, args[::-1])]
+        pre = static_pre + literals(fluents, 2)
         schemas.append(
             ActionSchema(
                 f"act{k}", params, tuple(pre), tuple(literals(fluents, 2)),
@@ -433,6 +445,21 @@ TWO_BOUND_POSITIONS = _parsed_task(
   (:goal (at o3)))
 """,
 )
+
+
+class TestGroundInstantiations:
+    @given(
+        universe=st.dictionaries(
+            st.sampled_from(["t0", "t1", "t2"]),
+            st.lists(st.sampled_from(["o0", "o1", "o2", "o3"]), unique=True, max_size=3),
+        ),
+        types=st.lists(st.sampled_from(["t0", "t1", "t2", "t3"]), max_size=4),
+    )
+    def test_without_static_literals_is_the_type_product(self, universe, types):
+        # t3 and any type the dictionary leaves out have no objects.
+        params = [(f"?v{i}", typ) for i, typ in enumerate(types)]
+        pools = [universe.get(typ, []) for typ in types]
+        assert list(ground_instantiations(params, universe)) == list(product(*pools))
 
 
 class TestReferenceProperty:
