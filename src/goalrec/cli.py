@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
-    DEFAULT_LAMBDAS,
     build_problem,
     estimate_tables,
     parse_hypotheses,
@@ -188,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the benchmark harness over a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--lambdas", type=float, nargs="+", default=list(DEFAULT_LAMBDAS))
+    p.add_argument("--lambdas", type=float, nargs="+")
     p.add_argument("--repeats", type=int, default=1)
     common(p)
     p.add_argument("--output", default=".")

@@ -60,9 +60,7 @@ def compile_negations(
 
     new_schemas = []
     for schema in domain.schemas:
-        pre = tuple(
-            complement_literal(lit) if lit.negated else lit for lit in schema.pre
-        )
+        pre = tuple(map(complement_literal, schema.pre))
         add = list(schema.add)
         delete = list(schema.delete)
         for lit in schema.add:
@@ -89,8 +87,6 @@ def compile_negations(
             if Literal(name, tuple(args)) not in problem.init:
                 init.add(Literal(COMPLEMENT_PREFIX + name, tuple(args)))
 
-    goal = frozenset(
-        complement_literal(lit) if lit.negated else lit for lit in problem.goal
-    )
+    goal = frozenset(map(complement_literal, problem.goal))
     new_problem = replace(problem, init=frozenset(init), goal=goal)
     return new_domain, new_problem

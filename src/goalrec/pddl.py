@@ -128,21 +128,17 @@ def _token_position(text: str, index: int) -> tuple[int, int]:
     return text.count("\n", 0, start) + 1, start - line_start + 1
 
 
-class _Malformed(Exception):
-    """A syntax error at a token index; its position is looked up only then."""
+def read_forms(text: str, single: bool = False) -> list:
+    """Every top-level form of text, in order: a list for a parenthesized form,
+    a string for a bare symbol; none for blank or comment-only text.  One pass
+    with an explicit stack raises each syntax error at its token, in token order,
+    and an unclosed parenthesis at its innermost open '('.  With single, any
+    token after the first complete form is trailing input."""
+    tokens = _token_texts(text)
 
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.message = message
-        self.index = index
+    def malformed(message: str, index: int) -> PddlSyntaxError:
+        return PddlSyntaxError(message, *_token_position(text, index))
 
-
-def _read(tokens: list[str], single: bool = False) -> list:
-    """The forms of a token list, read in one pass with an explicit stack.
-
-    Each error is raised at its token, in token order; an unclosed
-    parenthesis at the innermost open '('.  With single, any token after
-    the first complete form is trailing input."""
     forms: list = []
     items = forms
     stack: list[tuple[list, int]] = []  # the enclosing list and index of each open '('
@@ -150,45 +146,32 @@ def _read(tokens: list[str], single: bool = False) -> list:
     for i, tok in enumerate(tokens):
         if tok == "(":
             if len(stack) == MAX_NESTING_DEPTH:
-                raise _Malformed(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", i)
+                raise malformed(f"parentheses nested deeper than {MAX_NESTING_DEPTH}", i)
             stack.append((items, i))
             items = []
         elif tok == ")":
             if not stack:
-                raise _Malformed("unexpected ')'", i)
+                raise malformed("unexpected ')'", i)
             outer = stack.pop()[0]
             outer.append(items)
             items = outer
         else:
             items.append(tok)
         if single and not stack and i < last:
-            raise _Malformed("trailing input after top-level form", i + 1)
+            raise malformed("trailing input after top-level form", i + 1)
     if stack:
-        raise _Malformed("unclosed parenthesis", stack[-1][1])
+        raise malformed("unclosed parenthesis", stack[-1][1])
     return forms
-
-
-def read_forms(text: str) -> list:
-    """Every top-level form of text, in order: a list for a parenthesized
-    form, a string for a bare symbol; none for blank or comment-only text."""
-    try:
-        return _read(_token_texts(text))
-    except _Malformed as exc:
-        raise PddlSyntaxError(exc.message, *_token_position(text, exc.index)) from None
 
 
 def _read_single(text: str) -> list:
     """The one top-level form of a domain or problem, which must be parenthesized."""
-    tokens = _token_texts(text)
-    if not tokens:
+    forms = read_forms(text, single=True)
+    if not forms:
         raise PddlSyntaxError("empty input", 1, 1)
-    try:
-        [sexp] = _read(tokens, single=True)
-        if not isinstance(sexp, list):
-            raise _Malformed("expected a parenthesized form", 0)
-    except _Malformed as exc:
-        raise PddlSyntaxError(exc.message, *_token_position(text, exc.index)) from None
-    return sexp
+    if not isinstance(forms[0], list):
+        raise PddlSyntaxError("expected a parenthesized form", *_token_position(text, 0))
+    return forms[0]
 
 
 def _define_sections(text: str, kind: str) -> tuple[str, list[list]]:

@@ -62,8 +62,7 @@ def estimate(
     """
     if aggregation not in (EMPIRICAL_UNION, NOISY_OR):
         raise ParameterError(f"unknown aggregation: {aggregation}")
-    combined = sample_combined_sets(problem, goal_index, n, seed)
-    samples = combined or []  # an unreachable goal samples nothing
+    samples = sample_combined_sets(problem, goal_index, n, seed)
     p = np.zeros(problem.fact_count)
     if aggregation == EMPIRICAL_UNION:
         for sample in samples:
@@ -84,7 +83,7 @@ def estimate(
         p = 1.0 - miss
 
     p[sorted(problem.s0)] = 1.0
-    return FactProbabilityTable(goal_index, p, unreachable=combined is None, source=aggregation)
+    return FactProbabilityTable(goal_index, p, unreachable=not samples, source=aggregation)
 
 
 # ── Exact oracle ─────────────────────────────────────────────────────────

@@ -112,6 +112,7 @@ class Recognizer:
         self.problem = problem
         self.positive = probs > 0
         self.directions = np.where(self.positive, probs - s0 * probs, -s0)
+        # Stored: deriving positive[:, f] - 1.0 in fold made observe_us 11-22 % slower.
         self.observed_value = self.positive - 1.0
         self.start = np.sqrt(np.vecdot(self.directions, self.directions))
         self.observed = dict.fromkeys(sorted(problem.s0))  # insertion-ordered set
@@ -139,10 +140,12 @@ class Recognizer:
 
     def explain(self) -> list[dict]:
         """Per goal: the reward term, the length left on the facts with positive
-        probability, and the observed zero-probability facts, by name in observed order."""
+        probability, and the observed zero-probability facts outside s0 (an s0 fact
+        reads -1 in both terms from the start), by name in observed order."""
+        seen = [f for f in self.observed if f not in self.problem.s0]
         return [
             {"reward": float(reward), "remaining": float(np.linalg.norm(row[pos])),
-             "penalized_facts": [self.problem.facts[f] for f in self.observed if not pos[f]]}
+             "penalized_facts": [self.problem.facts[f] for f in seen if not pos[f]]}
             for reward, row, pos in zip(self.start, self.directions, self.positive)
         ]
 

@@ -126,8 +126,8 @@ def generate_goal_supporters(
 
 def sample_combined_sets(
     problem: GroundProblem, goal_index: int, n: int, seed: int
-) -> list[SupporterSampleSet] | None:
-    """Run the two sampling stages; None when the goal is relaxed-unreachable.
+) -> list[SupporterSampleSet]:
+    """Run the two sampling stages: n sets, none when the goal is relaxed-unreachable.
 
     n and seed are checked first, whatever the goal.
     """
@@ -137,7 +137,7 @@ def sample_combined_sets(
         raise ParameterError(f"seed must be non-negative, got {seed}")
     goal = problem.goal(goal_index)
     if not goal <= problem.relaxed_fixpoint.fact_levels.keys():
-        return None
+        return []
     pools = [
         sample_subgoal_supporters(problem, subgoal, n, np.random.default_rng([seed, goal_index, k]))
         for k, subgoal in enumerate(sorted(goal))

@@ -94,6 +94,22 @@ class TestLoadInstance:
         with pytest.raises(DatasetError, match="hyps"):
             load_instance(tmp_path / "broken")
 
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("real_hyp.dat", "(is-at c1)\n(is-at c5)\n",
+             "broken: real_hyp.dat must hold exactly one hypothesis"),
+            ("real_hyp.dat", "; none\n", "broken: real_hyp.dat must hold exactly one hypothesis"),
+            ("obs.dat", "; none\n\n", "broken: empty obs.dat"),
+        ],
+    )
+    def test_file_error_message(self, tmp_path, name, text, message):
+        shutil.copytree(FIXTURES / "grid", tmp_path / "broken")
+        (tmp_path / "broken" / name).write_text(text)
+        with pytest.raises(DatasetError) as info:
+            load_instance(tmp_path / "broken")
+        assert str(info.value) == message
+
 
 def _is_at(*cells):
     return frozenset(Literal("is-at", (cell,)) for cell in cells)
@@ -370,6 +386,17 @@ class TestRunBenchmark:
     def test_empty_dataset_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             run_benchmark(tmp_path)
+
+    def test_all_instances_failing_raises(self, tmp_path):
+        for name in ("grid", "chain"):
+            shutil.copytree(FIXTURES / name, tmp_path / name)
+            (tmp_path / name / "obs.dat").write_text("")
+        with pytest.raises(DatasetError, match=r"^all 2 instances failed to load$"):
+            run_benchmark(tmp_path)
+
+    def test_empty_lambda_list_rejected(self):
+        with pytest.raises(ParameterError, match=r"^at least one lambda is required$"):
+            run_benchmark(FIXTURES, lambdas=[])
 
     def test_negative_seed_rejected_before_loading(self, tmp_path, monkeypatch):
         # The run seed is checked up front, before any instance is loaded

@@ -607,6 +607,13 @@ class TestBench:
         assert written[0] == written[1]
         assert written[0].startswith(b"method,0.3,1.0,spread\n")
 
+    def test_all_instances_failing_exits_one(self, tmp_path, capsys):
+        shutil.copytree(GRID, tmp_path / "data" / "grid")
+        (tmp_path / "data" / "grid" / "obs.dat").write_text("; nothing observed\n")
+        code = main(["bench", "--dataset", str(tmp_path / "data"), "--output", str(tmp_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: all 1 instances failed to load\n"
+
     def test_empty_dataset_exits_one(self, tmp_path, capsys):
         code = main(
             ["bench", "--dataset", str(tmp_path / "none"), "--output", str(tmp_path)]

@@ -325,7 +325,8 @@ def typed_tasks(draw):
     A schema with enough variables for some static predicate of arity 2 or
     3 also gets a literal over distinct variables and the same literal in
     reverse order, so that the join keys one of them on two or more bound
-    positions, over atoms that are seldom symmetric.  Negated static
+    positions; that predicate's init holds about half of its atoms, so
+    they are seldom symmetric and seldom empty.  Negated static
     preconditions are compiled away before grounding.
     """
     n_types = draw(st.integers(0, 3))
@@ -346,6 +347,7 @@ def typed_tasks(draw):
     ]
 
     schemas = []
+    paired = set()  # the predicates of the reversed pairs
     for k in range(draw(st.integers(1, 3))):
         params = tuple(
             (f"?v{j}", draw(type_of)) for j in range(draw(st.integers(0, 3)))
@@ -370,6 +372,7 @@ def typed_tasks(draw):
             pred = draw(st.sampled_from(binary))
             args = tuple(draw(st.permutations(variables))[: pred.arity])
             static_pre += [Literal(pred.name, args), Literal(pred.name, args[::-1])]
+            paired.add(pred.name)
         pre = static_pre + literals(fluents, 2)
         schemas.append(
             ActionSchema(
@@ -385,7 +388,12 @@ def typed_tasks(draw):
     def atoms(pred):
         return [Literal(pred.name, args) for args in ground_instantiations(pred.params, universe)]
 
-    init = [lit for pred in statics[:-1] + fluents for lit in _subset(draw, atoms(pred))]
+    def init_atoms(pred):
+        if pred.name in paired:
+            return [lit for lit in atoms(pred) if draw(st.booleans())]
+        return _subset(draw, atoms(pred))
+
+    init = [lit for pred in statics[:-1] + fluents for lit in init_atoms(pred)]
     changing = [p for p in fluents if p.name not in static_predicates(domain)]
     goal = _subset(draw, [lit for pred in changing for lit in atoms(pred)])
     problem = ProblemAst(objects, frozenset(init), frozenset(goal))

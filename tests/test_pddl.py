@@ -319,6 +319,63 @@ class TestParseProblem:
             )
 
 
+# Templates for the input-error table: a domain d with its sections, an
+# action over (p ?x), and a problem with its objects.
+_DOMAIN = "(define (domain d) {})"
+_ACTION = _DOMAIN.format(
+    "(:predicates (p ?x)) (:action a :parameters ({}) :precondition (and {}) :effect (and {}))"
+)
+_PROBLEM = "(define (problem q) (:domain d) (:objects {}) (:init) (:goal (and)))"
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "domain,problem,error,message",
+        [
+            ("(define (domain))", None, PddlSyntaxError, "expected (domain <name>) header"),
+            (_DOMAIN.format("(:types a (b))"), None, ValidationError,
+             "unexpected nested form in typed list: ['b']"),
+            (_DOMAIN.format("(:types a -)"), None, ValidationError, "dangling '-' in typed list"),
+            (_DOMAIN.format("(:predicates p)"), None, ValidationError,
+             "malformed predicate declaration: p"),
+            (_DOMAIN.format("(:functions (fuel))"), None, ValidationError,
+             "unsupported function declaration: ['fuel']"),
+            (_DOMAIN.format("(:constants c)"), None, ValidationError,
+             "unsupported domain section: :constants"),
+            (_DOMAIN.format("(:action)"), None, ValidationError, "malformed action: [':action']"),
+            (_DOMAIN.format("(:predicates (p ?x)) (:action a :parameters ?x)"), None,
+             ValidationError, "malformed :parameters in a"),
+            (_ACTION.format("?x", "", "(p ?x) (increase (fuel) 1)"), None, ValidationError,
+             "unsupported effect expression ['increase', ['fuel'], '1'] in a"),
+            (_ACTION.format("?x", "", "(increase (total-cost) x)"), None, ValidationError,
+             "invalid cost 'x' in a"),
+            (_ACTION.format("?x", "", "(increase (total-cost) -1)"), None, ValidationError,
+             "negative cost in a"),
+            (_DOMAIN.format("(:predicates (p ?x - u))"), None, ValidationError,
+             "unknown type u in predicate p"),
+            (_ACTION.format("?x ?x", "", "(p ?x)"), None, ValidationError,
+             "duplicate parameter in schema a"),
+            (_ACTION.format("?x - u", "", "(p ?x)"), None, ValidationError,
+             "unknown type u in schema a"),
+            (_ACTION.format("?x", "(p c)", "(p ?x)"), None, ValidationError,
+             "constants in schemas are not supported (c in a)"),
+            (_DOMAIN.format("(:predicates (p ?x))"), _PROBLEM.format("c - u"), ValidationError,
+             "object c has unknown type u"),
+            (_DOMAIN.format(
+                "(:predicates (p ?x) (not-p ?x))"
+                " (:action a :parameters (?x) :precondition (not (p ?x)) :effect (p ?x))"
+             ), _PROBLEM.format("c"), ValidationError,
+             "predicate not-p collides with negation compilation"),
+        ],
+    )
+    def test_message(self, domain, problem, error, message):
+        with pytest.raises(error) as info:
+            parsed = parse_domain(domain)
+            if problem is not None:
+                compile_negations(parsed, parse_problem(problem, parsed))
+        assert str(info.value) == message
+
+
 class TestCompileNegations:
     DOOR_PROBLEM = """\
 (define (problem p)

@@ -401,7 +401,7 @@ class TestRecognizer:
             assert goal["reward"] == float(np.linalg.norm(direction(odot(s0v, pv), pv)))
             left = direction(odot(stv, pv), pv)[pv > 0]
             assert goal["remaining"] == float(np.linalg.norm(left))
-            zero = {problem.facts[f] for f in state.facts if pv[f] == 0}
+            zero = {problem.facts[f] for f in state.facts - problem.s0 if pv[f] == 0}
             assert sorted(goal["penalized_facts"]) == sorted(zero)
 
     @given(recognition_cases())
@@ -481,6 +481,20 @@ class TestRecognizer:
         assert second["remaining"] == pytest.approx(math.sqrt(3.5), abs=1e-9)
         for g, goal in enumerate((first, second)):
             assert goal["reward"] - float(np.linalg.norm(recognizer.directions[g])) == scores[g]
+
+    def test_explain_names_no_s0_fact(self, grid):
+        # Goal 1's table is 0 on s0's (is-at c23): that fact reads -1 in its
+        # direction row from the start, adds as much to the reward term as to
+        # the length, and was never observed, so it is no penalty.
+        problem, events = grid
+        tables = _grid_tables(problem)
+        [start] = problem.s0
+        tables[1].p[start] = 0.0
+        recognizer = Recognizer(problem, tables)
+        assert recognizer.scores() == [0.0, 0.0]
+        assert [goal["penalized_facts"] for goal in recognizer.explain()] == [[], []]
+        recognizer.fold(events[0])
+        assert recognizer.explain()[1]["penalized_facts"] == ["(is-at c22)"]
 
 
 class TestBitIdentityAtScale:

@@ -206,7 +206,7 @@ class TestCombinedSets:
             )
 
     def test_relaxed_unreachable_goal_gives_none(self, reachable_and_blocked):
-        assert sample_combined_sets(reachable_and_blocked, 1, N, 0) is None
+        assert sample_combined_sets(reachable_and_blocked, 1, N, 0) == []
 
     # Both checks come before the goal lookup and the reachability
     # shortcut, so the blocked goal 1 is rejected as goal 0 is.
