@@ -109,17 +109,17 @@ def load_instance(directory: str | Path) -> RecognitionInstance:
 
     hypotheses = parse_hypotheses(files["hyps.dat"])
     if not hypotheses:
-        raise DatasetError(f"{path.name}: empty hyps.dat")
+        raise DatasetError("empty hyps.dat")
 
     real = parse_hypotheses(files["real_hyp.dat"])
     if len(real) != 1:
-        raise DatasetError(f"{path.name}: real_hyp.dat must hold exactly one hypothesis")
+        raise DatasetError("real_hyp.dat must hold exactly one hypothesis")
     if real[0] not in hypotheses:
-        raise DatasetError(f"{path.name}: real hypothesis not found among hyps.dat")
+        raise DatasetError("real hypothesis not found among hyps.dat")
 
     observations = parse_observations(files["obs.dat"])
     if not observations:
-        raise DatasetError(f"{path.name}: empty obs.dat")
+        raise DatasetError("empty obs.dat")
 
     return RecognitionInstance(
         name=path.name,
@@ -363,28 +363,23 @@ def run_benchmark(
     if not candidates:
         raise DatasetError(f"no instance directories under {root}")
 
-    prepared = []
     failures: list[tuple[str, str]] = []
+    truths: list[int] = []
+    recognized = [{lam: [] for lam in lambdas} for _ in range(repeats)]
+    records: list[InstanceRecord] = []
+    estimation_times: list[float] = []
+    observation_times: list[float] = []
     for path in candidates:
         try:
             instance = load_instance(path)
             problem, events = prepare_instance(instance)
-            prepared.append((instance, problem, events))
         except GoalRecError as exc:
             failures.append((path.name, str(exc)))
-    if not prepared:
-        raise DatasetError(f"all {len(candidates)} instances failed to load")
-
-    truths = [instance.true_goal_index for instance, _, _ in prepared]
-    precisions: dict[float, list[float]] = {lam: [] for lam in lambdas}
-    spreads: dict[float, list[float]] = {lam: [] for lam in lambdas}
-    records: list[InstanceRecord] = []
-    estimation_times: list[float] = []
-    observation_times: list[float] = []
-
-    for repeat in range(repeats):
-        recognized: dict[float, list[frozenset[int]]] = {l: [] for l in lambdas}
-        for instance, problem, events in prepared:
+            continue
+        truths.append(instance.true_goal_index)
+        goal_count = len(problem.goals)
+        total = len(instance.observations)
+        for repeat in range(repeats):
             inst_seed = _instance_seed(seed, repeat, instance.name)
             t0 = time.perf_counter()
             tables = estimate_tables(problem, n_samples, inst_seed, aggregation)
@@ -392,10 +387,8 @@ def run_benchmark(
             t0 = time.perf_counter()
             trace = recognize_online(problem, tables, events)
             obs_seconds = time.perf_counter() - t0
-            goal_count = len(problem.goals)
-            total = len(instance.observations)
             for lam in lambdas:
-                recognized[lam].append(recognized_at(trace, goal_count, total, lam))
+                recognized[repeat][lam].append(recognized_at(trace, goal_count, total, lam))
             estimation_times.append(est_seconds / goal_count)
             # The whole call, Recognizer set-up included; obs.dat is never empty.
             observation_times.append(obs_seconds / total)
@@ -410,9 +403,12 @@ def run_benchmark(
                         trace,
                     )
                 )
-        for lam in lambdas:
-            precisions[lam].append(precision(recognized[lam], truths))
-            spreads[lam].append(spread(recognized[lam]))
+        del problem, events  # memory follows the largest instance, not the dataset
+    if not truths:
+        raise DatasetError(f"all {len(candidates)} instances failed to load")
+
+    precisions = {lam: [precision(r[lam], truths) for r in recognized] for lam in lambdas}
+    spreads = {lam: [spread(r[lam]) for r in recognized] for lam in lambdas}
 
     goal_counts = [rec.goal_count for rec in records]
     return EvaluationReport(

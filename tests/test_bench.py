@@ -1,8 +1,10 @@
 """Benchmark harness: instance loading, metrics, report generation."""
 
+import gc
 import json
 import re
 import shutil
+import weakref
 from statistics import mean
 from types import SimpleNamespace
 
@@ -98,9 +100,9 @@ class TestLoadInstance:
         "name,text,message",
         [
             ("real_hyp.dat", "(is-at c1)\n(is-at c5)\n",
-             "broken: real_hyp.dat must hold exactly one hypothesis"),
-            ("real_hyp.dat", "; none\n", "broken: real_hyp.dat must hold exactly one hypothesis"),
-            ("obs.dat", "; none\n\n", "broken: empty obs.dat"),
+             "real_hyp.dat must hold exactly one hypothesis"),
+            ("real_hyp.dat", "; none\n", "real_hyp.dat must hold exactly one hypothesis"),
+            ("obs.dat", "; none\n\n", "empty obs.dat"),
         ],
     )
     def test_file_error_message(self, tmp_path, name, text, message):
@@ -365,6 +367,43 @@ class TestRunBenchmark:
         assert [rec.name for rec in report.instances] == ["chain"]
         [(name, error)] = report.failures
         assert name == "grid" and error.startswith("template goal atom (is-at c25) is in no")
+
+    def test_one_ground_problem_alive_at_a_time(self, monkeypatch):
+        # Each instance is evaluated on its own: by the time the next one is
+        # prepared, no more than one earlier ground problem may be alive.
+        built = []
+        real = bench.prepare_instance
+
+        def tracked(instance):
+            gc.collect()
+            assert sum(ref() is not None for ref in built) <= 1
+            problem, events = real(instance)
+            built.append(weakref.ref(problem))
+            return problem, events
+
+        monkeypatch.setattr(bench, "prepare_instance", tracked)
+        report = run_benchmark(FIXTURES, seed=0, repeats=2)
+        assert len(built) == 3 and not report.failures
+        gc.collect()
+        assert all(ref() is None for ref in built)
+
+    def test_repeats_draw_different_seeds_and_tables(self, tmp_path, monkeypatch):
+        # With 3 samples the grid's two paths cannot split evenly, so the
+        # tables show the seed; repeats sharing one would give fpv-std 0.
+        shutil.copytree(FIXTURES / "grid", tmp_path / "grid")
+        drawn = []
+        real = bench.estimate_tables
+
+        def recorded(problem, n_samples, seed, aggregation):
+            tables = real(problem, n_samples, seed, aggregation)
+            drawn.append((seed, [table.p.tolist() for table in tables]))
+            return tables
+
+        monkeypatch.setattr(bench, "estimate_tables", recorded)
+        run_benchmark(tmp_path, n_samples=3, seed=2, repeats=2)
+        (seed_0, tables_0), (seed_1, tables_1) = drawn
+        assert seed_0 != seed_1
+        assert tables_0 != tables_1
 
     def test_seconds_per_observation_times_whole_call(self, monkeypatch):
         # A fake clock that only recognize_online moves, by one second per

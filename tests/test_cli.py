@@ -22,7 +22,7 @@ from goalrec import Recognizer, load_instance, prepare_instance
 from goalrec.bench import DEFAULT_LAMBDAS, estimate_tables
 from goalrec.cli import EXIT_CAP_EXCEEDED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from goalrec.errors import ParameterError
-from goalrec.gridgen import MAX_GRID_DRAWS, random_grid
+from goalrec.gridgen import MAX_GRID_DRAWS, GridSpec, random_grid, shortest_path
 from goalrec.probability import DEFAULT_N_SAMPLES
 
 from conftest import FIXTURES, TABLE1, TYPED_DOMAIN, example_grid
@@ -614,6 +614,19 @@ class TestBench:
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == "error: all 1 instances failed to load\n"
 
+    def test_broken_instance_is_reported_and_the_rest_written(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            shutil.copytree(GRID, tmp_path / "data" / name)
+        (tmp_path / "data" / "b" / "obs.dat").write_text("")
+        out = tmp_path / "out"
+        code = main(["bench", "--dataset", str(tmp_path / "data"), "--output", str(out)])
+        assert code == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert [written["name"] for written in report["instances"]] == ["a"]
+        assert report["failures"] == [{"instance": "b", "error": "empty obs.dat"}]
+        assert (out / "precision.csv").read_text().startswith("method,")
+        assert capsys.readouterr().err == "failed instance b: empty obs.dat\n"
+
     def test_empty_dataset_exits_one(self, tmp_path, capsys):
         code = main(
             ["bench", "--dataset", str(tmp_path / "none"), "--output", str(tmp_path)]
@@ -670,6 +683,10 @@ class TestGenGrid:
         with pytest.raises(ParameterError):
             random_grid(rng, width=1, height=1, n_goals=3)
         assert rng.random() == np.random.default_rng(5).random()
+
+    def test_no_shortest_path_across_a_blocked_cell(self):
+        spec = GridSpec(3, 1, frozenset({"c2"}), "c1", ("c3",), "c3")
+        assert shortest_path(spec, "c1", "c3") is None
 
     def test_nearly_blocked_grid_exits_one_quickly(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -154,6 +154,16 @@ class TestHypothesisGrounding:
         with pytest.raises(GroundingError, match="negated"):
             ground(domain, problem, bad)
 
+    def test_negated_precondition_requires_compilation(self):
+        domain = parse_domain(
+            "(define (domain d) (:predicates (p))"
+            " (:action a :parameters () :precondition (not (p)) :effect (p)))"
+        )
+        problem = parse_problem("(define (problem q) (:domain d) (:init) (:goal (p)))", domain)
+        message = "^schema a has negated preconditions; compile negations first$"
+        with pytest.raises(GroundingError, match=message):
+            ground(domain, problem, [frozenset({Literal("p", ())})])
+
 
 class TestNegationSoundness:
     DOMAIN = """\

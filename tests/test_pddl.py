@@ -177,6 +177,13 @@ class TestParseDomain:
         domain = parse_domain(MINIMAL_DOMAIN)
         assert domain.schemas[0].cost == Fraction(1)
 
+    def test_empty_precondition_form_is_no_precondition(self):
+        domain = parse_domain(
+            "(define (domain d) (:predicates (p))"
+            " (:action a :parameters () :precondition () :effect (p)))"
+        )
+        assert domain.schemas[0].pre == ()
+
 
 class TestParseProblem:
     def test_grid_problem(self):
@@ -366,6 +373,13 @@ class TestInputErrors:
                 " (:action a :parameters (?x) :precondition (not (p ?x)) :effect (p ?x))"
              ), _PROBLEM.format("c"), ValidationError,
              "predicate not-p collides with negation compilation"),
+            (_DOMAIN.format("(:action a :parameters)"), None, ValidationError,
+             "malformed action body near ':parameters' in a"),
+            (_DOMAIN.format("(:action a :parameters () :foo ())"), None, ValidationError,
+             "unsupported action keyword :foo in a"),
+            (_DOMAIN.format("(:predicates (p ?x))"),
+             _PROBLEM.format("c").replace("(:init)", "(:requirements :strips) (:init)"),
+             ValidationError, "unsupported problem section: :requirements"),
         ],
     )
     def test_message(self, domain, problem, error, message):

@@ -35,6 +35,7 @@ from goalrec.relaxed import build_rpg
 
 from atoms import parse_hypothesis_line
 from conftest import TABLE1
+from reference_estimate import action_counts, noisy_or_probabilities
 from reference_oracle import exact_oracle_enumerated
 from reference_rpg import relaxed_reachable
 
@@ -112,6 +113,18 @@ class TestEstimate:
             assert table.p[f] == 1.0
         (goal_fact,) = problem.goals[0]
         assert table.p[goal_fact] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("fixture", ["grid", "chain", "logistics"])
+    def test_noisy_or_equals_its_definition(self, request, fixture):
+        # n is odd, so no count is n/2: reading q as c/n instead of 1 - c/n
+        # changes every fact that exactly one counted action adds.
+        problem, _ = request.getfixturevalue(fixture)
+        for n, seed in [(3, 2), (7, 5)]:
+            for goal_index in range(len(problem.goals)):
+                assert action_counts(problem, goal_index, n, seed)
+                table = estimate(problem, goal_index, n, seed, NOISY_OR)
+                expected = noisy_or_probabilities(problem, goal_index, n, seed)
+                assert table.p.tolist() == pytest.approx(list(map(float, expected)), abs=1e-12)
 
     def test_unknown_aggregation_rejected(self, grid):
         problem, _ = grid
