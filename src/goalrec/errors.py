@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per fault a
+caller can act on."""
 
 
 class GoalRecError(Exception):
@@ -16,48 +17,24 @@ class PddlSyntaxError(GoalRecError):
         super().__init__(message)
 
 
-class UnsupportedRequirementError(GoalRecError):
-    """Domain declares a requirement tag outside the supported subset."""
-
-    def __init__(self, tag):
-        self.tag = tag
-        super().__init__(f"unsupported requirement: {tag}")
-
-
 class ParameterError(GoalRecError, ValueError):
-    """A numeric option or argument outside its valid range."""
+    """An argument outside its valid range, or one that names no goal, fact
+    or action of the problem."""
 
 
 class ValidationError(GoalRecError):
-    """AST-level consistency violation (arity, undeclared names, ...)."""
+    """Well-formed input outside the supported subset or inconsistent with
+    itself (arity, undeclared names, type misfits, ...)."""
 
 
-class GroundingError(GoalRecError):
-    """Failure while instantiating schemas or mapping hypothesis literals."""
-
-
-class UnknownIdError(GoalRecError):
-    """Fact or action id outside the problem's index range."""
-
-
-class UnsupportedFactError(GoalRecError):
-    """A subgoal given to the sampler has no first achiever: it is neither
-    in s0 nor relaxed-reachable.  The facts the walk demands below a
-    subgoal are preconditions of reachable actions and always have one.
-    """
+class DatasetError(GoalRecError):
+    """Benchmark instance or dataset cannot be loaded."""
 
 
 class SearchCapExceededError(GoalRecError):
     """Exhaustive search hit the configured state cap."""
 
-    def __init__(self, cap):
-        self.cap = cap
-        super().__init__(f"state cap exceeded: {cap}")
-
 
 class UnreachableGoalError(GoalRecError):
-    """Goal unreachable under full (non-relaxed) semantics."""
-
-
-class DatasetError(GoalRecError):
-    """Benchmark instance or dataset cannot be loaded."""
+    """A goal, or a subgoal given to the sampler, that no plan reaches; a
+    fact unreachable in the relaxed problem is unreachable in the real one."""

@@ -15,7 +15,7 @@ fluent literal are looked up as one column over all of them, in a dict
 per predicate from argument values to fact id; each action's pre, add and
 delete sets are built from those columns.  A binding whose object does not
 fit the type of a fluent slot it fills has no fact there, and grounding
-raises GroundingError.  No reachability pruning is applied; the result is
+raises ValidationError.  No reachability pruning is applied; the result is
 deterministic.  A fact's or action's id is its position in the problem's
 list, in lexicographic name order.
 """
@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product, repeat
 from operator import itemgetter
 
-from .errors import GroundingError, UnknownIdError
+from .errors import ParameterError, ValidationError
 from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, atom_name
 from .relaxed import RelaxedPlanningGraph, compute_fixpoint
 
@@ -146,23 +146,23 @@ class GroundProblem:
 
     def goal(self, goal_index: int) -> frozenset[int]:
         if not 0 <= goal_index < len(self.goals):
-            raise UnknownIdError(f"unknown goal index: {goal_index}")
+            raise ParameterError(f"unknown goal index: {goal_index}")
         return self.goals[goal_index]
 
     def fact_id(self, name: str) -> int:
         try:
             return self.fact_ids[name]
         except KeyError:
-            raise GroundingError(f"unknown fact: {name}") from None
+            raise ParameterError(f"unknown fact: {name}") from None
 
     def action_id(self, name: str) -> int:
         try:
             return self.action_ids[name]
         except KeyError:
-            raise GroundingError(f"unknown action: {name}") from None
+            raise ParameterError(f"unknown action: {name}") from None
 
 
-def _misfit(domain, problem, schema, bindings) -> GroundingError:
+def _misfit(domain, problem, schema, bindings) -> ValidationError:
     """The error for a binding that puts an object in a fluent slot of a type
     it does not fit, the only way a fact lookup can miss.  An object fits a
     type as in the problem's init and goal atoms."""
@@ -173,7 +173,7 @@ def _misfit(domain, problem, schema, bindings) -> GroundingError:
             for binding in bindings:
                 obj = binding[slot_of[arg]]
                 if typ not in domain.type_ancestors[object_type[obj]]:
-                    return GroundingError(
+                    return ValidationError(
                         f"object {obj} of type {object_type[obj]} does not fit {typ} "
                         f"in {lit.canonical()} of schema {schema.name}"
                     )
@@ -198,11 +198,11 @@ def ground(
     Each hypothesis literal set becomes one goal description.
     """
     if not hypotheses:
-        raise GroundingError("at least one goal hypothesis is required")
+        raise ParameterError("at least one goal hypothesis is required")
 
     for schema in domain.schemas:
         if any(lit.negated for lit in schema.pre):
-            raise GroundingError(
+            raise ValidationError(
                 f"schema {schema.name} has negated preconditions; compile negations first"
             )
 
@@ -275,12 +275,12 @@ def ground(
         ids = set()
         for lit in hyp:
             if lit.negated:
-                raise GroundingError(
+                raise ValidationError(
                     f"hypothesis literal {lit.canonical()} is negated; compile negations first"
                 )
             name = atom_name(lit.predicate, lit.args)
             if name not in fact_ids:
-                raise GroundingError(f"hypothesis literal not groundable: {name}")
+                raise ValidationError(f"hypothesis literal not groundable: {name}")
             ids.add(fact_ids[name])
         goals.append(frozenset(ids))
 

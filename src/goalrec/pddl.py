@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import PddlSyntaxError, UnsupportedRequirementError, ValidationError
+from .errors import PddlSyntaxError, ValidationError
 
 SUPPORTED_REQUIREMENTS = frozenset(
     {":strips", ":typing", ":negative-preconditions", ":action-costs"}
@@ -21,7 +21,7 @@ SUPPORTED_REQUIREMENTS = frozenset(
 
 ROOT_TYPE = "object"
 
-# The repr of a form in an error message recurses once per level, so the
+# Rendering a form in an error message recurses once per level, so the
 # reader rejects a deeper form as a syntax error, not a RecursionError.
 MAX_NESTING_DEPTH = 100
 
@@ -164,6 +164,11 @@ def read_forms(text: str, single: bool = False) -> list:
     return forms
 
 
+def _pddl(form) -> str:
+    """A read form as PDDL text, for error messages."""
+    return form if isinstance(form, str) else f"({' '.join(map(_pddl, form))})"
+
+
 def _read_single(text: str) -> list:
     """The one top-level form of a domain or problem, which must be parenthesized."""
     forms = read_forms(text, single=True)
@@ -189,7 +194,7 @@ def _define_sections(text: str, kind: str) -> tuple[str, list[list]]:
     seen = set()
     for section in sexp[2:]:
         if not isinstance(section, list) or not section or not isinstance(section[0], str):
-            raise PddlSyntaxError(f"malformed {kind} section: {section}")
+            raise PddlSyntaxError(f"malformed {kind} section: {_pddl(section)}")
         if section[0] in seen:
             raise ValidationError(f"repeated {kind} section: {section[0]}")
         if section[0] != ":action":
@@ -205,7 +210,7 @@ def _parse_typed_list(items: list) -> list[tuple[str, str]]:
     while i < len(items):
         item = items[i]
         if not isinstance(item, str):
-            raise ValidationError(f"unexpected nested form in typed list: {item}")
+            raise ValidationError(f"unexpected nested form in typed list: {_pddl(item)}")
         if item == "-":
             if i + 1 >= len(items) or not isinstance(items[i + 1], str):
                 raise ValidationError("dangling '-' in typed list")
@@ -223,16 +228,16 @@ def _parse_typed_list(items: list) -> list[tuple[str, str]]:
 def parse_literal(sexp: object, *, allow_negation: bool) -> Literal:
     """One read atom form, or its "(not ...)" where negation is allowed."""
     if not isinstance(sexp, list) or not sexp or not isinstance(sexp[0], str):
-        raise ValidationError(f"malformed literal: {sexp}")
+        raise ValidationError(f"malformed literal: {_pddl(sexp)}")
     if sexp[0] == "not":
         if not allow_negation:
-            raise ValidationError(f"negation not allowed here: {sexp}")
+            raise ValidationError(f"negation not allowed here: {_pddl(sexp)}")
         if len(sexp) != 2:
-            raise ValidationError(f"malformed negated literal: {sexp}")
+            raise ValidationError(f"malformed negated literal: {_pddl(sexp)}")
         return parse_literal(sexp[1], allow_negation=False).negate()
     head, *args = sexp
     if list in map(type, args):
-        raise ValidationError(f"malformed literal arguments: {sexp}")
+        raise ValidationError(f"malformed literal arguments: {_pddl(sexp)}")
     return Literal(head, tuple(args))
 
 
@@ -253,9 +258,9 @@ def _flatten_conjunction(sexp: object) -> list:
 def parse_domain(text: str) -> DomainAst:
     """Parse a domain definition and validate it.
 
-    Raises PddlSyntaxError on malformed input, UnsupportedRequirementError
-    on requirement tags outside the supported subset, and ValidationError
-    on repeated sections or names, arity mismatches, undeclared names and
+    Raises PddlSyntaxError on malformed input, and ValidationError on
+    requirement tags outside the supported subset, repeated sections,
+    action keywords or names, arity mismatches, undeclared names and
     cyclic type declarations.
     """
     name, sections = _define_sections(text, "domain")
@@ -268,22 +273,22 @@ def parse_domain(text: str) -> DomainAst:
         if head == ":requirements":
             for tag in section[1:]:
                 if not isinstance(tag, str):
-                    raise ValidationError(f"requirement tags are symbols, got {tag}")
+                    raise ValidationError(f"requirement tags are symbols, got {_pddl(tag)}")
                 if tag not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedRequirementError(tag)
+                    raise ValidationError(f"unsupported requirement: {tag}")
         elif head == ":types":
             types = tuple(_parse_typed_list(section[1:]))
         elif head == ":predicates":
             for pred in section[1:]:
                 if not isinstance(pred, list) or not pred or not isinstance(pred[0], str):
-                    raise ValidationError(f"malformed predicate declaration: {pred}")
+                    raise ValidationError(f"malformed predicate declaration: {_pddl(pred)}")
                 params = _parse_typed_list(pred[1:])
                 predicates.append(Predicate(pred[0], tuple(params)))
         elif head == ":functions":
             # Only (total-cost) is tolerated, as :action-costs plumbing.
             for fn in section[1:]:
                 if fn != ["total-cost"]:
-                    raise ValidationError(f"unsupported function declaration: {fn}")
+                    raise ValidationError(f"unsupported function declaration: {_pddl(fn)}")
         elif head == ":action":
             schemas.append(_parse_action(section))
         else:
@@ -296,19 +301,23 @@ def parse_domain(text: str) -> DomainAst:
 
 def _parse_action(section: list) -> ActionSchema:
     if len(section) < 2 or not isinstance(section[1], str):
-        raise ValidationError(f"malformed action: {section}")
+        raise ValidationError(f"malformed action: {_pddl(section)}")
     name = section[1]
     params: tuple[tuple[str, str], ...] = ()
     pre: list[Literal] = []
     add: list[Literal] = []
     delete: list[Literal] = []
-    cost = Fraction(1)
+    cost = None
+    seen = set()
 
     i = 2
     while i < len(section):
         key = section[i]
         if not isinstance(key, str) or i + 1 >= len(section):
             raise ValidationError(f"malformed action body near {key!r} in {name}")
+        if key in seen:
+            raise ValidationError(f"repeated action keyword {key} in {name}")
+        seen.add(key)
         value = section[i + 1]
         if key == ":parameters":
             if not isinstance(value, list):
@@ -320,6 +329,8 @@ def _parse_action(section: list) -> ActionSchema:
         elif key == ":effect":
             for part in _flatten_conjunction(value):
                 if isinstance(part, list) and part and part[0] == "increase":
+                    if cost is not None:
+                        raise ValidationError(f"more than one cost effect in {name}")
                     cost = _parse_cost(part, name)
                     continue
                 lit = parse_literal(part, allow_negation=True)
@@ -328,12 +339,13 @@ def _parse_action(section: list) -> ActionSchema:
             raise ValidationError(f"unsupported action keyword {key} in {name}")
         i += 2
 
+    cost = Fraction(1) if cost is None else cost
     return ActionSchema(name, params, tuple(pre), tuple(add), tuple(delete), cost)
 
 
 def _parse_cost(part: list, action: str) -> Fraction:
     if len(part) != 3 or part[1] != ["total-cost"] or not isinstance(part[2], str):
-        raise ValidationError(f"unsupported effect expression {part} in {action}")
+        raise ValidationError(f"unsupported effect expression {_pddl(part)} in {action}")
     try:
         cost = Fraction(part[2])
     except ValueError as exc:

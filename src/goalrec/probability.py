@@ -130,7 +130,7 @@ def exact_oracle(
             continue  # optimal plans never pass through a goal state
         expanded += 1
         if expanded > max_states:
-            raise SearchCapExceededError(max_states)
+            raise SearchCapExceededError(f"state cap exceeded: {max_states}")
         for action in problem.actions:
             if not action.pre <= state:
                 continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnknownIdError
+from .errors import ParameterError
 from .grounding import GroundProblem
 from .probability import FactProbabilityTable
 
@@ -51,12 +51,12 @@ def progress(observed, obs: ObservationEvent, problem: GroundProblem) -> list[in
     action's preconditions are not enforced: observations may be partial."""
     if obs.action_id is not None:
         if not 0 <= obs.action_id < len(problem.actions):
-            raise UnknownIdError(f"unknown action id: {obs.action_id}")
+            raise ParameterError(f"unknown action id: {obs.action_id}")
         added = problem.actions[obs.action_id].add
     else:
         added = obs.state_facts
         if any(f < 0 or f >= problem.fact_count for f in added):
-            raise UnknownIdError("observed state contains unknown fact ids")
+            raise ParameterError("observed state contains unknown fact ids")
     return sorted(f for f in added if f not in observed)
 
 
@@ -96,11 +96,13 @@ class Recognizer:
     """Online scores of every goal of `problem`, one table per goal."""
 
     def __init__(self, problem: GroundProblem, tables: list[FactProbabilityTable]):
+        if not problem.goals:
+            raise ParameterError("at least one goal is required")
         shape = (len(problem.goals), problem.fact_count)
         if len(tables) != shape[0]:
             raise ParameterError(f"{len(tables)} probability tables for {shape[0]} goals")
-        try:  # np.empty gives a problem without goals its (0, facts) shape
-            probs = np.array([t.p for t in tables] or np.empty(shape), dtype=float)
+        try:
+            probs = np.array([t.p for t in tables], dtype=float)
         except ValueError:  # ragged or non-numeric tables
             probs = None
         if probs is None or probs.shape != shape:

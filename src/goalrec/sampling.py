@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedFactError
+from .errors import ParameterError, UnreachableGoalError
 from .grounding import GroundProblem
 
 # Stream tag separating the per-goal combination draw from per-subgoal draws.
@@ -49,7 +49,8 @@ def sample_subgoal_supporters(
     """Sample n supporter sets for one subgoal fact.
 
     A subgoal already true in s0 demands nothing and yields n empty sets;
-    one that is relaxed-unreachable raises UnsupportedFactError.
+    one that is relaxed-unreachable raises UnreachableGoalError, since no
+    real plan reaches it either.
     """
     s0 = problem.s0
     first_achievers = problem.relaxed_fixpoint.first_achievers
@@ -57,7 +58,7 @@ def sample_subgoal_supporters(
     # The subgoal is the only fact the walk can lack achievers for: every
     # precondition it demands later belongs to a reachable action.
     if not start <= first_achievers.keys():
-        raise UnsupportedFactError(f"no supporter for demanded fact {problem.facts[subgoal]}")
+        raise UnreachableGoalError(f"no supporter for demanded fact {problem.facts[subgoal]}")
 
     actions = problem.actions
     counts: dict[int, int] = {}

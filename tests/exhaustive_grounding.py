@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from goalrec.errors import GroundingError
+from goalrec.errors import ParameterError, ValidationError
 from goalrec.grounding import (
     GroundAction,
     GroundProblem,
@@ -27,11 +27,11 @@ def _type_product(params, universe):
 
 def ground_exhaustive(domain, problem, hypotheses) -> GroundProblem:
     if not hypotheses:
-        raise GroundingError("at least one goal hypothesis is required")
+        raise ParameterError("at least one goal hypothesis is required")
 
     for schema in domain.schemas:
         if any(lit.negated for lit in schema.pre):
-            raise GroundingError(
+            raise ValidationError(
                 f"schema {schema.name} has negated preconditions; compile negations first"
             )
 
@@ -96,12 +96,12 @@ def ground_exhaustive(domain, problem, hypotheses) -> GroundProblem:
         ids = set()
         for lit in hyp:
             if lit.negated:
-                raise GroundingError(
+                raise ValidationError(
                     f"hypothesis literal {lit.canonical()} is negated; compile negations first"
                 )
             name = atom_name(lit.predicate, lit.args)
             if name not in fact_ids:
-                raise GroundingError(f"hypothesis literal not groundable: {name}")
+                raise ValidationError(f"hypothesis literal not groundable: {name}")
             ids.add(fact_ids[name])
         goals.append(frozenset(ids))
 

@@ -45,7 +45,7 @@ def optimal_plans(problem: GroundProblem, goal_index: int, max_states: int):
             continue
         expanded.add(state)
         if len(expanded) > max_states:
-            raise SearchCapExceededError(max_states)
+            raise SearchCapExceededError(f"state cap exceeded: {max_states}")
         for aid, action in enumerate(problem.actions):
             if not action.pre <= state:
                 continue

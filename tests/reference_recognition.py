@@ -10,7 +10,7 @@ both give `==` scores.
 
 import numpy as np
 
-from goalrec.errors import UnknownIdError
+from goalrec.errors import ParameterError
 from goalrec.grounding import GroundProblem
 from goalrec.probability import FactProbabilityTable
 from goalrec.recognition import ObservationEvent
@@ -23,7 +23,7 @@ def map_state(state: frozenset[int], fact_count: int) -> np.ndarray:
     v = np.zeros(fact_count)
     ids = sorted(state)
     if ids and (ids[0] < 0 or ids[-1] >= fact_count):
-        raise UnknownIdError("state contains fact ids outside the problem")
+        raise ParameterError("state contains fact ids outside the problem")
     v[ids] = 1.0
     return v
 
@@ -61,8 +61,8 @@ def progress(
     """
     if obs.action_id is not None:
         if not 0 <= obs.action_id < len(problem.actions):
-            raise UnknownIdError(f"unknown action id: {obs.action_id}")
+            raise ParameterError(f"unknown action id: {obs.action_id}")
         return state.union(problem.actions[obs.action_id].add)
     if any(f < 0 or f >= problem.fact_count for f in obs.state_facts):
-        raise UnknownIdError("observed state contains unknown fact ids")
+        raise ParameterError("observed state contains unknown fact ids")
     return state.union(obs.state_facts)

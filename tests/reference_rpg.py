@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from goalrec.errors import GoalRecError, UnknownIdError, UnsupportedFactError
+from goalrec.errors import GoalRecError, ParameterError, UnreachableGoalError
 from goalrec.grounding import GroundAction
 from goalrec.relaxed import RelaxedPlanningGraph
 from goalrec.sampling import SupporterSampleSet
@@ -54,7 +54,7 @@ def relaxed_apply(state: RelaxedState, action: GroundAction) -> RelaxedState:
 
 def relaxed_reachable(rpg: RelaxedPlanningGraph, fact_id: int, fact_count: int) -> bool:
     if not 0 <= fact_id < fact_count:
-        raise UnknownIdError(f"unknown fact id: {fact_id}")
+        raise ParameterError(f"unknown fact id: {fact_id}")
     return fact_id in rpg.fact_levels
 
 
@@ -128,7 +128,7 @@ def sample_subgoal_supporters_scan(subgoal, rpg, s0, n, rng, problem):
                     if candidates:
                         break
                 if not candidates:
-                    raise UnsupportedFactError(
+                    raise UnreachableGoalError(
                         f"no supporter for demanded fact {problem.facts[p]}"
                     )
 

@@ -121,7 +121,7 @@ class TestEstimate:
         args = _grid_args("estimate", "--output", str(tmp_path / "out"))
         args[args.index("--domain") + 1] = str(domain)
         assert main(args) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == "error: requirement tags are symbols, got [':strips']\n"
+        assert capsys.readouterr().err == "error: requirement tags are symbols, got (:strips)\n"
 
     def test_noisy_or_tagged_in_header(self, tmp_path, capsys):
         code = main(

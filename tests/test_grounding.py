@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from goalrec import bench, grounding
 from goalrec.bench import build_problem, load_instance, prepare_instance
-from goalrec.errors import GroundingError
+from goalrec.errors import ParameterError, ValidationError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
 from goalrec.grounding import (
     GroundAction,
@@ -111,9 +111,9 @@ class TestGroundProblemContracts:
 
     def test_unknown_names_raise(self):
         problem = _grid_problem()
-        with pytest.raises(GroundingError):
+        with pytest.raises(ParameterError, match=r"^unknown fact: \(is-at c99\)$"):
             problem.fact_id("(is-at c99)")
-        with pytest.raises(GroundingError):
+        with pytest.raises(ParameterError, match=r"^unknown action: \(m c1 c25\)$"):
             problem.action_id("(m c1 c25)")
 
     def test_hand_built_problem_resolves_names(self):
@@ -134,7 +134,8 @@ class TestHypothesisGrounding:
             template_text(SPEC).replace("<HYPOTHESIS>", "(is-at c1)"), domain
         )
         bad = [frozenset({Literal("adj", ("c1", "c2"))})]  # static, not a fact
-        with pytest.raises(GroundingError, match="not groundable"):
+        message = r"^hypothesis literal not groundable: \(adj c1 c2\)$"
+        with pytest.raises(ValidationError, match=message):
             ground(domain, problem, bad)
 
     def test_empty_hypothesis_list_rejected(self):
@@ -142,7 +143,7 @@ class TestHypothesisGrounding:
         problem = parse_problem(
             template_text(SPEC).replace("<HYPOTHESIS>", "(is-at c1)"), domain
         )
-        with pytest.raises(GroundingError):
+        with pytest.raises(ParameterError, match="^at least one goal hypothesis is required$"):
             ground(domain, problem, [])
 
     def test_negated_hypothesis_requires_compilation(self):
@@ -151,7 +152,8 @@ class TestHypothesisGrounding:
             template_text(SPEC).replace("<HYPOTHESIS>", "(is-at c1)"), domain
         )
         bad = [frozenset({Literal("is-at", ("c1",), negated=True)})]
-        with pytest.raises(GroundingError, match="negated"):
+        message = r"^hypothesis literal \(not \(is-at c1\)\) is negated; compile negations first$"
+        with pytest.raises(ValidationError, match=message):
             ground(domain, problem, bad)
 
     def test_negated_precondition_requires_compilation(self):
@@ -161,7 +163,7 @@ class TestHypothesisGrounding:
         )
         problem = parse_problem("(define (problem q) (:domain d) (:init) (:goal (p)))", domain)
         message = "^schema a has negated preconditions; compile negations first$"
-        with pytest.raises(GroundingError, match=message):
+        with pytest.raises(ValidationError, match=message):
             ground(domain, problem, [frozenset({Literal("p", ())})])
 
 
@@ -254,7 +256,7 @@ class TestTypedGrounding:
     def test_variable_in_a_fluent_slot_it_does_not_fit_raises(self, old, new, message):
         instance = load_instance(FIXTURES / "logistics")
         assert instance.domain_text.count(old) == 1
-        with pytest.raises(GroundingError, match=message):
+        with pytest.raises(ValidationError, match=message):
             build_problem(
                 instance.domain_text.replace(old, new), instance.template_text, instance.hypotheses
             )

@@ -41,6 +41,28 @@ def test_public_surface_is_pinned():
         assert getattr(goalrec, name) is not None
 
 
+ERROR_CLASSES = [
+    "DatasetError",
+    "GoalRecError",
+    "ParameterError",
+    "PddlSyntaxError",
+    "SearchCapExceededError",
+    "UnreachableGoalError",
+    "ValidationError",
+]
+
+
+def test_error_classes_are_pinned():
+    # One class per fault a caller can act on, each a GoalRecError.
+    defined = [
+        obj
+        for obj in vars(goalrec.errors).values()
+        if isinstance(obj, type) and obj.__module__ == goalrec.errors.__name__
+    ]
+    assert sorted(obj.__name__ for obj in defined) == ERROR_CLASSES
+    assert all(issubclass(obj, goalrec.errors.GoalRecError) for obj in defined)
+
+
 def test_readme_counts_the_exported_names():
     [count] = re.findall(r"The package exports (\d+) names", (ROOT / "README.md").read_text())
     assert int(count) == len(goalrec.__all__)

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalrec.errors import (
-    PddlSyntaxError,
-    UnsupportedRequirementError,
-    ValidationError,
-)
+from goalrec.errors import PddlSyntaxError, ValidationError
 from goalrec.gridgen import DOMAIN_TEXT
 from goalrec.negation import compile_negations
 from goalrec.pddl import (
@@ -83,7 +79,7 @@ class TestParseDomain:
         text = MINIMAL_DOMAIN.replace(
             "(:predicates", "(:requirements :adl)\n  (:predicates"
         )
-        with pytest.raises(UnsupportedRequirementError, match=":adl"):
+        with pytest.raises(ValidationError, match="^unsupported requirement: :adl$"):
             parse_domain(text)
 
     @pytest.mark.parametrize("tag", ["(:strips)", "()"])
@@ -341,19 +337,19 @@ class TestInputErrors:
         [
             ("(define (domain))", None, PddlSyntaxError, "expected (domain <name>) header"),
             (_DOMAIN.format("(:types a (b))"), None, ValidationError,
-             "unexpected nested form in typed list: ['b']"),
+             "unexpected nested form in typed list: (b)"),
             (_DOMAIN.format("(:types a -)"), None, ValidationError, "dangling '-' in typed list"),
             (_DOMAIN.format("(:predicates p)"), None, ValidationError,
              "malformed predicate declaration: p"),
             (_DOMAIN.format("(:functions (fuel))"), None, ValidationError,
-             "unsupported function declaration: ['fuel']"),
+             "unsupported function declaration: (fuel)"),
             (_DOMAIN.format("(:constants c)"), None, ValidationError,
              "unsupported domain section: :constants"),
-            (_DOMAIN.format("(:action)"), None, ValidationError, "malformed action: [':action']"),
+            (_DOMAIN.format("(:action)"), None, ValidationError, "malformed action: (:action)"),
             (_DOMAIN.format("(:predicates (p ?x)) (:action a :parameters ?x)"), None,
              ValidationError, "malformed :parameters in a"),
             (_ACTION.format("?x", "", "(p ?x) (increase (fuel) 1)"), None, ValidationError,
-             "unsupported effect expression ['increase', ['fuel'], '1'] in a"),
+             "unsupported effect expression (increase (fuel) 1) in a"),
             (_ACTION.format("?x", "", "(increase (total-cost) x)"), None, ValidationError,
              "invalid cost 'x' in a"),
             (_ACTION.format("?x", "", "(increase (total-cost) -1)"), None, ValidationError,
@@ -380,6 +376,29 @@ class TestInputErrors:
             (_DOMAIN.format("(:predicates (p ?x))"),
              _PROBLEM.format("c").replace("(:init)", "(:requirements :strips) (:init)"),
              ValidationError, "unsupported problem section: :requirements"),
+            (_DOMAIN.format("((a) b)"), None, PddlSyntaxError, "malformed domain section: ((a) b)"),
+            (_DOMAIN.format("(:requirements (:strips))"), None, ValidationError,
+             "requirement tags are symbols, got (:strips)"),
+            (_ACTION.format("?x", "((p) ?x)", "(p ?x)"), None, ValidationError,
+             "malformed literal: ((p) ?x)"),
+            (_ACTION.format("?x", "(not (p ?x) (p ?x))", "(p ?x)"), None, ValidationError,
+             "malformed negated literal: (not (p ?x) (p ?x))"),
+            (_ACTION.format("?x", "(p (?x))", "(p ?x)"), None, ValidationError,
+             "malformed literal arguments: (p (?x))"),
+            (_DOMAIN.format("(:predicates (p ?x))"),
+             _PROBLEM.format("c").replace("(:init)", "(:init (not (p c)))"),
+             ValidationError, "negation not allowed here: (not (p c))"),
+            (_DOMAIN.format("(:predicates (p ?x)) (:action a :parameters (?x) :parameters ())"),
+             None, ValidationError, "repeated action keyword :parameters in a"),
+            (_DOMAIN.format(
+                "(:predicates (p ?x))"
+                " (:action a :parameters (?x) :precondition (p ?x) :precondition (p ?x))"
+             ), None, ValidationError, "repeated action keyword :precondition in a"),
+            (_DOMAIN.format(
+                "(:predicates (p ?x)) (:action a :parameters (?x) :effect (p ?x) :effect (p ?x))"
+             ), None, ValidationError, "repeated action keyword :effect in a"),
+            (_ACTION.format("?x", "", "(p ?x) (increase (total-cost) 1) (increase (total-cost) 2)"),
+             None, ValidationError, "more than one cost effect in a"),
         ],
     )
     def test_message(self, domain, problem, error, message):

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from goalrec.bench import build_problem
 from goalrec.errors import (
     GoalRecError,
+    ParameterError,
     SearchCapExceededError,
-    UnknownIdError,
     UnreachableGoalError,
     ValidationError,
 )
@@ -134,7 +134,7 @@ class TestEstimate:
     @pytest.mark.parametrize("goal_index", [-1, 2])
     def test_goal_index_out_of_range(self, grid, goal_index):
         problem, _ = grid
-        with pytest.raises(UnknownIdError, match=f"unknown goal index: {goal_index}"):
+        with pytest.raises(ParameterError, match=f"^unknown goal index: {goal_index}$"):
             estimate(problem, goal_index)
 
     def test_seeds_past_64_bits_do_not_alias(self, grid):
@@ -172,7 +172,7 @@ class TestExactOracle:
 
     def test_state_cap_enforced(self, grid):
         problem, _ = grid
-        with pytest.raises(SearchCapExceededError):
+        with pytest.raises(SearchCapExceededError, match="^state cap exceeded: 5$"):
             exact_oracle(problem, 0, max_states=5)
 
     def test_unreachable_goal_raises(self, grid_instance):
@@ -187,7 +187,7 @@ class TestExactOracle:
     @pytest.mark.parametrize("goal_index", [-1, 2])
     def test_goal_index_out_of_range(self, grid, goal_index):
         problem, _ = grid
-        with pytest.raises(UnknownIdError, match=f"unknown goal index: {goal_index}"):
+        with pytest.raises(ParameterError, match=f"^unknown goal index: {goal_index}$"):
             exact_oracle(problem, goal_index)
 
     def test_open_grid_matches_lattice_path_formula(self):

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import goalrec.recognition
 from goalrec.bench import build_problem, estimate_tables
-from goalrec.errors import GoalRecError, ParameterError, UnknownIdError
+from goalrec.errors import GoalRecError, ParameterError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
 from goalrec.grounding import GroundAction, GroundProblem
 from goalrec.probability import FactProbabilityTable, estimate, exact_oracle
@@ -53,7 +53,7 @@ class TestVectorMappings:
         assert np.array_equal(map_state(frozenset(range(4)), 4), np.ones(4))
 
     def test_map_state_rejects_unknown_ids(self):
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(ParameterError, match="^state contains fact ids outside the problem$"):
             map_state(frozenset({4}), 4)
 
     def test_map_probs_toy_vector(self):
@@ -203,9 +203,9 @@ class TestProgress:
 
     def test_unknown_ids_rejected(self, grid):
         problem, _ = grid
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(ParameterError, match="^unknown action id: 1000000$"):
             progress(RelaxedState(problem.s0), ObservationEvent.action(10**6), problem)
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(ParameterError, match="^observed state contains unknown fact ids$"):
             progress(
                 RelaxedState(problem.s0),
                 ObservationEvent.state({problem.fact_count}),
@@ -453,18 +453,33 @@ class TestRecognizer:
         with pytest.raises(ParameterError, match=r"must lie in \[0, 1\]"):
             Recognizer(problem, tables)
 
-    @pytest.mark.parametrize("goal_count", [0, 2])
+    @pytest.mark.parametrize("goal_count", [1, 2])
     def test_problem_without_facts_builds(self, goal_count):
         problem = GroundProblem(facts=[], actions=[], s0=frozenset(), goals=[frozenset()] * goal_count)
         tables = [FactProbabilityTable(g, np.zeros(0)) for g in range(goal_count)]
         assert Recognizer(problem, tables).scores() == [0.0] * goal_count
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda problem: Recognizer(problem, []),
+            lambda problem: recognize(problem, [], []),
+            lambda problem: recognize_online(problem, [], []),
+        ],
+        ids=["Recognizer", "recognize", "recognize_online"],
+    )
+    def test_problem_without_goals_is_rejected(self, run):
+        # ground never builds one; a hand-built problem can.
+        problem = GroundProblem(facts=["(f0)"], actions=[], s0=frozenset(), goals=[])
+        with pytest.raises(ParameterError, match="^at least one goal is required$"):
+            run(problem)
+
     def test_unknown_ids_rejected(self, grid):
         problem, _ = grid
         recognizer = Recognizer(problem, _grid_tables(problem))
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(ParameterError, match=f"^unknown action id: {len(problem.actions)}$"):
             recognizer.observe(ObservationEvent.action(len(problem.actions)))
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(ParameterError, match="^observed state contains unknown fact ids$"):
             recognizer.observe(ObservationEvent.state({-1}))
         assert recognizer.scores() == [0.0, 0.0]
 

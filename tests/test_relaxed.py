@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goalrec.bench import build_problem
-from goalrec.errors import GoalRecError, UnknownIdError
+from goalrec.errors import GoalRecError, ParameterError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, shortest_path, template_text
 from goalrec.grounding import GroundAction, GroundProblem
 from goalrec.probability import estimate
@@ -138,7 +138,7 @@ class TestRelaxedReachable:
     def test_unknown_id_raises(self, grid):
         problem, _ = grid
         rpg = build_rpg(problem, problem.goals[0])
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(ParameterError, match=f"^unknown fact id: {problem.fact_count}$"):
             relaxed_reachable(rpg, problem.fact_count, problem.fact_count)
 
 

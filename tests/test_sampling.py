@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from goalrec.bench import build_problem
 from goalrec import sampling
-from goalrec.errors import ParameterError, UnsupportedFactError
+from goalrec.errors import ParameterError, UnreachableGoalError
 from goalrec.pddl import Literal
 from goalrec.probability import estimate
 from goalrec.relaxed import build_rpg
@@ -135,7 +135,7 @@ class TestSubgoalSampling:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         name = re.escape(problem.facts[blocked])
-        with pytest.raises(UnsupportedFactError, match=f"^no supporter for demanded fact {name}$"):
+        with pytest.raises(UnreachableGoalError, match=f"^no supporter for demanded fact {name}$"):
             sample_subgoal_supporters(problem, blocked, N, rng)
         assert rng.bit_generator.state == state
 
