@@ -314,7 +314,7 @@ def _parse_action(section: list) -> ActionSchema:
     while i < len(section):
         key = section[i]
         if not isinstance(key, str) or i + 1 >= len(section):
-            raise ValidationError(f"malformed action body near {key!r} in {name}")
+            raise ValidationError(f"malformed action body near {_pddl(key)} in {name}")
         if key in seen:
             raise ValidationError(f"repeated action keyword {key} in {name}")
         seen.add(key)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,24 +64,27 @@ def estimate(
     if aggregation not in (EMPIRICAL_UNION, NOISY_OR):
         raise ParameterError(f"unknown aggregation: {aggregation}")
     samples = sample_combined_sets(problem, goal_index, n, seed)
+    actions = problem.actions
     p = np.zeros(problem.fact_count)
+    counts: Counter[int] = Counter()
     if aggregation == EMPIRICAL_UNION:
         for sample in samples:
             covered: set[int] = set()
             for aid in sample.actions:
-                covered |= problem.actions[aid].add
-            p[sorted(covered)] += 1.0
+                covered |= actions[aid].add
+            counts.update(covered)
+        p[list(counts)] = list(counts.values())
         p /= n
     else:
-        action_counts = np.zeros(len(problem.actions))
         for sample in samples:
-            action_counts[sorted(sample.actions)] += 1.0
-        miss = np.ones(problem.fact_count)
-        for aid in np.flatnonzero(action_counts).tolist():
-            q = 1.0 - action_counts[aid] / n
-            for f in problem.actions[aid].add:
-                miss[f] *= q
-        p = 1.0 - miss
+            counts.update(sample.actions)
+        # Each fact's miss product runs over its actions in ascending id.
+        miss: dict[int, float] = {}
+        for aid in sorted(counts):
+            q = 1.0 - counts[aid] / n
+            for f in actions[aid].add:
+                miss[f] = miss.get(f, 1.0) * q
+        p[list(miss)] = [1.0 - m for m in miss.values()]
 
     p[sorted(problem.s0)] = 1.0
     return FactProbabilityTable(goal_index, p, unreachable=not samples, source=aggregation)

@@ -12,11 +12,14 @@ action adds it while it is demanded or needed; a found fact is never
 demanded again in that walk.  Needed facts lie a level lower than the
 round's, so the walk ends by s0; a subgoal in s0 demands nothing.  Only a
 tie between least-selected actions draws from the random stream,
-uniformly.  The N per-subgoal sets are then combined into N per-goal sets,
-each taking one unconsumed set per subgoal uniformly at random; one draw
-per goal makes every pick.  Both give the stream that one Generator.integers
-call per pick would: a bound of 1 consumes no state, and an array of bounds
-is drawn in order, as one call per bound.
+uniformly.  A walk that meets no demanded fact with two first achievers
+has no choice to make, whatever the counts, so it is walked once and its
+set repeated N times, with no draw.  The N per-subgoal sets are then
+combined into N per-goal sets, each taking one unconsumed set per subgoal
+uniformly at random; one draw per goal makes every pick.  Both give the
+stream that one Generator.integers call per pick would: a bound of 1
+consumes no state, and an array of bounds is drawn in order, as one call
+per bound.
 
 sample_combined_sets is the one entry and checks N and the seed.  Subgoal
 k of the goal's sorted facts draws from the stream (seed, goal index, k),
@@ -70,6 +73,7 @@ def sample_subgoal_supporters(
         demanded = start
         found: set[int] = set()
         sups: set[int] = set()
+        choice = False
 
         # A fact is found once an action is picked for it, or once a picked
         # action adds it while it is demanded or needed; a found fact is
@@ -83,6 +87,7 @@ def sample_subgoal_supporters(
                     continue
                 candidates = first_achievers[p]
                 if len(candidates) > 1:
+                    choice = True
                     min_count = min(count_of(a, 0) for a in candidates)
                     candidates = [a for a in candidates if count_of(a, 0) == min_count]
                 # A draw over one candidate returns 0 and consumes no random state.
@@ -101,6 +106,11 @@ def sample_subgoal_supporters(
             demanded = needed
 
         samples.append(SupporterSampleSet(frozenset(sups)))
+        # Whether a walk meets a choice does not depend on the counts, so
+        # only the first walk can meet none; then every later walk takes the
+        # same forced picks and draws nothing, and the first stands for all n.
+        if not choice:
+            return samples * n
 
     return samples
 

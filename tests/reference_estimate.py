@@ -1,10 +1,11 @@
-"""Reference noisy-or aggregation, kept only for testing.
+"""Reference aggregations, kept only for testing.
 
-This is the definitional form: an action's count c is the number of the n
-combined supporter sets that hold it, and a fact outside s0 gets
-1 − Π(1 − c/n) over the counted actions that add it, in exact fractions.
-s0 facts get 1.  The package multiplies float miss probabilities in place
-instead; tests check that both give the same table.
+These are the definitional forms, in exact fractions over the n combined
+supporter sets.  Empirical-union gives a fact outside s0 the share of the
+sets that hold an action adding it.  Noisy-or counts, per action, the sets
+that hold it (c) and gives a fact outside s0 1 − Π(1 − c/n) over the
+counted actions that add it.  s0 facts get 1.  The package counts and
+multiplies in floats instead; tests check that both give the same table.
 """
 
 from __future__ import annotations
@@ -35,3 +36,17 @@ def noisy_or_probabilities(
                 miss *= 1 - Fraction(count, n)
         probabilities.append(1 - miss)
     return probabilities
+
+
+def empirical_union_probabilities(
+    problem: GroundProblem, goal_index: int, n: int, seed: int
+) -> list[Fraction]:
+    samples = sample_combined_sets(problem, goal_index, n, seed)
+    return [
+        Fraction(1)
+        if fact in problem.s0
+        else Fraction(
+            sum(any(fact in problem.actions[aid].add for aid in s.actions) for s in samples), n
+        )
+        for fact in range(problem.fact_count)
+    ]

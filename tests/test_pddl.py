@@ -370,7 +370,9 @@ class TestInputErrors:
              ), _PROBLEM.format("c"), ValidationError,
              "predicate not-p collides with negation compilation"),
             (_DOMAIN.format("(:action a :parameters)"), None, ValidationError,
-             "malformed action body near ':parameters' in a"),
+             "malformed action body near :parameters in a"),
+            (_DOMAIN.format("(:action a (x) y)"), None, ValidationError,
+             "malformed action body near (x) in a"),
             (_DOMAIN.format("(:action a :parameters () :foo ())"), None, ValidationError,
              "unsupported action keyword :foo in a"),
             (_DOMAIN.format("(:predicates (p ?x))"),

@@ -35,7 +35,11 @@ from goalrec.relaxed import build_rpg
 
 from atoms import parse_hypothesis_line
 from conftest import TABLE1
-from reference_estimate import action_counts, noisy_or_probabilities
+from reference_estimate import (
+    action_counts,
+    empirical_union_probabilities,
+    noisy_or_probabilities,
+)
 from reference_oracle import exact_oracle_enumerated
 from reference_rpg import relaxed_reachable
 
@@ -126,6 +130,13 @@ class TestEstimate:
                 expected = noisy_or_probabilities(problem, goal_index, n, seed)
                 assert table.p.tolist() == pytest.approx(list(map(float, expected)), abs=1e-12)
 
+    @pytest.mark.parametrize("fixture", ["grid", "chain", "logistics"])
+    def test_empirical_union_equals_its_definition(self, request, fixture):
+        problem, _ = request.getfixturevalue(fixture)
+        for n, seed in [(3, 2), (7, 5)]:
+            for goal_index in range(len(problem.goals)):
+                _assert_empirical_union_definition(problem, goal_index, n, seed)
+
     def test_unknown_aggregation_rejected(self, grid):
         problem, _ = grid
         with pytest.raises(ValueError):
@@ -144,6 +155,13 @@ class TestEstimate:
         assert not np.array_equal(
             estimate(problem, 0, n=3, seed=0).p, estimate(problem, 0, n=3, seed=2**64).p
         )
+
+
+def _assert_empirical_union_definition(problem, goal_index, n, seed):
+    # c/n in floats is the exact fraction rounded once, so == holds.
+    table = estimate(problem, goal_index, n, seed, EMPIRICAL_UNION)
+    expected = empirical_union_probabilities(problem, goal_index, n, seed)
+    assert table.p.tolist() == list(map(float, expected))
 
 
 class TestExactOracle:
@@ -261,6 +279,18 @@ def costed_strips_problems(draw):
     s0 = frozenset(draw(st.lists(fact, min_size=1, max_size=2)))
     goals = draw(st.lists(st.frozensets(fact, min_size=1, max_size=2), min_size=1, max_size=3))
     return GroundProblem(facts, actions, s0, goals)
+
+
+class TestEstimateOnRandomProblems:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        problem=costed_strips_problems(),
+        n=st.integers(0, 4).map(lambda k: 2 * k + 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_empirical_union_equals_its_definition(self, problem, n, seed):
+        for goal_index in range(len(problem.goals)):
+            _assert_empirical_union_definition(problem, goal_index, n, seed)
 
 
 def _oracle_outcome(oracle, problem, goal_index, cap):

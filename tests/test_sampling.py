@@ -23,7 +23,13 @@ from goalrec.sampling import (
 
 from atoms import parse_hypothesis_line
 from conftest import example_grid
-from reference_rpg import RelaxedState, generate_goal_supporters_sequential, relaxed_apply
+from reference_rpg import (
+    RelaxedState,
+    build_rpg_layered,
+    generate_goal_supporters_sequential,
+    relaxed_apply,
+    sample_subgoal_supporters_scan,
+)
 
 N = 10
 
@@ -314,3 +320,30 @@ class TestDrawStream:
         tie_bounds = [b for bounds in draws["sample_subgoal_supporters"] for b in bounds]
         assert all(bound > 1 for bound in tie_bounds)
         assert [len(bounds) for bounds in draws["generate_goal_supporters"]] == [1] * len(goals)
+
+    def test_choice_free_subgoal_walks_once_and_draws_nothing(self):
+        # Every fact below (f2) has one first achiever, so all walks agree.
+        problem = _chain_problem("(f2)")
+        (subgoal,) = problem.goals[0]
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        generator = _CountingGenerator(rng)
+        samples = sample_subgoal_supporters(problem, subgoal, N, generator)
+        expected = frozenset({problem.action_id("(a1)"), problem.action_id("(a2)")})
+        assert samples == [SupporterSampleSet(expected)] * N
+        assert generator.bounds == []
+        assert rng.bit_generator.state == state
+
+    def test_subgoal_with_a_first_tie_draws_per_tie(self, grid):
+        # (is-at c1) has two first achievers, so the first walk already
+        # ties; the reference scan draws on every pick, bound 1 included.
+        problem, _ = grid
+        (subgoal,) = problem.goals[0]
+        assert len(problem.relaxed_fixpoint.first_achievers[subgoal]) == 2
+        full = build_rpg_layered(problem, frozenset({problem.fact_count}))
+        fast = _CountingGenerator(np.random.default_rng(4))
+        slow = _CountingGenerator(np.random.default_rng(4))
+        samples = sample_subgoal_supporters(problem, subgoal, N, fast)
+        reference = sample_subgoal_supporters_scan(subgoal, full, problem.s0, N, slow, problem)
+        assert samples == reference
+        assert fast.bounds == [bound for bound in slow.bounds if bound > 1]
