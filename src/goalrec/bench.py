@@ -11,6 +11,7 @@ per line.  Anything else on a line is a DatasetError.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
@@ -139,7 +140,29 @@ def build_problem(
     template_text: str,
     hypotheses: tuple[frozenset[Literal], ...],
 ) -> GroundProblem:
-    """Parse, compile negations and ground, with the hypotheses as the goals."""
+    """Parse, compile negations and ground, with the hypotheses as the goals.
+
+    The cyclic garbage collector is paused while a problem is built: a build
+    makes about four tracked objects per ground action, and each collection
+    it triggered would rescan all of them.  Collection never changes a value.
+    The caller's collector state is restored on return or raise; a threaded
+    caller sees the collector off while a build runs.
+    """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        return _build_problem(domain_text, template_text, hypotheses)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _build_problem(
+    domain_text: str,
+    template_text: str,
+    hypotheses: tuple[frozenset[Literal], ...],
+) -> GroundProblem:
     domain = parse_domain(domain_text)
     # The template is parsed once, with the placeholder read as an empty
     # conjunction.  Grounding keeps only the hypotheses' goals, so any atom
@@ -156,8 +179,9 @@ def build_problem(
     # The goal takes every hypothesis atom, so negation compilation sees
     # every negated predicate and each hypothesis takes the goal's rewrite;
     # grounding receives the per-hypothesis goal sets separately.  The atoms
-    # are checked as goal atoms; init was checked with the template.
-    validate_problem(ProblemAst(problem.objects, frozenset(), atoms), domain)
+    # are checked as goal atoms, in canonical order; init was checked with
+    # the template.
+    validate_problem(problem.objects, {"goal": sorted(atoms, key=Literal.canonical)}, domain)
     problem = ProblemAst(problem.objects, problem.init, atoms)
     domain, problem = compile_negations(domain, problem)
     compiled = [frozenset(map(complement_literal, hyp)) for hyp in hypotheses]

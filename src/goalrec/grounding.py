@@ -165,9 +165,12 @@ class GroundProblem:
 def _misfit(domain, problem, schema, bindings) -> ValidationError:
     """The error for a binding that puts an object in a fluent slot of a type
     it does not fit, the only way a fact lookup can miss.  An object fits a
-    type as in the problem's init and goal atoms."""
+    type as in the problem's init and goal atoms.  The bindings follow the
+    static atoms, which come from a set, so they are sorted: the first misfit
+    named does not depend on string hashing."""
     slot_of = {var: i for i, (var, _) in enumerate(schema.params)}
     object_type = dict(problem.objects)
+    bindings = sorted(bindings)
     for lit in schema.pre + schema.add + schema.delete:
         for arg, (_, typ) in zip(lit.args, domain.predicate_map[lit.predicate].params):
             for binding in bindings:
@@ -273,7 +276,7 @@ def ground(
     goals: list[frozenset[int]] = []
     for hyp in hypotheses:
         ids = set()
-        for lit in hyp:
+        for lit in sorted(hyp, key=Literal.canonical):
             if lit.negated:
                 raise ValidationError(
                     f"hypothesis literal {lit.canonical()} is negated; compile negations first"

@@ -115,10 +115,20 @@ class ProblemAst:
 # newlines match nothing and are skipped.
 _TOKEN_RE = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
+# Whitespace other than space, tab, CR and LF: str.split() splits on it,
+# but _TOKEN_RE keeps it inside a symbol.
+_OTHER_WHITESPACE_RE = re.compile(r"[^\S \t\r\n]")
+
 
 def _token_texts(text: str) -> list[str]:
     """The lowercased tokens of text, without their positions."""
-    return [token for token in _TOKEN_RE.findall(text.lower()) if token]
+    lowered = text.lower()
+    # Fast path: with no comment and only the four separators above, padding
+    # each parenthesis and splitting gives exactly _TOKEN_RE's tokens.  No
+    # code point lowercases to whitespace, a parenthesis or ";".
+    if ";" not in lowered and not _OTHER_WHITESPACE_RE.search(lowered):
+        return lowered.replace("(", " ( ").replace(")", " ) ").split()
+    return [token for token in _TOKEN_RE.findall(lowered) if token]
 
 
 def _token_position(text: str, index: int) -> tuple[int, int]:
@@ -442,21 +452,28 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
             f"problem {name} references domain {domain_name!r}, expected {domain.name!r}"
         )
 
-    problem = ProblemAst(objects, frozenset(init), frozenset(goal))
-    validate_problem(problem, domain)
-    return problem
+    # Checked in file order, before the sets are made, so the first fault
+    # reported does not depend on string hashing.
+    validate_problem(objects, {"init": init, "goal": goal}, domain)
+    return ProblemAst(objects, frozenset(init), frozenset(goal))
 
 
-def validate_problem(problem: ProblemAst, domain: DomainAst) -> None:
+def validate_problem(
+    objects: tuple[tuple[str, str], ...],
+    atoms: dict[str, list[Literal]],
+    domain: DomainAst,
+) -> None:
+    """Check the objects' types, then each section's atoms in the order given:
+    predicate, arity, and each argument's declaration and type."""
     ancestors = domain.type_ancestors
     object_type: dict[str, str] = {}
-    for obj, typ in problem.objects:
+    for obj, typ in objects:
         if typ not in ancestors:
             raise ValidationError(f"object {obj} has unknown type {typ}")
         if obj in object_type:
             raise ValidationError(f"object {obj} is declared more than once")
         object_type[obj] = typ
-    for where, literals in (("init", problem.init), ("goal", problem.goal)):
+    for where, literals in atoms.items():
         for lit in literals:
             pred = _predicate_of(lit, domain, where)
             for arg, (_, typ) in zip(lit.args, pred.params):

@@ -2,9 +2,13 @@
 
 import gc
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from statistics import mean
 from types import SimpleNamespace
 
@@ -27,7 +31,13 @@ from goalrec.bench import (
     run_benchmark,
     spread,
 )
-from goalrec.errors import DatasetError, GoalRecError, ParameterError, ValidationError
+from goalrec.errors import (
+    DatasetError,
+    GoalRecError,
+    ParameterError,
+    PddlSyntaxError,
+    ValidationError,
+)
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text, write_instance
 from goalrec.pddl import Literal
 from goalrec.recognition import RecognitionTrace, TraceStep
@@ -202,6 +212,43 @@ class TestDatasetLines:
         assert instance.observations == tuple(f"(m {a} {b})" for a, b in spec.observations)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Faulty builds, each with several faults, whose first reported message is
+# printed: on the grid fixture, bad init atoms, hypothesis atoms naming
+# undeclared objects and static hypothesis atoms, which ground cannot reach;
+# then a schema whose static precondition binds objects that do not fit a
+# fluent slot.
+_FIRST_FAULTS = """
+import sys
+from pathlib import Path
+from goalrec.bench import build_problem, parse_hypotheses
+from goalrec.errors import ValidationError
+grid = Path(sys.argv[1])
+domain = (grid / "domain.pddl").read_text()
+template = (grid / "template.pddl").read_text()
+bad_init = template.replace("(:init", "(:init (adj c1 x9) (foo c3) (adj c4 y7)")
+for text, hyps in [
+    (bad_init, "(is-at c1)"),
+    (template, "(is-at c99), (is-at c98), (is-at c97)"),
+    (template, "(adj c2 c1), (adj c1 c2), (adj c2 c3)"),
+]:
+    try:
+        build_problem(domain, text, parse_hypotheses(hyps))
+    except ValidationError as exc:
+        print(exc)
+misfit_domain = '''(define (domain d) (:requirements :strips :typing) (:types a - object c - a)
+  (:predicates (at ?x - c) (ok ?x))
+  (:action go :parameters (?x) :precondition (ok ?x) :effect (at ?x)))'''
+misfit_template = '''(define (problem p) (:domain d) (:objects x1 x2 x3 x4 - a z - c)
+  (:init (ok x1) (ok x2) (ok x3) (ok x4)) (:goal <HYPOTHESIS>))'''
+try:
+    build_problem(misfit_domain, misfit_template, parse_hypotheses("(at z)"))
+except ValidationError as exc:
+    print(exc)
+"""
+
+
 class TestBuildProblem:
     def _build(self, template, hypotheses):
         domain = (FIXTURES / "grid" / "domain.pddl").read_text()
@@ -246,6 +293,56 @@ class TestBuildProblem:
         template = (FIXTURES / "grid" / "template.pddl").read_text()
         with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
             self._build(template, ["(is-at c1)", hypothesis])
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2", "4", "7"])
+    def test_first_fault_does_not_depend_on_string_hashing(self, hash_seed):
+        # Init atoms are checked in file order, hypothesis atoms in canonical
+        # order and misfit bindings sorted; walking a set would report a fault
+        # that depends on PYTHONHASHSEED, so each seed runs in a fresh
+        # interpreter.
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _FIRST_FAULTS, str(FIXTURES / "grid")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "undeclared object x9 in init",
+            "undeclared object c97 in goal",
+            "hypothesis literal not groundable: (adj c1 c2)",
+            "object x1 of type a does not fit c in (at ?x) of schema go",
+        ]
+
+    def test_ground_runs_with_the_collector_paused(self, monkeypatch):
+        seen = []
+        real = bench.ground
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(bench, "ground", recording)
+        assert gc.isenabled()
+        self._build((FIXTURES / "grid" / "template.pddl").read_text(), ["(is-at c1)"])
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_collector_stays_off_when_the_caller_turned_it_off(self):
+        gc.disable()
+        try:
+            self._build((FIXTURES / "grid" / "template.pddl").read_text(), ["(is-at c1)"])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_is_back_on_after_a_build_that_raises(self):
+        with pytest.raises(PddlSyntaxError, match="unclosed parenthesis"):
+            self._build("(define (problem p)", ["(is-at c1)"])
+        assert gc.isenabled()
 
 
 class TestMetrics:

@@ -1,6 +1,7 @@
 """Parser, validation and negation compilation."""
 
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -13,6 +14,7 @@ from goalrec.gridgen import DOMAIN_TEXT
 from goalrec.negation import compile_negations
 from goalrec.pddl import (
     MAX_NESTING_DEPTH,
+    _OTHER_WHITESPACE_RE,
     Literal,
     _read_single,
     _token_position,
@@ -24,7 +26,7 @@ from goalrec.pddl import (
 
 from atoms import parse_atom
 from conftest import FIXTURES, TYPED_DOMAIN
-from reference_reader import reference_read_forms, reference_read_single
+from reference_reader import reference_read_forms, reference_read_single, tokenize_by_character
 
 MINIMAL_DOMAIN = """\
 (define (domain grid-nav)
@@ -491,37 +493,6 @@ class TestParseAtom:
             parse_atom(text)
 
 
-def _tokenize_by_character(text):
-    """The character-by-character tokenizer the regex replaced, as a reference."""
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append((ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append((text[start:i].lower(), line, start_col))
-    return tokens
-
-
 def _triples(text):
     return [(tok, *_token_position(text, i)) for i, tok in enumerate(_token_texts(text))]
 
@@ -532,7 +503,7 @@ class TestTokenizer:
     )
     def test_fixture_tokens_match_reference(self, path):
         text = path.read_text()
-        assert _triples(text) == _tokenize_by_character(text)
+        assert _triples(text) == tokenize_by_character(text)
 
     @given(
         st.text(
@@ -543,7 +514,34 @@ class TestTokenizer:
     )
     @settings(max_examples=500, deadline=None)
     def test_random_text_tokens_match_reference(self, text):
-        expected = _tokenize_by_character(text)
+        expected = tokenize_by_character(text)
+        assert _triples(text) == expected
+        assert _token_texts(text) == [token for token, _, _ in expected]
+
+    @pytest.mark.parametrize(
+        "blank",
+        [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in " \t\r\n"],
+        ids=lambda c: f"U+{ord(c):04X}",
+    )
+    def test_other_whitespace_stays_inside_a_symbol(self, blank):
+        # str.split() would split the symbol here, so the fast path must not.
+        text = f"(A{blank}b\n c)"
+        assert _triples(text) == tokenize_by_character(text)
+        assert _token_texts(text) == ["(", f"a{blank}b", "c", ")"]
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from(list(" \t\r\n()") + ["İ", "ß", "Σ"]),
+                st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters="();"),
+            )
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_fast_path_tokens_match_reference(self, text):
+        # Neither a comment nor other whitespace: only the split path is taken.
+        assert ";" not in text and not _OTHER_WHITESPACE_RE.search(text.lower())
+        expected = tokenize_by_character(text)
         assert _triples(text) == expected
         assert _token_texts(text) == [token for token, _, _ in expected]
 
