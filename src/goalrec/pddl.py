@@ -1,9 +1,10 @@
 """Parser and ASTs for the supported STRIPS subset of PDDL.
 
 Supported requirement tags: :strips, :typing, :negative-preconditions,
-:action-costs.  Everything else is rejected loudly.  All identifiers are
-lowercased; canonical atom form is "(pred arg1 ... argk)" with single
-spaces.
+:action-costs.  Everything else is rejected loudly.  Parentheses and
+whitespace, as str.isspace() defines it, separate tokens, and ";" starts a
+comment that runs to the next newline.  All identifiers are lowercased;
+canonical atom form is "(pred arg1 ... argk)" with single spaces.
 """
 
 from __future__ import annotations
@@ -110,25 +111,21 @@ class ProblemAst:
 # ── Tokenizer / s-expression reader ──────────────────────────────────────
 
 
-# A comment, running to the end of its line, or a token: a parenthesis or
-# a run of symbol characters.  Blanks (space, tab, carriage return) and
-# newlines match nothing and are skipped.
-_TOKEN_RE = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
+# Parentheses and whitespace, as str.isspace() defines it, separate tokens;
+# ";" starts a comment that runs to the next newline.
+_COMMENT_RE = re.compile(r";[^\n]*")
 
-# Whitespace other than space, tab, CR and LF: str.split() splits on it,
-# but _TOKEN_RE keeps it inside a symbol.
-_OTHER_WHITESPACE_RE = re.compile(r"[^\S \t\r\n]")
+# Used only to find a token's position: it matches a comment or captures a
+# token, and its tokens are exactly those of _token_texts.
+_TOKEN_RE = re.compile(r";[^\n]*|([()]|[^\s();]+)")
 
 
 def _token_texts(text: str) -> list[str]:
     """The lowercased tokens of text, without their positions."""
-    lowered = text.lower()
-    # Fast path: with no comment and only the four separators above, padding
-    # each parenthesis and splitting gives exactly _TOKEN_RE's tokens.  No
-    # code point lowercases to whitespace, a parenthesis or ";".
-    if ";" not in lowered and not _OTHER_WHITESPACE_RE.search(lowered):
-        return lowered.replace("(", " ( ").replace(")", " ) ").split()
-    return [token for token in _TOKEN_RE.findall(lowered) if token]
+    # No code point lowercases to whitespace, a parenthesis or ";", so
+    # lowering first moves no token boundary.
+    uncommented = _COMMENT_RE.sub("", text.lower())
+    return uncommented.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _token_position(text: str, index: int) -> tuple[int, int]:
@@ -356,13 +353,20 @@ def _parse_action(section: list) -> ActionSchema:
 def _parse_cost(part: list, action: str) -> Fraction:
     if len(part) != 3 or part[1] != ["total-cost"] or not isinstance(part[2], str):
         raise ValidationError(f"unsupported effect expression {_pddl(part)} in {action}")
-    try:
-        cost = Fraction(part[2])
-    except ValueError as exc:
-        raise ValidationError(f"invalid cost {part[2]!r} in {action}") from exc
+    cost = _number(part[2])
+    if cost is None:
+        raise ValidationError(f"invalid cost {part[2]!r} in {action}")
     if cost < 0:
         raise ValidationError(f"negative cost in {action}")
     return cost
+
+
+def _number(form: object) -> Fraction | None:
+    """A read form as a rational number, or None when it is not one."""
+    try:
+        return Fraction(form)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
 
 
 def _predicate_of(lit: Literal, domain: DomainAst, where: str) -> Predicate:
@@ -435,7 +439,9 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
         elif head == ":init":
             for atom in section[1:]:
                 if isinstance(atom, list) and atom and atom[0] == "=":
-                    continue  # (= (total-cost) 0)
+                    if len(atom) != 3 or atom[1] != ["total-cost"] or _number(atom[2]) is None:
+                        raise ValidationError(f"unsupported numeric init form: {_pddl(atom)}")
+                    continue  # (= (total-cost) N), as :action-costs plumbing
                 init.append(parse_literal(atom, allow_negation=False))
         elif head == ":goal":
             if len(section) != 2:
@@ -443,7 +449,8 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
             for part in _flatten_conjunction(section[1]):
                 goal.append(parse_literal(part, allow_negation=True))
         elif head == ":metric":
-            continue
+            if section != [":metric", "minimize", ["total-cost"]]:
+                raise ValidationError(f"unsupported metric: {_pddl(section)}")
         else:
             raise ValidationError(f"unsupported problem section: {head}")
 

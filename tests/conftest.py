@@ -77,6 +77,30 @@ TYPED_DOMAIN = """\
 """
 
 
+COMMENTED = "-commented"
+
+
+def commented(text: str) -> str:
+    """text after a full-line comment, with a comment closing each of its
+    lines; the comments hold parentheses, which the reader must skip."""
+    return "; a full-line comment\n" + "".join(
+        f"{line} ; (a comment) with (parens\n" for line in text.splitlines()
+    )
+
+
+def fixture_dir(case: str, tmp_path: Path) -> Path:
+    """The fixture directory of case; for "<name>" + COMMENTED, a copy of
+    fixture <name> under tmp_path with every file passed through commented()."""
+    if not case.endswith(COMMENTED):
+        return FIXTURES / case
+    name = case.removesuffix(COMMENTED)
+    copy = tmp_path / "commented" / name
+    copy.mkdir(parents=True)
+    for path in (FIXTURES / name).iterdir():
+        (copy / path.name).write_text(commented(path.read_text()))
+    return copy
+
+
 @pytest.fixture(scope="session")
 def grid_instance():
     return load_instance(FIXTURES / "grid")

@@ -1,7 +1,7 @@
 """Character-by-character tokenizer and recursive s-expression reader, kept
 only for testing.
 
-The package tokenizes with a regular expression or a split fast path
+The package strips comments, pads each parenthesis and splits on whitespace
 (`goalrec.pddl._token_texts`), looks a token's position up only on an error
 (`goalrec.pddl._token_position`), and reads the token list in one pass with
 an explicit stack (`goalrec.pddl.read_forms`).  This module shares none of
@@ -21,9 +21,9 @@ from goalrec.pddl import MAX_NESTING_DEPTH
 def tokenize_by_character(text: str) -> list[tuple[str, int, int]]:
     """Each lowercased token of text with its 1-based line and column.
 
-    Space, tab, carriage return and newline separate tokens, ";" starts a
-    comment running to the end of its line, and every other character
-    belongs to a symbol.
+    Parentheses and whitespace (`str.isspace`) separate tokens, only a
+    newline starts a line, ";" starts a comment running to the next newline,
+    and every other character belongs to a symbol.
     """
     tokens = []
     line, col = 1, 1
@@ -34,7 +34,7 @@ def tokenize_by_character(text: str) -> list[tuple[str, int, int]]:
             line += 1
             col = 1
             i += 1
-        elif ch in " \t\r":
+        elif ch.isspace():
             col += 1
             i += 1
         elif ch == ";":
@@ -47,7 +47,7 @@ def tokenize_by_character(text: str) -> list[tuple[str, int, int]]:
         else:
             start = i
             start_col = col
-            while i < n and text[i] not in " \t\r\n();":
+            while i < n and not text[i].isspace() and text[i] not in "();":
                 i += 1
                 col += 1
             tokens.append((text[start:i].lower(), line, start_col))

@@ -123,6 +123,33 @@ class TestEstimate:
         assert main(args) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == "error: requirement tags are symbols, got (:strips)\n"
 
+    @pytest.mark.parametrize(
+        "command,name,old,new,message",
+        [
+            ("estimate", "domain.pddl", "(total-cost) 1)", "(total-cost) 1/0)",
+             "invalid cost '1/0' in drive"),
+            ("oracle", "template.pddl", "(= (total-cost) 0)", "(= (total-cost) 0) (= (fuel t1) 5)",
+             "unsupported numeric init form: (= (fuel t1) 5)"),
+            ("oracle", "template.pddl", "minimize", "maximize",
+             "unsupported metric: (:metric maximize (total-cost))"),
+        ],
+        ids=["zero-denominator-cost", "fuel-init", "maximize-metric"],
+    )
+    def test_unsupported_number_exits_one(self, tmp_path, capsys, command, name, old, new, message):
+        root = tmp_path / "logistics"
+        shutil.copytree(FIXTURES / "logistics", root)
+        (root / name).write_text((root / name).read_text().replace(old, new, 1))
+        args = [
+            command,
+            "--domain", str(root / "domain.pddl"),
+            "--template", str(root / "template.pddl"),
+            "--hyps", str(root / "hyps.dat"),
+            "--output", str(tmp_path / "out"),
+        ]
+        assert main(args) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_noisy_or_tagged_in_header(self, tmp_path, capsys):
         code = main(
             _grid_args("estimate", "--aggregation", "noisy-or", "--output", str(tmp_path))

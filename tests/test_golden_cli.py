@@ -3,7 +3,8 @@
 Covers `goalrec estimate` CSVs under both aggregations, `goalrec
 recognize` stdout (JSON, text and `--at-lambda 0`) and `goalrec bench`'s
 precision.csv and report.json (timing fields removed) on the grid and
-logistics fixtures at a fixed seed.  Any
+logistics fixtures, and on copies of them with a comment on every line,
+at a fixed seed.  Any
 change to argument handling, problem loading, the random stream or the
 output formats shows up here as a different hash.
 """
@@ -17,13 +18,14 @@ import pytest
 from goalrec.cli import EXIT_OK, main
 from goalrec.probability import EMPIRICAL_UNION, NOISY_OR
 
-from conftest import FIXTURES
+from conftest import COMMENTED, fixture_dir
 
 N_SAMPLES = 30
 SEED = 3
-CASES = ("grid", "logistics")
+CASES = ("grid", "logistics", "grid" + COMMENTED, "logistics" + COMMENTED)
 
-# (case, output) -> sha256; estimate outputs hold one digest per goal CSV.
+# (fixture, output) -> sha256; estimate outputs hold one digest per goal CSV.
+# A fixture's commented copy must give the fixture's own digests.
 GOLDEN = {
     ("grid", "estimate", EMPIRICAL_UNION): (
         "e81a9dc299f8a248e2ee58a69cd4c7c6438fc2a68f236588a95ceb4324ec4d08",
@@ -60,8 +62,11 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _problem_args(command, case, *extra):
-    root = FIXTURES / case
+def _golden(case, *output):
+    return GOLDEN[(case.removesuffix(COMMENTED), *output)]
+
+
+def _problem_args(command, root, *extra):
     return [
         command,
         "--domain", str(root / "domain.pddl"),
@@ -76,14 +81,15 @@ def _problem_args(command, case, *extra):
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("aggregation", [EMPIRICAL_UNION, NOISY_OR])
 def test_estimate_csvs(case, aggregation, tmp_path, capsys):
+    root = fixture_dir(case, tmp_path)
     code = main(
-        _problem_args("estimate", case, "--aggregation", aggregation, "--output", str(tmp_path))
+        _problem_args("estimate", root, "--aggregation", aggregation, "--output", str(tmp_path))
     )
     assert code == EXIT_OK
     written = sorted(tmp_path.glob("goal_*.csv"))
     assert capsys.readouterr().out.splitlines() == [str(p) for p in written]
     digests = tuple(_sha(p.read_bytes()) for p in written)
-    assert digests == GOLDEN[(case, "estimate", aggregation)]
+    assert digests == _golden(case, "estimate", aggregation)
 
 
 RECOGNIZE_FLAGS = {
@@ -95,17 +101,19 @@ RECOGNIZE_FLAGS = {
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("output", sorted(RECOGNIZE_FLAGS))
-def test_recognize_stdout(case, output, capsys):
-    obs = str(FIXTURES / case / "obs.dat")
-    code = main(_problem_args("recognize", case, "--obs", obs, *RECOGNIZE_FLAGS[output]))
+def test_recognize_stdout(case, output, tmp_path, capsys):
+    root = fixture_dir(case, tmp_path)
+    obs = str(root / "obs.dat")
+    code = main(_problem_args("recognize", root, "--obs", obs, *RECOGNIZE_FLAGS[output]))
     assert code == EXIT_OK
-    assert _sha(capsys.readouterr().out) == GOLDEN[(case, output)]
+    assert _sha(capsys.readouterr().out) == _golden(case, output)
 
 
 def _bench(case, tmp_path):
     """Run `goalrec bench` over one fixture; return its output directory."""
     dataset = tmp_path / "dataset"
-    shutil.copytree(FIXTURES / case, dataset / case)
+    root = fixture_dir(case, tmp_path)
+    shutil.copytree(root, dataset / root.name)
     out = tmp_path / "out"
     code = main(
         [
@@ -124,7 +132,7 @@ def _bench(case, tmp_path):
 @pytest.mark.parametrize("case", CASES)
 def test_bench_precision_csv(case, tmp_path, capsys):
     out = _bench(case, tmp_path)
-    assert _sha((out / "precision.csv").read_bytes()) == GOLDEN[(case, "bench")]
+    assert _sha((out / "precision.csv").read_bytes()) == _golden(case, "bench")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -136,4 +144,4 @@ def test_bench_report_json(case, tmp_path, capsys):
     del payload["timing"]
     for record in payload["instances"]:
         del record["estimation_seconds"]
-    assert _sha(json.dumps(payload, indent=2)) == GOLDEN[(case, "report")]
+    assert _sha(json.dumps(payload, indent=2)) == _golden(case, "report")
