@@ -16,15 +16,15 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from statistics import mean, pstdev
 
 from .errors import DatasetError, GoalRecError, ParameterError
 from .grounding import GroundProblem, ground
-from .negation import complement_literal, compile_negations
-from .pddl import Literal, ProblemAst, parse_domain, parse_literal, parse_problem, read_forms
+from .negation import compile_negations
+from .pddl import Literal, parse_domain, parse_literal, parse_problem, read_forms
 from .pddl import validate_problem
 from .probability import DEFAULT_N_SAMPLES, EMPIRICAL_UNION, FactProbabilityTable, estimate
 from .recognition import ObservationEvent, RecognitionTrace, recognize_online
@@ -165,27 +165,21 @@ def _build_problem(
 ) -> GroundProblem:
     domain = parse_domain(domain_text)
     # The template is parsed once, with the placeholder read as an empty
-    # conjunction.  Grounding keeps only the hypotheses' goals, so any atom
-    # left in the template goal would be dropped.
+    # conjunction.  The hypotheses replace its goal, so any atom left in the
+    # template goal would be dropped.
     problem = parse_problem(template_text.replace(HYPOTHESIS_PLACEHOLDER, "(and)"), domain)
     atoms = frozenset(lit for hyp in hypotheses for lit in hyp)
-    if problem.goal:
-        extra = min(problem.goal, key=Literal.canonical)
+    if problem.goals[0]:
+        extra = min(problem.goals[0], key=Literal.canonical)
         kind = "also a hypothesis atom" if extra in atoms else "in no hypothesis"
         raise DatasetError(
             f"template goal atom {extra.canonical()} is {kind}; "
             f"the template goal must hold only {HYPOTHESIS_PLACEHOLDER}"
         )
-    # The goal takes every hypothesis atom, so negation compilation sees
-    # every negated predicate and each hypothesis takes the goal's rewrite;
-    # grounding receives the per-hypothesis goal sets separately.  The atoms
-    # are checked as goal atoms, in canonical order; init was checked with
-    # the template.
+    # Hypothesis atoms are checked as goal atoms, in canonical order; init
+    # was checked with the template.
     validate_problem(problem.objects, {"goal": sorted(atoms, key=Literal.canonical)}, domain)
-    problem = ProblemAst(problem.objects, problem.init, atoms)
-    domain, problem = compile_negations(domain, problem)
-    compiled = [frozenset(map(complement_literal, hyp)) for hyp in hypotheses]
-    return ground(domain, problem, compiled)
+    return ground(*compile_negations(domain, replace(problem, goals=hypotheses)))
 
 
 def prepare_instance(

@@ -3,21 +3,23 @@
 Predicates that never occur in any add or delete effect are static: they
 restrict instantiation against the initial state and are then dropped, so
 the fact universe only contains fluent facts.  An action schema is
-instantiated by joining its static preconditions against the static init
-atoms.  Each literal's atoms are indexed when that literal is joined: those
-whose repeated variables agree and whose newly bound objects fit their
-types, by their values at the already bound positions.  Parameters that no
-static precondition mentions range over their type.
-Only bindings that satisfy every static precondition are named, so the
-cost follows the number of actions rather than |objects|^arity.  Each
-schema's bindings are then taken as one list, and the fact ids of each
-fluent literal are looked up as one column over all of them, in a dict
-per predicate from argument values to fact id; each action's pre, add and
-delete sets are built from those columns.  A binding whose object does not
-fit the type of a fluent slot it fills has no fact there, and grounding
-raises ValidationError.  No reachability pruning is applied; the result is
-deterministic.  A fact's or action's id is its position in the problem's
-list, in lexicographic name order.
+instantiated by joining its static preconditions against the problem's
+init table, which holds each predicate's init atoms as argument tuples;
+the table's fluent entries give s0, and each of the problem's goals
+becomes one goal description.  Each literal's atoms are indexed when that
+literal is joined: those whose repeated variables agree and whose newly
+bound objects fit their types, by their values at the already bound
+positions.  Parameters that no static precondition mentions range over
+their type.  Only bindings that satisfy every static precondition are
+named, so the cost follows the number of actions rather than
+|objects|^arity.  Each schema's bindings are then taken as one list, and
+the fact ids of each fluent literal are looked up as one column over all
+of them, in a dict per predicate from argument values to fact id; each
+action's pre, add and delete sets are built from those columns.  A binding
+whose object does not fit the type of a fluent slot it fills has no fact
+there, and grounding raises ValidationError.  No reachability pruning is
+applied; the result is deterministic.  A fact's or action's id is its
+position in the problem's list, in lexicographic name order.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ def _join_order(literals, atoms) -> list[Literal]:
 def ground_instantiations(params, universe: dict[str, list[str]], statics=(), atoms=None):
     """Type-consistent argument tuples for a typed parameter list.
 
-    Given literals over the parameters and a map from each static predicate
-    to the argument tuples of its init atoms, only the tuples under which
-    every literal is an init atom are produced; each literal's atoms are
-    indexed when that literal is joined.  A parameter that no literal binds
+    Given literals over the parameters and a problem's init table (see
+    ProblemAst), only the tuples under which every literal is an init atom
+    are produced; each literal's atoms are indexed when that literal is
+    joined.  A parameter that no literal binds
     ranges over its type, so with no literals this is the type product.
     """
     pools = [universe.get(typ, []) for _, typ in params]
@@ -191,16 +193,10 @@ def static_predicates(domain: DomainAst) -> frozenset[str]:
     return frozenset(p.name for p in domain.predicates) - fluent
 
 
-def ground(
-    domain: DomainAst,
-    problem: ProblemAst,
-    hypotheses: list[frozenset[Literal]],
-) -> GroundProblem:
-    """Ground a compiled (negation-free) domain/problem pair.
-
-    Each hypothesis literal set becomes one goal description.
-    """
-    if not hypotheses:
+def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
+    """Ground a compiled (negation-free) domain/problem pair, one goal
+    description per goal of the problem."""
+    if not problem.goals:
         raise ParameterError("at least one goal hypothesis is required")
 
     for schema in domain.schemas:
@@ -228,16 +224,11 @@ def ground(
     for pred, names in names_of.items():
         ids_of[pred] = {k: fact_ids[name] for k, name in names.items()}
 
-    static_atoms: dict[str, list[tuple[str, ...]]] = defaultdict(list)
-    for lit in problem.init:
-        if lit.predicate in statics:
-            static_atoms[lit.predicate].append(lit.args)
-
     grounded: list[tuple[str, frozenset[int], frozenset[int], frozenset[int], Fraction]] = []
     for schema in domain.schemas:
         slot_of = {var: i for i, (var, _) in enumerate(schema.params)}
         static_pre = [lit for lit in schema.pre if lit.predicate in statics]
-        bindings = list(ground_instantiations(schema.params, universe, static_pre, static_atoms))
+        bindings = list(ground_instantiations(schema.params, universe, static_pre, problem.init))
 
         def id_sets(literals):
             """One frozenset of the literals' fact ids per binding, built column by column."""
@@ -268,15 +259,16 @@ def ground(
     actions = [GroundAction(*item) for item in grounded]
 
     s0 = frozenset(
-        fact_ids[atom_name(lit.predicate, lit.args)]
-        for lit in problem.init
-        if lit.predicate not in statics
+        fact_ids[atom_name(pred, args)]
+        for pred, atoms in problem.init.items()
+        if pred not in statics
+        for args in atoms
     )
 
     goals: list[frozenset[int]] = []
-    for hyp in hypotheses:
+    for goal in problem.goals:
         ids = set()
-        for lit in sorted(hyp, key=Literal.canonical):
+        for lit in sorted(goal, key=Literal.canonical):
             if lit.negated:
                 raise ValidationError(
                     f"hypothesis literal {lit.canonical()} is negated; compile negations first"

@@ -1,12 +1,12 @@
 """Compiling negated preconditions and goals away.
 
-For every predicate p appearing negated anywhere, a complement predicate
-not-p is introduced; adds of p delete not-p and deletes of p add not-p.
-The initial state is closed so that exactly one of p/not-p holds per
-ground instantiation.  A goal hypothesis takes the same rewrite with
-`complement_literal`: the benchmark loader puts every hypothesis atom into
-the problem goal, so each predicate negated in a hypothesis has its
-complement.
+For every predicate p appearing negated in a schema precondition or in any
+of the problem's goals, a complement predicate not-p is introduced; adds of
+p delete not-p and deletes of p add not-p.  The initial state is closed so
+that exactly one of p/not-p holds per ground instantiation: not-p's init
+atoms are p's type-consistent argument tuples less p's.  Every goal of
+the problem is rewritten here with `complement_literal`, so grounding
+takes the goals as compiled.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def negated_predicates(domain: DomainAst, problem: ProblemAst) -> frozenset[str]
         for lit in schema.pre
         if lit.negated
     }
-    names |= {lit.predicate for lit in problem.goal if lit.negated}
+    names |= {lit.predicate for goal in problem.goals for lit in goal if lit.negated}
     return frozenset(names)
 
 
@@ -80,13 +80,10 @@ def compile_negations(
     # Closed-world completion: needs the object universe, hence done here
     # rather than at parse time.
     universe = objects_by_type(new_domain, problem)
-    init = set(problem.init)
+    init = dict(problem.init)
     for name in sorted(negated):
-        base = preds[name]
-        for args in ground_instantiations(base.params, universe):
-            if Literal(name, tuple(args)) not in problem.init:
-                init.add(Literal(COMPLEMENT_PREFIX + name, tuple(args)))
+        instantiations = frozenset(ground_instantiations(preds[name].params, universe))
+        init[COMPLEMENT_PREFIX + name] = instantiations - problem.init.get(name, frozenset())
 
-    goal = frozenset(map(complement_literal, problem.goal))
-    new_problem = replace(problem, init=frozenset(init), goal=goal)
-    return new_domain, new_problem
+    goals = tuple(frozenset(map(complement_literal, goal)) for goal in problem.goals)
+    return new_domain, replace(problem, init=init, goals=goals)

@@ -103,9 +103,15 @@ class DomainAst:
 
 @dataclass(frozen=True)
 class ProblemAst:
+    """A recognition problem: one initial state and the goals scored against it.
+
+    init maps a predicate to the argument tuples of its init atoms; a
+    predicate it leaves out has none.  A parsed problem has one goal.
+    """
+
     objects: tuple[tuple[str, str], ...]  # (object, type)
-    init: frozenset[Literal]
-    goal: frozenset[Literal]
+    init: dict[str, frozenset[tuple[str, ...]]]
+    goals: tuple[frozenset[Literal], ...]
 
 
 # ── Tokenizer / s-expression reader ──────────────────────────────────────
@@ -462,7 +468,10 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
     # Checked in file order, before the sets are made, so the first fault
     # reported does not depend on string hashing.
     validate_problem(objects, {"init": init, "goal": goal}, domain)
-    return ProblemAst(objects, frozenset(init), frozenset(goal))
+    table: dict[str, set[tuple[str, ...]]] = {}
+    for lit in init:
+        table.setdefault(lit.predicate, set()).add(lit.args)
+    return ProblemAst(objects, {p: frozenset(a) for p, a in table.items()}, (frozenset(goal),))
 
 
 def validate_problem(

@@ -25,8 +25,8 @@ def _type_product(params, universe):
     return product(*(universe.get(typ, []) for _, typ in params))
 
 
-def ground_exhaustive(domain, problem, hypotheses) -> GroundProblem:
-    if not hypotheses:
+def ground_exhaustive(domain, problem) -> GroundProblem:
+    if not problem.goals:
         raise ParameterError("at least one goal hypothesis is required")
 
     for schema in domain.schemas:
@@ -48,9 +48,10 @@ def ground_exhaustive(domain, problem, hypotheses) -> GroundProblem:
     fact_ids = {name: i for i, name in enumerate(facts)}
 
     static_truth = {
-        atom_name(lit.predicate, lit.args)
-        for lit in problem.init
-        if lit.predicate in statics
+        atom_name(pred, args)
+        for pred, atoms in problem.init.items()
+        if pred in statics
+        for args in atoms
     }
 
     grounded: list[tuple[str, frozenset[int], frozenset[int], frozenset[int], Fraction]] = []
@@ -86,15 +87,16 @@ def ground_exhaustive(domain, problem, hypotheses) -> GroundProblem:
     actions = [GroundAction(*item) for item in grounded]
 
     s0 = frozenset(
-        fact_ids[atom_name(lit.predicate, lit.args)]
-        for lit in problem.init
-        if lit.predicate not in statics
+        fact_ids[atom_name(pred, args)]
+        for pred, atoms in problem.init.items()
+        if pred not in statics
+        for args in atoms
     )
 
     goals: list[frozenset[int]] = []
-    for hyp in hypotheses:
+    for goal in problem.goals:
         ids = set()
-        for lit in hyp:
+        for lit in goal:
             if lit.negated:
                 raise ValidationError(
                     f"hypothesis literal {lit.canonical()} is negated; compile negations first"

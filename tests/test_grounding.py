@@ -1,10 +1,11 @@
 """Grounding: dense ids, static-predicate handling, determinism."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalrec import bench, grounding
@@ -133,10 +134,10 @@ class TestHypothesisGrounding:
         problem = parse_problem(
             template_text(SPEC).replace("<HYPOTHESIS>", "(is-at c1)"), domain
         )
-        bad = [frozenset({Literal("adj", ("c1", "c2"))})]  # static, not a fact
+        bad = (frozenset({Literal("adj", ("c1", "c2"))}),)  # static, not a fact
         message = r"^hypothesis literal not groundable: \(adj c1 c2\)$"
         with pytest.raises(ValidationError, match=message):
-            ground(domain, problem, bad)
+            ground(domain, replace(problem, goals=bad))
 
     def test_empty_hypothesis_list_rejected(self):
         domain = parse_domain(DOMAIN_TEXT)
@@ -144,17 +145,17 @@ class TestHypothesisGrounding:
             template_text(SPEC).replace("<HYPOTHESIS>", "(is-at c1)"), domain
         )
         with pytest.raises(ParameterError, match="^at least one goal hypothesis is required$"):
-            ground(domain, problem, [])
+            ground(domain, replace(problem, goals=()))
 
     def test_negated_hypothesis_requires_compilation(self):
         domain = parse_domain(DOMAIN_TEXT)
         problem = parse_problem(
             template_text(SPEC).replace("<HYPOTHESIS>", "(is-at c1)"), domain
         )
-        bad = [frozenset({Literal("is-at", ("c1",), negated=True)})]
+        bad = (frozenset({Literal("is-at", ("c1",), negated=True)}),)
         message = r"^hypothesis literal \(not \(is-at c1\)\) is negated; compile negations first$"
         with pytest.raises(ValidationError, match=message):
-            ground(domain, problem, bad)
+            ground(domain, replace(problem, goals=bad))
 
     def test_negated_precondition_requires_compilation(self):
         domain = parse_domain(
@@ -164,7 +165,7 @@ class TestHypothesisGrounding:
         problem = parse_problem("(define (problem q) (:domain d) (:init) (:goal (p)))", domain)
         message = "^schema a has negated preconditions; compile negations first$"
         with pytest.raises(ValidationError, match=message):
-            ground(domain, problem, [frozenset({Literal("p", ())})])
+            ground(domain, problem)
 
 
 class TestNegationSoundness:
@@ -197,7 +198,7 @@ class TestNegationSoundness:
         domain = parse_domain(self.DOMAIN)
         problem = parse_problem(self.PROBLEM, domain)
         domain, problem = compile_negations(domain, problem)
-        gp = ground(domain, problem, [problem.goal])
+        gp = ground(domain, problem)
         pairs = [
             (gp.fact_id(f"(locked {d})"), gp.fact_id(f"(not-locked {d})"))
             for d in ("d1", "d2")
@@ -272,7 +273,7 @@ class TestTypedGrounding:
 (define (problem p) (:domain narrow) (:objects x1 - a z1 - c)
   (:init (is-c z1) (on x1)) (:goal (at z1)))
 """, domain)
-        actions = ground(domain, problem, [problem.goal]).actions
+        actions = ground(domain, problem).actions
         assert [a.name for a in actions] == ["(go z1 x1)"]
 
 
@@ -283,9 +284,9 @@ def _checked_against_reference(monkeypatch):
     """Make bench's ground() assert equality with the reference on every call."""
     calls = []
 
-    def both(domain, problem, hypotheses):
-        joined = ground(domain, problem, hypotheses)
-        assert joined == ground_exhaustive(domain, problem, hypotheses)
+    def both(domain, problem):
+        joined = ground(domain, problem)
+        assert joined == ground_exhaustive(domain, problem)
         calls.append(joined)
         return joined
 
@@ -395,26 +396,21 @@ def typed_tasks(draw):
 
     domain = DomainAst("random", types, tuple(statics + fluents), tuple(schemas))
     objects = tuple((f"o{i}", draw(type_of)) for i in range(draw(st.integers(0, 5))))
-    universe = objects_by_type(domain, ProblemAst(objects, frozenset(), frozenset()))
+    universe = objects_by_type(domain, ProblemAst(objects, {}, ()))
 
     def atoms(pred):
-        return [Literal(pred.name, args) for args in ground_instantiations(pred.params, universe)]
+        return list(ground_instantiations(pred.params, universe))
 
     def init_atoms(pred):
         if pred.name in paired:
-            return [lit for lit in atoms(pred) if draw(st.booleans())]
+            return [args for args in atoms(pred) if draw(st.booleans())]
         return _subset(draw, atoms(pred))
 
-    init = [lit for pred in statics[:-1] + fluents for lit in init_atoms(pred)]
+    init = {pred.name: frozenset(init_atoms(pred)) for pred in statics[:-1] + fluents}
     changing = [p for p in fluents if p.name not in static_predicates(domain)]
-    goal = _subset(draw, [lit for pred in changing for lit in atoms(pred)])
-    problem = ProblemAst(objects, frozenset(init), frozenset(goal))
+    goal = _subset(draw, [Literal(pred.name, args) for pred in changing for args in atoms(pred)])
+    problem = ProblemAst(objects, init, (frozenset(goal),))
     return compile_negations(domain, problem)
-
-
-def _parsed_task(domain_text, problem_text):
-    domain = parse_domain(domain_text)
-    return compile_negations(domain, parse_problem(problem_text, domain))
 
 
 _EDGE_PROBLEM = """\
@@ -422,23 +418,25 @@ _EDGE_PROBLEM = """\
   (:init (adj o1 o1) (adj o1 o2) (adj o2 o2) (at o1) (h)) (:goal (at o2)))
 """
 
-# A fluent predicate with no objects of its type, in a delete list: its
-# schema has no bindings and the predicate no facts.
-EMPTY_TYPE_DELETE = _parsed_task(
-    """\
+# Domain and problem texts of tasks that random ones seldom hit.  They are
+# parsed inside the test, so a reader fault fails each case on its own.
+EDGE_CASES = {
+    # A fluent predicate with no objects of its type, in a delete list: its
+    # schema has no bindings and the predicate no facts.
+    "empty-type-delete": (
+        """\
 (define (domain edge) (:requirements :strips :typing) (:types t)
   (:predicates (adj ?x ?y) (at ?x) (h) (gone ?x - t))
   (:action drop :parameters (?x - t) :precondition (and) :effect (not (gone ?x)))
   (:action m :parameters (?x ?y) :precondition (and (at ?x) (adj ?x ?y))
     :effect (and (at ?y) (not (at ?x)))))
 """,
-    _EDGE_PROBLEM,
-)
-
-# 0-ary fluents in preconditions, adds and deletes, and a variable repeated
-# within a static precondition.
-NULLARY_AND_REPEATED = _parsed_task(
-    """\
+        _EDGE_PROBLEM,
+    ),
+    # 0-ary fluents in preconditions, adds and deletes, and a variable
+    # repeated within a static precondition.
+    "nullary-and-repeated": (
+        """\
 (define (domain edge) (:requirements :strips)
   (:predicates (adj ?x ?y) (at ?x) (h) (k))
   (:action m :parameters (?x ?y) :precondition (and (h) (at ?x) (adj ?x ?y))
@@ -446,25 +444,26 @@ NULLARY_AND_REPEATED = _parsed_task(
   (:action stay :parameters (?x) :precondition (and (k) (adj ?x ?x) (at ?x))
     :effect (and (h) (not (k)))))
 """,
-    _EDGE_PROBLEM,
-)
-
-# A static literal joined on two already bound variables, over atoms that
-# are not symmetric: its table must be keyed on those positions in order.
-TWO_BOUND_POSITIONS = _parsed_task(
-    """\
+        _EDGE_PROBLEM,
+    ),
+    # A static literal joined on two already bound variables, over atoms
+    # that are not symmetric: its table must be keyed on those positions in
+    # order.
+    "two-bound-positions": (
+        """\
 (define (domain edge) (:requirements :strips)
   (:predicates (adj ?x ?y) (link ?x ?y) (at ?x))
   (:action m :parameters (?x ?y) :precondition (and (at ?x) (adj ?x ?y) (link ?x ?y))
     :effect (and (at ?y) (not (at ?x)))))
 """,
-    """\
+        """\
 (define (problem p) (:domain edge) (:objects o1 o2 o3)
   (:init (adj o1 o2) (adj o2 o1) (adj o2 o3)
     (link o1 o2) (link o2 o3) (link o3 o2) (link o1 o3) (at o1))
   (:goal (at o3)))
 """,
-)
+    ),
+}
 
 
 class TestGroundInstantiations:
@@ -484,11 +483,14 @@ class TestGroundInstantiations:
 
 class TestReferenceProperty:
     @given(task=typed_tasks())
-    @example(task=EMPTY_TYPE_DELETE)
-    @example(task=NULLARY_AND_REPEATED)
-    @example(task=TWO_BOUND_POSITIONS)
     @settings(max_examples=300, deadline=None)
     def test_identical_to_reference(self, task):
         domain, problem = task
-        joined = ground(domain, problem, [problem.goal])
-        assert joined == ground_exhaustive(domain, problem, [problem.goal])
+        assert ground(domain, problem) == ground_exhaustive(domain, problem)
+
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_edge_case_identical_to_reference(self, name):
+        domain_text, problem_text = EDGE_CASES[name]
+        domain = parse_domain(domain_text)
+        domain, problem = compile_negations(domain, parse_problem(problem_text, domain))
+        assert ground(domain, problem) == ground_exhaustive(domain, problem)

@@ -185,8 +185,8 @@ class TestParseDomain:
 class TestParseProblem:
     def test_grid_problem(self):
         _, problem = _problem(GRID_PROBLEM)
-        assert problem.init == frozenset({Literal("is-at", ("c23",))})
-        assert problem.goal == frozenset({Literal("is-at", ("c1",))})
+        assert problem.init == {"is-at": frozenset({("c23",)})}
+        assert problem.goals == (frozenset({Literal("is-at", ("c1",))}),)
 
     def test_undeclared_object_rejected(self):
         with pytest.raises(ValidationError, match="c99"):
@@ -274,7 +274,7 @@ class TestParseProblem:
 """,
             TYPED_DOMAIN,
         )
-        assert Literal("near", ("z1", "x1")) in problem.init
+        assert ("z1", "x1") in problem.init["near"]
 
     def test_goal_equal_to_init_is_valid(self):
         _, problem = _problem(
@@ -286,7 +286,8 @@ class TestParseProblem:
   (:goal (is-at c23)))
 """
         )
-        assert problem.goal == problem.init
+        assert problem.init == {"is-at": frozenset({("c23",)})}
+        assert problem.goals == (frozenset({Literal("is-at", ("c23",))}),)
 
     @pytest.mark.parametrize("goal", ["(:goal)", "(:goal (is-at c1) (is-at c23))"])
     def test_goal_must_hold_one_form(self, goal):
@@ -454,14 +455,14 @@ class TestCompileNegations:
     def test_closed_world_completion(self):
         # d1 is not locked in init, so its complement atom must be.
         _, problem = self._compiled()
-        assert Literal("not-locked", ("d1",)) in problem.init
-        assert Literal("not-locked", ("d2",)) not in problem.init
+        assert problem.init["not-locked"] == frozenset({("d1",)})
+        assert problem.init["locked"] == frozenset({("d2",)})
 
     def test_output_has_no_negations(self):
         domain, problem = self._compiled()
         for schema in domain.schemas:
             assert not any(lit.negated for lit in schema.pre)
-        assert not any(lit.negated for lit in problem.goal)
+        assert not any(lit.negated for goal in problem.goals for lit in goal)
 
     def test_identity_when_no_negations(self):
         domain = parse_domain(MINIMAL_DOMAIN.replace(
