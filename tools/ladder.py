@@ -22,8 +22,8 @@ processes.  The goalrec package is imported from --src (the repository's
 src/ by default), so another revision, such as a parent commit checked out
 in a separate directory, is measured with this script.  The result is
 written to BENCH_<tag>.json, at the repository root by default, with the
-source's git revision, the Python and numpy versions, the core count and
-the seeds.
+source's git revision (and whether its tracked files differ from it), the
+Python and numpy versions, the core count and the seeds.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID_SEED = 7
@@ -54,10 +57,7 @@ STAGES = (
 
 def measure(side: int) -> dict:
     """One fresh process's timings on the side x side grid."""
-    import tempfile
-
-    import numpy as np
-
+    # Imported here: only a measuring process has --src on its path.
     from goalrec import estimate, load_instance, prepare_instance, recognize_online
     from goalrec.gridgen import random_grid, write_instance
     from goalrec.relaxed import compute_fixpoint
@@ -144,14 +144,12 @@ def run_ladder(src: Path, sides, processes: int) -> dict:
                 for stage in STAGES
             },
         })
-    import numpy
-
-    status = _git(src, "status", "--porcelain", "--untracked-files=no")
+    status = _git(src, "status", "--porcelain", "--untracked-files=no", "--", ".")
     return {
         "git_revision": _git(src, "rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "cores": os.cpu_count(),
         "processes": processes,
         "seeds": {"grid": GRID_SEED, "estimate": ESTIMATE_SEED},
