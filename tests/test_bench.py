@@ -273,7 +273,7 @@ class TestBuildProblem:
 
     @pytest.mark.parametrize("stray", ["(is-at c25)", "(not (is-at c25))", "(is-at c1)"])
     def test_template_goal_atom_in_no_hypothesis_raises(self, stray):
-        # Grounding keeps only the hypotheses' goals, so the stray atom was
+        # The hypotheses replace the template goal, so the stray atom would be
         # dropped, (is-at c1) too, though it is also the first hypothesis.
         template = (FIXTURES / "grid" / "template.pddl").read_text()
         template = template.replace("<HYPOTHESIS>", f"{stray} <HYPOTHESIS>")
