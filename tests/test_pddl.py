@@ -417,6 +417,21 @@ class TestInputErrors:
              ), None, ValidationError, "repeated action keyword :effect in a"),
             (_ACTION.format("?x", "", "(p ?x) (increase (total-cost) 1) (increase (total-cost) 2)"),
              None, ValidationError, "more than one cost effect in a"),
+            # Two faults: the shape of an init atom is checked as its section
+            # is read, before the domain name, later sections and the atoms'
+            # predicates and objects.
+            (_DOMAIN.format("(:predicates (p ?x))"),
+             _PROBLEM.format("o").replace("(:domain d)", "(:domain other)")
+             .replace("(:init)", "(:init (not (p o)))"),
+             ValidationError, "negation not allowed here: (not (p o))"),
+            (_DOMAIN.format("(:predicates (p ?x))"),
+             _PROBLEM.format("o").replace("(:init)", "(:init (p (o)))")
+             .replace("(:goal (and))", "(:goal (and) (p o))"),
+             ValidationError, "malformed literal arguments: (p (o))"),
+            (_DOMAIN.format("(:predicates (p ?x))"),
+             _PROBLEM.format("o").replace("(:init)", "(:init (p z))")
+             .replace("(:goal (and))", "(:goal (and)) (:metric maximize (total-cost))"),
+             ValidationError, "unsupported metric: (:metric maximize (total-cost))"),
         ],
     )
     def test_message(self, domain, problem, error, message):
