@@ -9,10 +9,13 @@ the table's fluent entries give s0, and each of the problem's goals
 becomes one goal description.  Each literal's atoms are indexed when that
 literal is joined: those whose repeated variables agree and whose newly
 bound objects fit their types, by their values at the already bound
-positions.  Parameters that no static precondition mentions range over
-their type.  Only bindings that satisfy every static precondition are
-named, so the cost follows the number of actions rather than
-|objects|^arity.  Each schema's bindings are then taken as one list, and
+positions.  Every init atom fits its predicate's declared types (see
+ProblemAst), so an object's type is checked only at a position whose
+declared type is not the parameter's type or a subtype of it; the
+equality of a repeated variable is always checked.  Parameters that no
+static precondition mentions range over their type.  Only bindings that
+satisfy every static precondition are named, so the cost follows the
+number of actions rather than |objects|^arity.  Each schema's bindings are then taken as one list, and
 the fact ids of each fluent literal are looked up as one column over all
 of them, in a dict per predicate from argument values to fact id; each
 action's pre, add and delete sets are built from those columns.  A binding
@@ -69,14 +72,19 @@ def _join_order(literals, atoms) -> list[Literal]:
     return order
 
 
-def ground_instantiations(params, universe: dict[str, list[str]], statics=(), atoms=None):
+def ground_instantiations(
+    params, universe: dict[str, list[str]], statics=(), atoms=None, domain=None
+):
     """Type-consistent argument tuples for a typed parameter list.
 
-    Given literals over the parameters and a problem's init table (see
-    ProblemAst), only the tuples under which every literal is an init atom
-    are produced; each literal's atoms are indexed when that literal is
-    joined.  A parameter that no literal binds
-    ranges over its type, so with no literals this is the type product.
+    Given literals over the parameters, a problem's init table (see
+    ProblemAst) and the domain that declares the literals' predicates, only
+    the tuples under which every literal is an init atom are produced; each
+    literal's atoms are indexed when that literal is joined.  An init atom
+    fits its predicate's declared types, so an object is type-checked only
+    at a position whose declared type is not the parameter's type or a
+    subtype of it.  A parameter that no literal binds ranges over its type,
+    so with no literals this is the type product.
     """
     pools = [universe.get(typ, []) for _, typ in params]
     slot_of = {var: i for i, (var, _) in enumerate(params)}
@@ -86,16 +94,30 @@ def ground_instantiations(params, universe: dict[str, list[str]], statics=(), at
         slots = [slot_of[arg] for arg in lit.args]
         keyed = [j for j, s in enumerate(slots) if s in bound]
         fresh: dict[int, int] = {}  # slot -> first position binding it
-        checks = []  # (position, first position of its slot, type pool)
+        repeats = []  # (position, first position of its slot)
+        checks = []  # (position, type pool) where the declared type proves nothing
+        declared = domain.predicate_map[lit.predicate].params
         for j, s in enumerate(slots):
-            if s not in bound:
-                checks.append((j, fresh.setdefault(s, j), frozenset(pools[s])))
+            if s in bound:
+                continue
+            if fresh.setdefault(s, j) != j:
+                repeats.append((j, fresh[s]))
+            if params[s][1] not in domain.type_ancestors[declared[j][1]]:
+                checks.append((j, frozenset(pools[s])))
         # The literal's atoms whose repeated slots agree and whose new
         # objects fit their types, by their values at the bound positions.
-        atom_key = _key_getter(keyed)
-        table = defaultdict(list)
-        for args in atoms.get(lit.predicate, ()):
-            if all(args[j] == args[first] and args[j] in pool for j, first, pool in checks):
+        rows = atoms.get(lit.predicate, ())
+        if repeats or checks:
+            rows = [
+                args for args in rows
+                if all(args[j] == args[first] for j, first in repeats)
+                and all(args[j] in pool for j, pool in checks)
+            ]
+        table = {(): rows}
+        if keyed:
+            atom_key = _key_getter(keyed)
+            table = defaultdict(list)
+            for args in rows:
                 table[atom_key(args)].append(args)
         key = _key_getter([slots[j] for j in keyed])
         grown = []
@@ -228,7 +250,9 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     for schema in domain.schemas:
         slot_of = {var: i for i, (var, _) in enumerate(schema.params)}
         static_pre = [lit for lit in schema.pre if lit.predicate in statics]
-        bindings = list(ground_instantiations(schema.params, universe, static_pre, problem.init))
+        bindings = list(
+            ground_instantiations(schema.params, universe, static_pre, problem.init, domain)
+        )
 
         def id_sets(literals):
             """One frozenset of the literals' fact ids per binding, built column by column."""

@@ -10,6 +10,7 @@ canonical atom form is "(pred arg1 ... argk)" with single spaces.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -106,7 +107,11 @@ class ProblemAst:
     """A recognition problem: one initial state and the goals scored against it.
 
     init maps a predicate to the argument tuples of its init atoms; a
-    predicate it leaves out has none.  A parsed problem has one goal.
+    predicate it leaves out has none.  Every tuple fits its predicate's
+    declared types: each argument is an object whose type is the declared
+    type or a subtype of it.  parse_problem checks that, and the closed-world
+    completion of compile_negations keeps it, so the grounder's join relies
+    on it instead of checking each atom again.  A parsed problem has one goal.
     """
 
     objects: tuple[tuple[str, str], ...]  # (object, type)
@@ -429,11 +434,18 @@ def _validate_domain(domain: DomainAst) -> None:
 
 
 def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
-    """Parse a problem definition against an already parsed domain."""
+    """Parse a problem definition against an already parsed domain.
+
+    Each init atom's form is checked as its section is read.  Its predicate,
+    arity and objects are checked after every section is read, each
+    predicate's atoms together; only when that check fails are the atoms
+    scanned again in file order, to name the first faulty one.
+    """
     name, sections = _define_sections(text, "problem")
     domain_name = None
     objects: tuple[tuple[str, str], ...] = ()
-    init: list[Literal] = []
+    init_forms: list = []
+    rows: dict[str, list[list[str]]] = defaultdict(list)  # init atoms by predicate
     goal: list[Literal] = []
 
     for section in sections:
@@ -443,12 +455,18 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
         elif head == ":objects":
             objects = tuple(_parse_typed_list(section[1:]))
         elif head == ":init":
-            for atom in section[1:]:
+            init_forms = section[1:]
+            for atom in init_forms:
                 if isinstance(atom, list) and atom and atom[0] == "=":
                     if len(atom) != 3 or atom[1] != ["total-cost"] or _number(atom[2]) is None:
                         raise ValidationError(f"unsupported numeric init form: {_pddl(atom)}")
                     continue  # (= (total-cost) N), as :action-costs plumbing
-                init.append(parse_literal(atom, allow_negation=False))
+                # An atom is a flat form headed by a predicate; parse_literal
+                # raises the fault of any other form.
+                flat = isinstance(atom, list) and atom and list not in map(type, atom)
+                if not flat or atom[0] == "not":
+                    parse_literal(atom, allow_negation=False)
+                rows[atom[0]].append(atom)
         elif head == ":goal":
             if len(section) != 2:
                 raise ValidationError(f"(:goal) must hold one form, got {len(section) - 1}")
@@ -465,13 +483,39 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
             f"problem {name} references domain {domain_name!r}, expected {domain.name!r}"
         )
 
-    # Checked in file order, before the sets are made, so the first fault
-    # reported does not depend on string hashing.
-    validate_problem(objects, {"init": init, "goal": goal}, domain)
-    table: dict[str, set[tuple[str, ...]]] = {}
-    for lit in init:
-        table.setdefault(lit.predicate, set()).add(lit.args)
-    return ProblemAst(objects, {p: frozenset(a) for p, a in table.items()}, (frozenset(goal),))
+    init = _init_table(objects, rows, domain)
+    if init is None:
+        # Some init atom is faulty.  The atoms are scanned again in file
+        # order, so the first fault reported does not depend on string hashing.
+        atoms = [parse_literal(form, allow_negation=False) for form in init_forms if form[0] != "="]
+        validate_problem(objects, {"init": atoms}, domain)
+        raise AssertionError(f"no faulty init atom in problem {name}")
+    validate_problem(objects, {"goal": goal}, domain)
+    return ProblemAst(objects, init, (frozenset(goal),))
+
+
+def _init_table(
+    objects: tuple[tuple[str, str], ...], rows: dict[str, list[list[str]]], domain: DomainAst
+) -> dict[str, frozenset[tuple[str, ...]]] | None:
+    """The init table of each predicate's atoms, read as [predicate, *args] rows,
+    or None when some atom's predicate is undeclared, its arity differs or an
+    argument is not an object of its position's declared type.  Each predicate
+    is checked once, with one set inclusion per argument position."""
+    ancestors = domain.type_ancestors
+    fitting: dict[str, set[str]] = defaultdict(set)  # type -> the objects that fit it
+    for obj, typ in objects:
+        for anc in ancestors.get(typ, ()):
+            fitting[anc].add(obj)
+    table = {}
+    for head, atoms in rows.items():
+        pred = domain.predicate_map.get(head)
+        if pred is None or set(map(len, atoms)) != {pred.arity + 1}:
+            return None
+        columns = list(zip(*atoms))[1:]
+        if not all(fitting[typ].issuperset(col) for (_, typ), col in zip(pred.params, columns)):
+            return None
+        table[head] = frozenset(zip(*columns)) if columns else frozenset({()})
+    return table
 
 
 def validate_problem(

@@ -10,12 +10,30 @@ line and column, and recurses once per nesting level, raising each syntax
 error as it meets it.  Tests check that both give the same tokens and
 positions, and the same forms or the same error message at the same line and
 column.
+
+It also keeps the per-atom problem reader: `reference_parse_problem` reads
+every init atom with `parse_literal`, checks it with `validate_problem` in
+file order and only then builds the init table.  The package checks each
+predicate's init atoms together and scans them in file order only to name a
+fault; tests check that both give the same problem or the same error.
 """
 
 from __future__ import annotations
 
-from goalrec.errors import PddlSyntaxError
-from goalrec.pddl import MAX_NESTING_DEPTH
+from goalrec.errors import PddlSyntaxError, ValidationError
+from goalrec.pddl import (
+    MAX_NESTING_DEPTH,
+    DomainAst,
+    Literal,
+    ProblemAst,
+    _define_sections,
+    _flatten_conjunction,
+    _number,
+    _parse_typed_list,
+    _pddl,
+    parse_literal,
+    validate_problem,
+)
 
 
 def tokenize_by_character(text: str) -> list[tuple[str, int, int]]:
@@ -102,3 +120,47 @@ def reference_read_single(text: str) -> list:
     if not isinstance(sexp, list):
         raise _malformed(tokens, "expected a parenthesized form", 0)
     return sexp
+
+
+def reference_parse_problem(text: str, domain: DomainAst) -> ProblemAst:
+    """A problem read atom by atom, as `goalrec.pddl.parse_problem`."""
+    name, sections = _define_sections(text, "problem")
+    domain_name = None
+    objects: tuple[tuple[str, str], ...] = ()
+    init: list[Literal] = []
+    goal: list[Literal] = []
+
+    for section in sections:
+        head = section[0]
+        if head == ":domain":
+            domain_name = section[1] if len(section) == 2 else None
+        elif head == ":objects":
+            objects = tuple(_parse_typed_list(section[1:]))
+        elif head == ":init":
+            for atom in section[1:]:
+                if isinstance(atom, list) and atom and atom[0] == "=":
+                    if len(atom) != 3 or atom[1] != ["total-cost"] or _number(atom[2]) is None:
+                        raise ValidationError(f"unsupported numeric init form: {_pddl(atom)}")
+                    continue
+                init.append(parse_literal(atom, allow_negation=False))
+        elif head == ":goal":
+            if len(section) != 2:
+                raise ValidationError(f"(:goal) must hold one form, got {len(section) - 1}")
+            for part in _flatten_conjunction(section[1]):
+                goal.append(parse_literal(part, allow_negation=True))
+        elif head == ":metric":
+            if section != [":metric", "minimize", ["total-cost"]]:
+                raise ValidationError(f"unsupported metric: {_pddl(section)}")
+        else:
+            raise ValidationError(f"unsupported problem section: {head}")
+
+    if domain_name != domain.name:
+        raise ValidationError(
+            f"problem {name} references domain {domain_name!r}, expected {domain.name!r}"
+        )
+
+    validate_problem(objects, {"init": init, "goal": goal}, domain)
+    table: dict[str, set[tuple[str, ...]]] = {}
+    for lit in init:
+        table.setdefault(lit.predicate, set()).add(lit.args)
+    return ProblemAst(objects, {p: frozenset(a) for p, a in table.items()}, (frozenset(goal),))

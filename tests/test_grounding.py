@@ -463,6 +463,34 @@ EDGE_CASES = {
   (:goal (at o3)))
 """,
     ),
+    # A parameter of a strict subtype of the static predicate's declared
+    # type: its init atoms prove only the wider type, so the join must still
+    # drop the atom over o1.
+    "subtype-parameter": (
+        """\
+(define (domain edge) (:requirements :strips :typing) (:types a - object b - a)
+  (:predicates (s ?x - a) (at ?x))
+  (:action m :parameters (?x - b) :precondition (and (s ?x)) :effect (at ?x)))
+""",
+        """\
+(define (problem p) (:domain edge) (:objects o1 - a o2 - b)
+  (:init (s o1) (s o2)) (:goal (at o2)))
+""",
+    ),
+    # A typed parameter repeated within an untyped static predicate: each
+    # atom's objects fit t at both positions or at neither, and none repeats
+    # an object of type t, so only the equality check drops them all.
+    "repeated-slot-untyped": (
+        """\
+(define (domain edge) (:requirements :strips :typing) (:types t)
+  (:predicates (r ?x ?y) (at ?x))
+  (:action m :parameters (?x - t) :precondition (and (r ?x ?x)) :effect (at ?x)))
+""",
+        """\
+(define (problem p) (:domain edge) (:objects o1 o2 - t o3)
+  (:init (r o1 o2) (r o2 o1) (r o3 o3)) (:goal (at o1)))
+""",
+    ),
 }
 
 

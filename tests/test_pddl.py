@@ -14,7 +14,10 @@ from goalrec.gridgen import DOMAIN_TEXT
 from goalrec.negation import compile_negations
 from goalrec.pddl import (
     MAX_NESTING_DEPTH,
+    ROOT_TYPE,
+    DomainAst,
     Literal,
+    Predicate,
     _read_single,
     _token_position,
     _token_texts,
@@ -25,7 +28,12 @@ from goalrec.pddl import (
 
 from atoms import parse_atom
 from conftest import FIXTURES, TYPED_DOMAIN
-from reference_reader import reference_read_forms, reference_read_single, tokenize_by_character
+from reference_reader import (
+    reference_parse_problem,
+    reference_read_forms,
+    reference_read_single,
+    tokenize_by_character,
+)
 
 MINIMAL_DOMAIN = """\
 (define (domain grid-nav)
@@ -633,3 +641,111 @@ class TestReaderAgainstReference:
     def test_forms_and_errors_match_recursive_reader(self, text):
         assert _outcome(read_forms, text) == _outcome(reference_read_forms, text)
         assert _outcome(_read_single, text) == _outcome(reference_read_single, text)
+
+
+# Faults of one init form each, and two that the file-order scan must name
+# first (a repeated object) or last (a goal atom).
+PROBLEM_FAULTS = (
+    "undeclared predicate", "wrong arity", "undeclared object", "type misfit",
+    "nested argument", "negation", "numeric form", "repeated object", "goal predicate",
+)
+
+
+@st.composite
+def faulty_problems(draw):
+    """A random typed domain and a problem text over it, with 0-3 faults,
+    most of them faulty init forms among its well-typed init atoms.
+
+    Types form a hierarchy under object; predicates have arity 0-3 and
+    random parameter types.  The init atoms are drawn from each predicate's
+    type-consistent argument tuples, repeats allowed, and shuffled with a
+    valid (= (total-cost) N) and the faulty forms.  The goal holds some of
+    the same atoms.
+    """
+    types = tuple(
+        (f"t{i}", draw(st.sampled_from([ROOT_TYPE] + [f"t{j}" for j in range(i)])))
+        for i in range(draw(st.integers(0, 3)))
+    )
+    type_of = st.sampled_from([ROOT_TYPE] + [name for name, _ in types])
+    predicates = tuple(
+        Predicate(f"p{i}", tuple((f"?a{j}", draw(type_of)) for j in range(draw(st.integers(0, 3)))))
+        for i in range(draw(st.integers(1, 3)))
+    )
+    domain = DomainAst("d", types, predicates, ())
+    objects = [(f"o{i}", draw(type_of)) for i in range(draw(st.integers(1, 5)))]
+    fitting = {
+        typ: [obj for obj, t in objects if typ in domain.type_ancestors[t]]
+        for typ in domain.type_ancestors
+    }
+
+    def args_of(pred):
+        return [draw(st.sampled_from(fitting[typ])) for _, typ in pred.params]
+
+    valid = [pred for pred in predicates if all(fitting[typ] for _, typ in pred.params)]
+    heads = draw(st.lists(st.sampled_from(valid), min_size=1, max_size=8)) if valid else []
+    atoms = [f"({' '.join([pred.name] + args_of(pred))})" for pred in heads]
+    goal = draw(st.lists(st.sampled_from(atoms), max_size=2)) if atoms else []
+    atoms.append("(= (total-cost) 0)")
+
+    for kind in draw(st.lists(st.sampled_from(PROBLEM_FAULTS), max_size=3)):
+        pred = draw(st.sampled_from(predicates))
+        args = [draw(st.sampled_from([obj for obj, _ in objects])) for _ in pred.params]
+        if kind == "undeclared predicate":
+            form = f"(q {' '.join(args)})"
+        elif kind == "wrong arity":
+            form = f"({' '.join([pred.name] + args + ['o0'] * draw(st.integers(1, 2)))})"
+            if args and draw(st.booleans()):
+                form = f"({' '.join([pred.name] + args[:-1])})"
+        elif kind == "undeclared object":
+            if not args:
+                continue
+            args[draw(st.integers(0, len(args) - 1))] = "z"
+            form = f"({' '.join([pred.name] + args)})"
+        elif kind == "type misfit":
+            misfits = [
+                (other, j, obj) for other in predicates for j, (_, typ) in enumerate(other.params)
+                for obj, _ in objects if obj not in fitting[typ]
+            ]
+            if not misfits:
+                continue
+            pred, j, misfit = draw(st.sampled_from(misfits))
+            args = [draw(st.sampled_from([obj for obj, _ in objects])) for _ in pred.params]
+            args[j] = misfit
+            form = f"({' '.join([pred.name] + args)})"
+        elif kind == "nested argument":
+            form = f"({pred.name} ({' '.join(args)}))"
+        elif kind == "negation":
+            form = f"(not ({' '.join([pred.name] + args)}))"
+        elif kind == "numeric form":
+            form = draw(st.sampled_from(["(=)", "(= (fuel) 1)", "(= (total-cost) x)"]))
+        elif kind == "repeated object":
+            objects.append((draw(st.sampled_from(objects))[0], draw(type_of)))
+            continue
+        else:
+            goal.append("(q)")
+            continue
+        atoms.append(form)
+
+    declared = " ".join(f"{obj} - {typ}" for obj, typ in objects)
+    text = (
+        f"(define (problem q) (:domain d) (:objects {declared})"
+        f" (:init {' '.join(draw(st.permutations(atoms)))}) (:goal (and {' '.join(goal)})))"
+    )
+    return domain, text
+
+
+def _parsed(parse, text, domain):
+    """The problem parsed from text, or the error's type and message."""
+    try:
+        return parse(text, domain)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class TestInitAgainstReference:
+    @given(task=faulty_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_same_problem_or_error_as_atom_by_atom_reader(self, task):
+        domain, text = task
+        expected = _parsed(reference_parse_problem, text, domain)
+        assert _parsed(parse_problem, text, domain) == expected
