@@ -23,7 +23,6 @@ from statistics import mean, pstdev
 
 from .errors import DatasetError, GoalRecError, ParameterError
 from .grounding import GroundProblem, ground
-from .negation import compile_negations
 from .pddl import Literal, parse_domain, parse_literal, parse_problem, read_forms
 from .pddl import validate_problem
 from .probability import DEFAULT_N_SAMPLES, EMPIRICAL_UNION, FactProbabilityTable, estimate
@@ -140,46 +139,41 @@ def build_problem(
     template_text: str,
     hypotheses: tuple[frozenset[Literal], ...],
 ) -> GroundProblem:
-    """Parse, compile negations and ground, with the hypotheses as the goals.
+    """Parse and ground, with the hypotheses as the goals.
 
     The cyclic garbage collector is paused while a problem is built: a build
     makes about four tracked objects per ground action, and each collection
     it triggered would rescan all of them.  Collection never changes a value.
     The caller's collector state is restored on return or raise; a threaded
-    caller sees the collector off while a build runs.
+    caller sees the collector off while a build runs.  The pause defers one
+    collection: the first young one after it scans every object the build
+    made, at the caller's next allocation (prepare_instance's event list);
+    on an 80x80 open grid it took 21-37 ms after a build of 170-282 ms.
     """
     paused = gc.isenabled()
     if paused:
         gc.disable()
     try:
-        return _build_problem(domain_text, template_text, hypotheses)
+        domain = parse_domain(domain_text)
+        # The template is parsed once, with the placeholder read as an empty
+        # conjunction.  The hypotheses replace its goal, so any atom left in
+        # the template goal would be dropped.
+        problem = parse_problem(template_text.replace(HYPOTHESIS_PLACEHOLDER, "(and)"), domain)
+        atoms = frozenset(lit for hyp in hypotheses for lit in hyp)
+        if problem.goals[0]:
+            extra = min(problem.goals[0], key=Literal.canonical)
+            kind = "also a hypothesis atom" if extra in atoms else "in no hypothesis"
+            raise DatasetError(
+                f"template goal atom {extra.canonical()} is {kind}; "
+                f"the template goal must hold only {HYPOTHESIS_PLACEHOLDER}"
+            )
+        # Hypothesis atoms are checked as goal atoms, in canonical order;
+        # init was checked with the template.
+        validate_problem(problem.objects, {"goal": sorted(atoms, key=Literal.canonical)}, domain)
+        return ground(domain, replace(problem, goals=hypotheses))
     finally:
         if paused:
             gc.enable()
-
-
-def _build_problem(
-    domain_text: str,
-    template_text: str,
-    hypotheses: tuple[frozenset[Literal], ...],
-) -> GroundProblem:
-    domain = parse_domain(domain_text)
-    # The template is parsed once, with the placeholder read as an empty
-    # conjunction.  The hypotheses replace its goal, so any atom left in the
-    # template goal would be dropped.
-    problem = parse_problem(template_text.replace(HYPOTHESIS_PLACEHOLDER, "(and)"), domain)
-    atoms = frozenset(lit for hyp in hypotheses for lit in hyp)
-    if problem.goals[0]:
-        extra = min(problem.goals[0], key=Literal.canonical)
-        kind = "also a hypothesis atom" if extra in atoms else "in no hypothesis"
-        raise DatasetError(
-            f"template goal atom {extra.canonical()} is {kind}; "
-            f"the template goal must hold only {HYPOTHESIS_PLACEHOLDER}"
-        )
-    # Hypothesis atoms are checked as goal atoms, in canonical order; init
-    # was checked with the template.
-    validate_problem(problem.objects, {"goal": sorted(atoms, key=Literal.canonical)}, domain)
-    return ground(*compile_negations(domain, replace(problem, goals=hypotheses)))
 
 
 def prepare_instance(

@@ -1,5 +1,7 @@
 """Grounding of typed schemas into dense, lexicographically indexed facts/actions.
 
+Negated preconditions and goals are compiled away first (see negation), so
+any parsed problem can be grounded; a goal literal is still named as written.
 Predicates that never occur in any add or delete effect are static: they
 restrict instantiation against the initial state and are then dropped, so
 the fact universe only contains fluent facts.  An action schema is
@@ -31,21 +33,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
+from . import negation
 from .errors import ParameterError, ValidationError
-from .pddl import ROOT_TYPE, DomainAst, Literal, ProblemAst, atom_name
+from .pddl import DomainAst, Literal, ProblemAst, atom_name, objects_by_type
 from .relaxed import RelaxedPlanningGraph, compute_fixpoint
-
-
-def objects_by_type(domain: DomainAst, problem: ProblemAst) -> dict[str, list[str]]:
-    """Sorted object lists per type, honoring the type hierarchy."""
-    ancestors = domain.type_ancestors
-    out: dict[str, list[str]] = {typ: [] for typ in ancestors}
-    for obj, typ in sorted(problem.objects):
-        for anc in ancestors.get(typ, {ROOT_TYPE}):
-            out.setdefault(anc, []).append(obj)
-    return out
 
 
 def _key_getter(positions):
@@ -216,18 +209,15 @@ def static_predicates(domain: DomainAst) -> frozenset[str]:
 
 
 def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
-    """Ground a compiled (negation-free) domain/problem pair, one goal
-    description per goal of the problem."""
+    """Ground a domain/problem pair, one goal description per goal of the
+    problem.  Negations are compiled first (see negation), and a goal literal
+    that names no fact is reported as written."""
     if not problem.goals:
         raise ParameterError("at least one goal hypothesis is required")
+    goals_as_written = problem.goals
+    domain, problem = negation.compile_negations(domain, problem)
 
-    for schema in domain.schemas:
-        if any(lit.negated for lit in schema.pre):
-            raise ValidationError(
-                f"schema {schema.name} has negated preconditions; compile negations first"
-            )
-
-    universe = objects_by_type(domain, problem)
+    universe = objects_by_type(domain, problem.objects)
     statics = static_predicates(domain)
 
     # Each fluent predicate maps the key of an argument tuple (see
@@ -246,7 +236,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     for pred, names in names_of.items():
         ids_of[pred] = {k: fact_ids[name] for k, name in names.items()}
 
-    grounded: list[tuple[str, frozenset[int], frozenset[int], frozenset[int], Fraction]] = []
+    actions: list[GroundAction] = []
     for schema in domain.schemas:
         slot_of = {var: i for i, (var, _) in enumerate(schema.params)}
         static_pre = [lit for lit in schema.pre if lit.predicate in statics]
@@ -267,8 +257,9 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
 
         try:
             added = list(id_sets(schema.add))
-            grounded.extend(
-                zip(
+            actions.extend(
+                map(
+                    GroundAction,
                     map(atom_name, repeat(schema.name), bindings),
                     id_sets([lit for lit in schema.pre if lit.predicate not in statics]),
                     added,
@@ -278,9 +269,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
             )
         except KeyError:
             raise _misfit(domain, problem, schema, bindings) from None
-
-    grounded.sort(key=lambda item: item[0])
-    actions = [GroundAction(*item) for item in grounded]
+    actions.sort(key=attrgetter("name"))
 
     s0 = frozenset(
         fact_ids[atom_name(pred, args)]
@@ -290,16 +279,13 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     )
 
     goals: list[frozenset[int]] = []
-    for goal in problem.goals:
+    for goal in goals_as_written:
         ids = set()
         for lit in sorted(goal, key=Literal.canonical):
-            if lit.negated:
-                raise ValidationError(
-                    f"hypothesis literal {lit.canonical()} is negated; compile negations first"
-                )
-            name = atom_name(lit.predicate, lit.args)
+            atom = negation.complement_literal(lit)
+            name = atom_name(atom.predicate, atom.args)
             if name not in fact_ids:
-                raise ValidationError(f"hypothesis literal not groundable: {name}")
+                raise ValidationError(f"hypothesis literal not groundable: {lit.canonical()}")
             ids.add(fact_ids[name])
         goals.append(frozenset(ids))
 

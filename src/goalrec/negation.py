@@ -5,28 +5,24 @@ of the problem's goals, a complement predicate not-p is introduced; adds of
 p delete not-p and deletes of p add not-p.  The initial state is closed so
 that exactly one of p/not-p holds per ground instantiation: not-p's init
 atoms are p's type-consistent argument tuples less p's.  Every goal of
-the problem is rewritten here with `complement_literal`, so grounding
-takes the goals as compiled.
+the problem is rewritten with `complement_literal`.  `grounding.ground`
+compiles its input here; compiled input has no negations left, so it comes
+back unchanged.  This module and grounding import each other as modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from . import grounding
 from .errors import ValidationError
-from .grounding import ground_instantiations, objects_by_type
-from .pddl import DomainAst, Literal, Predicate, ProblemAst
+from .pddl import DomainAst, Literal, Predicate, ProblemAst, objects_by_type
 
 COMPLEMENT_PREFIX = "not-"
 
 
 def negated_predicates(domain: DomainAst, problem: ProblemAst) -> frozenset[str]:
-    names = {
-        lit.predicate
-        for schema in domain.schemas
-        for lit in schema.pre
-        if lit.negated
-    }
+    names = {lit.predicate for schema in domain.schemas for lit in schema.pre if lit.negated}
     names |= {lit.predicate for goal in problem.goals for lit in goal if lit.negated}
     return frozenset(names)
 
@@ -38,9 +34,7 @@ def complement_literal(lit: Literal) -> Literal:
     return Literal(COMPLEMENT_PREFIX + lit.predicate, lit.args)
 
 
-def compile_negations(
-    domain: DomainAst, problem: ProblemAst
-) -> tuple[DomainAst, ProblemAst]:
+def compile_negations(domain: DomainAst, problem: ProblemAst) -> tuple[DomainAst, ProblemAst]:
     """Total transformation; identity when no negations occur."""
     negated = negated_predicates(domain, problem)
     if not negated:
@@ -61,28 +55,22 @@ def compile_negations(
     new_schemas = []
     for schema in domain.schemas:
         pre = tuple(map(complement_literal, schema.pre))
-        add = list(schema.add)
-        delete = list(schema.delete)
-        for lit in schema.add:
-            if lit.predicate in negated:
-                delete.append(Literal(COMPLEMENT_PREFIX + lit.predicate, lit.args))
-        for lit in schema.delete:
-            if lit.predicate in negated:
-                add.append(Literal(COMPLEMENT_PREFIX + lit.predicate, lit.args))
-        new_schemas.append(
-            replace(schema, pre=pre, add=tuple(add), delete=tuple(delete))
+        add = schema.add + tuple(
+            complement_literal(lit.negate()) for lit in schema.delete if lit.predicate in negated
         )
+        delete = schema.delete + tuple(
+            complement_literal(lit.negate()) for lit in schema.add if lit.predicate in negated
+        )
+        new_schemas.append(replace(schema, pre=pre, add=add, delete=delete))
 
-    new_domain = replace(
-        domain, predicates=tuple(new_predicates), schemas=tuple(new_schemas)
-    )
+    new_domain = replace(domain, predicates=tuple(new_predicates), schemas=tuple(new_schemas))
 
     # Closed-world completion: needs the object universe, hence done here
     # rather than at parse time.
-    universe = objects_by_type(new_domain, problem)
+    universe = objects_by_type(new_domain, problem.objects)
     init = dict(problem.init)
     for name in sorted(negated):
-        instantiations = frozenset(ground_instantiations(preds[name].params, universe))
+        instantiations = frozenset(grounding.ground_instantiations(preds[name].params, universe))
         init[COMPLEMENT_PREFIX + name] = instantiations - problem.init.get(name, frozenset())
 
     goals = tuple(frozenset(map(complement_literal, goal)) for goal in problem.goals)

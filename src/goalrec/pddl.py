@@ -102,6 +102,17 @@ class DomainAst:
         return out
 
 
+def objects_by_type(domain: DomainAst, objects) -> dict[str, list[str]]:
+    """Each declared type's objects in declaration order, a subtype's objects
+    also under its ancestors.  An object of an undeclared type fits no type."""
+    ancestors = domain.type_ancestors
+    out: dict[str, list[str]] = {typ: [] for typ in ancestors}
+    for obj, typ in objects:
+        for anc in ancestors.get(typ, ()):
+            out[anc].append(obj)
+    return out
+
+
 @dataclass(frozen=True)
 class ProblemAst:
     """A recognition problem: one initial state and the goals scored against it.
@@ -501,11 +512,7 @@ def _init_table(
     or None when some atom's predicate is undeclared, its arity differs or an
     argument is not an object of its position's declared type.  Each predicate
     is checked once, with one set inclusion per argument position."""
-    ancestors = domain.type_ancestors
-    fitting: dict[str, set[str]] = defaultdict(set)  # type -> the objects that fit it
-    for obj, typ in objects:
-        for anc in ancestors.get(typ, ()):
-            fitting[anc].add(obj)
+    fitting = defaultdict(set, {t: set(objs) for t, objs in objects_by_type(domain, objects).items()})
     table = {}
     for head, atoms in rows.items():
         pred = domain.predicate_map.get(head)

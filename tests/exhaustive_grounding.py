@@ -3,7 +3,8 @@
 It enumerates every type-consistent binding of each schema, names it, and
 only then checks the static preconditions against the initial state.  The
 cost is |objects|^arity per schema, so it suits small instances; the tests
-compare `goalrec.grounding.ground` against it.
+compare `goalrec.grounding.ground` against it.  Like `ground`, it compiles
+negations first and names a goal literal as written.
 """
 
 from __future__ import annotations
@@ -12,13 +13,9 @@ from fractions import Fraction
 from itertools import product
 
 from goalrec.errors import ParameterError, ValidationError
-from goalrec.grounding import (
-    GroundAction,
-    GroundProblem,
-    objects_by_type,
-    static_predicates,
-)
-from goalrec.pddl import atom_name
+from goalrec.grounding import GroundAction, GroundProblem, static_predicates
+from goalrec.negation import compile_negations, complement_literal
+from goalrec.pddl import atom_name, objects_by_type
 
 
 def _type_product(params, universe):
@@ -28,14 +25,10 @@ def _type_product(params, universe):
 def ground_exhaustive(domain, problem) -> GroundProblem:
     if not problem.goals:
         raise ParameterError("at least one goal hypothesis is required")
+    goals_as_written = problem.goals
+    domain, problem = compile_negations(domain, problem)
 
-    for schema in domain.schemas:
-        if any(lit.negated for lit in schema.pre):
-            raise ValidationError(
-                f"schema {schema.name} has negated preconditions; compile negations first"
-            )
-
-    universe = objects_by_type(domain, problem)
+    universe = objects_by_type(domain, problem.objects)
     statics = static_predicates(domain)
 
     facts: list[str] = []
@@ -94,16 +87,13 @@ def ground_exhaustive(domain, problem) -> GroundProblem:
     )
 
     goals: list[frozenset[int]] = []
-    for goal in problem.goals:
+    for goal in goals_as_written:
         ids = set()
         for lit in goal:
-            if lit.negated:
-                raise ValidationError(
-                    f"hypothesis literal {lit.canonical()} is negated; compile negations first"
-                )
-            name = atom_name(lit.predicate, lit.args)
+            atom = complement_literal(lit)
+            name = atom_name(atom.predicate, atom.args)
             if name not in fact_ids:
-                raise ValidationError(f"hypothesis literal not groundable: {name}")
+                raise ValidationError(f"hypothesis literal not groundable: {lit.canonical()}")
             ids.add(fact_ids[name])
         goals.append(frozenset(ids))
 

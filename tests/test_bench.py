@@ -287,6 +287,7 @@ class TestBuildProblem:
         [
             ("(is-at c99)", "undeclared object c99 in goal"),
             ("(is-at c1 c5)", "arity mismatch for is-at in goal: expected 1, got 2"),
+            ("(not (adj c1 c2))", "hypothesis literal not groundable: (not (adj c1 c2))"),
         ],
     )
     def test_hypothesis_atom_is_checked_against_the_problem(self, hypothesis, message):

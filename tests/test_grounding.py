@@ -17,7 +17,6 @@ from goalrec.grounding import (
     GroundProblem,
     ground,
     ground_instantiations,
-    objects_by_type,
     static_predicates,
 )
 from goalrec.negation import compile_negations
@@ -28,6 +27,7 @@ from goalrec.pddl import (
     Literal,
     Predicate,
     ProblemAst,
+    objects_by_type,
     parse_domain,
     parse_problem,
 )
@@ -147,25 +147,31 @@ class TestHypothesisGrounding:
         with pytest.raises(ParameterError, match="^at least one goal hypothesis is required$"):
             ground(domain, replace(problem, goals=()))
 
-    def test_negated_hypothesis_requires_compilation(self):
+    def test_negated_static_hypothesis_is_named_as_written(self):
         domain = parse_domain(DOMAIN_TEXT)
         problem = parse_problem(
             template_text(SPEC).replace("<HYPOTHESIS>", "(is-at c1)"), domain
         )
-        bad = (frozenset({Literal("is-at", ("c1",), negated=True)}),)
-        message = r"^hypothesis literal \(not \(is-at c1\)\) is negated; compile negations first$"
+        bad = (frozenset({Literal("adj", ("c1", "c2"), negated=True)}),)
+        message = r"^hypothesis literal not groundable: \(not \(adj c1 c2\)\)$"
         with pytest.raises(ValidationError, match=message):
             ground(domain, replace(problem, goals=bad))
 
-    def test_negated_precondition_requires_compilation(self):
+    def test_negated_hypothesis_is_compiled_first(self):
+        domain = parse_domain(DOMAIN_TEXT)
+        problem = parse_problem(
+            template_text(SPEC).replace("<HYPOTHESIS>", "(is-at c1)"), domain
+        )
+        problem = replace(problem, goals=(frozenset({Literal("is-at", ("c1",), negated=True)}),))
+        assert ground(domain, problem) == ground(*compile_negations(domain, problem))
+
+    def test_negated_precondition_is_compiled_first(self):
         domain = parse_domain(
             "(define (domain d) (:predicates (p))"
             " (:action a :parameters () :precondition (not (p)) :effect (p)))"
         )
         problem = parse_problem("(define (problem q) (:domain d) (:init) (:goal (p)))", domain)
-        message = "^schema a has negated preconditions; compile negations first$"
-        with pytest.raises(ValidationError, match=message):
-            ground(domain, problem)
+        assert ground(domain, problem) == ground(*compile_negations(domain, problem))
 
 
 class TestNegationSoundness:
@@ -339,8 +345,8 @@ def typed_tasks(draw):
     3 also gets a literal over distinct variables and the same literal in
     reverse order, so that the join keys one of them on two or more bound
     positions; that predicate's init holds about half of its atoms, so
-    they are seldom symmetric and seldom empty.  Negated static
-    preconditions are compiled away before grounding.
+    they are seldom symmetric and seldom empty.  Static preconditions may
+    be negated; the task is returned as drawn, before compilation.
     """
     n_types = draw(st.integers(0, 3))
     types = tuple(
@@ -396,7 +402,7 @@ def typed_tasks(draw):
 
     domain = DomainAst("random", types, tuple(statics + fluents), tuple(schemas))
     objects = tuple((f"o{i}", draw(type_of)) for i in range(draw(st.integers(0, 5))))
-    universe = objects_by_type(domain, ProblemAst(objects, {}, ()))
+    universe = objects_by_type(domain, objects)
 
     def atoms(pred):
         return list(ground_instantiations(pred.params, universe))
@@ -409,8 +415,7 @@ def typed_tasks(draw):
     init = {pred.name: frozenset(init_atoms(pred)) for pred in statics[:-1] + fluents}
     changing = [p for p in fluents if p.name not in static_predicates(domain)]
     goal = _subset(draw, [Literal(pred.name, args) for pred in changing for args in atoms(pred)])
-    problem = ProblemAst(objects, init, (frozenset(goal),))
-    return compile_negations(domain, problem)
+    return domain, ProblemAst(objects, init, (frozenset(goal),))
 
 
 _EDGE_PROBLEM = """\
@@ -516,9 +521,15 @@ class TestReferenceProperty:
         domain, problem = task
         assert ground(domain, problem) == ground_exhaustive(domain, problem)
 
+    @given(task=typed_tasks())
+    @settings(max_examples=100, deadline=None)
+    def test_compiling_negations_twice_is_compiling_once(self, task):
+        once = compile_negations(*task)
+        assert compile_negations(*once) == once
+
     @pytest.mark.parametrize("name", EDGE_CASES)
     def test_edge_case_identical_to_reference(self, name):
         domain_text, problem_text = EDGE_CASES[name]
         domain = parse_domain(domain_text)
-        domain, problem = compile_negations(domain, parse_problem(problem_text, domain))
+        problem = parse_problem(problem_text, domain)
         assert ground(domain, problem) == ground_exhaustive(domain, problem)

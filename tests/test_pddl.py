@@ -21,6 +21,7 @@ from goalrec.pddl import (
     _read_single,
     _token_position,
     _token_texts,
+    objects_by_type,
     parse_domain,
     parse_problem,
     read_forms,
@@ -188,6 +189,22 @@ class TestParseDomain:
             " (:action a :parameters () :precondition () :effect (p)))"
         )
         assert domain.schemas[0].pre == ()
+
+
+class TestObjectsByType:
+    def test_subtypes_fit_their_ancestors_in_declaration_order(self):
+        domain = DomainAst("d", (("vehicle", ROOT_TYPE), ("truck", "vehicle")), (), ())
+        objects = (("t2", "truck"), ("v1", "vehicle"), ("b", ROOT_TYPE), ("t1", "truck"))
+        assert objects_by_type(domain, objects) == {
+            ROOT_TYPE: ["t2", "v1", "b", "t1"],
+            "vehicle": ["t2", "v1", "t1"],
+            "truck": ["t2", "t1"],
+        }
+
+    def test_object_of_an_undeclared_type_fits_no_type(self):
+        domain = DomainAst("d", (("truck", ROOT_TYPE),), (), ())
+        objects = (("x", "boat"), ("t1", "truck"))
+        assert objects_by_type(domain, objects) == {ROOT_TYPE: ["t1"], "truck": ["t1"]}
 
 
 class TestParseProblem:
