@@ -206,6 +206,21 @@ def estimate_tables(
 # ── Metrics ──────────────────────────────────────────────────────────────
 
 
+# statistics.mean and pstdev define the summaries.  Their exact Fraction
+# arithmetic costs 5-17 µs a call, and at --repeats 1 every per-λ summary
+# is over one value, as every summary of a one-instance run is; about 54
+# such calls cost more than the rest of a small run's bookkeeping.  For one
+# finite value x they return x + 0 (x's type; -0.0 becomes 0.0) and 0.0.
+
+
+def _mean(values: list) -> float:
+    return values[0] + 0 if len(values) == 1 else mean(values)
+
+
+def _pstdev(values: list) -> float:
+    return 0.0 if len(values) == 1 else pstdev(values)
+
+
 def precision(recognized_sets: list[frozenset[int]], truths: list[int]) -> float:
     """Mean of [true goal in recognized set] / |recognized set|."""
     if len(recognized_sets) != len(truths):
@@ -223,7 +238,7 @@ def precision(recognized_sets: list[frozenset[int]], truths: list[int]) -> float
 def spread(recognized_sets: list[frozenset[int]]) -> float:
     if not recognized_sets:
         raise ParameterError("empty dataset")
-    return mean(len(s) for s in recognized_sets)
+    return _mean([len(s) for s in recognized_sets])
 
 
 def _check_lambda(lam: float) -> None:
@@ -425,18 +440,18 @@ def run_benchmark(
     goal_counts = [rec.goal_count for rec in records]
     return EvaluationReport(
         lambdas=lambdas,
-        precision_mean={lam: mean(v) for lam, v in precisions.items()},
-        precision_std={lam: pstdev(v) for lam, v in precisions.items()},
-        spread_mean={lam: mean(v) for lam, v in spreads.items()},
-        spread_std={lam: pstdev(v) for lam, v in spreads.items()},
-        baseline_precision=mean(1.0 / g for g in goal_counts),
-        baseline_spread=mean(goal_counts),
+        precision_mean={lam: _mean(v) for lam, v in precisions.items()},
+        precision_std={lam: _pstdev(v) for lam, v in precisions.items()},
+        spread_mean={lam: _mean(v) for lam, v in spreads.items()},
+        spread_std={lam: _pstdev(v) for lam, v in spreads.items()},
+        baseline_precision=_mean([1.0 / g for g in goal_counts]),
+        baseline_spread=_mean(goal_counts),
         instances=records,
         failures=failures,
         n_samples=n_samples,
         seed=seed,
         repeats=repeats,
         aggregation=aggregation,
-        estimation_seconds_per_goal=mean(estimation_times),
-        seconds_per_observation=mean(observation_times),
+        estimation_seconds_per_goal=_mean(estimation_times),
+        seconds_per_observation=_mean(observation_times),
     )

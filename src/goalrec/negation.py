@@ -4,9 +4,12 @@ For every predicate p appearing negated in a schema precondition or in any
 of the problem's goals, a complement predicate not-p is introduced; adds of
 p delete not-p and deletes of p add not-p.  The initial state is closed so
 that exactly one of p/not-p holds per ground instantiation: not-p's init
-atoms are p's type-consistent argument tuples less p's.  Every goal of
-the problem is rewritten with `complement_literal`.  `grounding.ground`
-compiles its input here; compiled input has no negations left, so it comes
+atoms are p's type-consistent argument tuples less p's.  A static p that
+no precondition negates is left open: only goals read its not-p, and a
+goal literal on a static predicate names no fact, so `ground` rejects
+the goal and never reads not-p's init atoms.  Every goal of the problem
+is rewritten with `complement_literal`.  `grounding.ground` compiles its
+input here; compiled input has no negations left, so it comes
 back unchanged.  This module and grounding import each other as modules.
 """
 
@@ -21,12 +24,6 @@ from .pddl import DomainAst, Literal, Predicate, ProblemAst, objects_by_type
 COMPLEMENT_PREFIX = "not-"
 
 
-def negated_predicates(domain: DomainAst, problem: ProblemAst) -> frozenset[str]:
-    names = {lit.predicate for schema in domain.schemas for lit in schema.pre if lit.negated}
-    names |= {lit.predicate for goal in problem.goals for lit in goal if lit.negated}
-    return frozenset(names)
-
-
 def complement_literal(lit: Literal) -> Literal:
     """Rewrite a negated literal to its positive complement atom."""
     if not lit.negated:
@@ -36,7 +33,8 @@ def complement_literal(lit: Literal) -> Literal:
 
 def compile_negations(domain: DomainAst, problem: ProblemAst) -> tuple[DomainAst, ProblemAst]:
     """Total transformation; identity when no negations occur."""
-    negated = negated_predicates(domain, problem)
+    in_pre = {lit.predicate for schema in domain.schemas for lit in schema.pre if lit.negated}
+    negated = in_pre | {lit.predicate for goal in problem.goals for lit in goal if lit.negated}
     if not negated:
         return domain, problem
 
@@ -66,10 +64,13 @@ def compile_negations(domain: DomainAst, problem: ProblemAst) -> tuple[DomainAst
     new_domain = replace(domain, predicates=tuple(new_predicates), schemas=tuple(new_schemas))
 
     # Closed-world completion: needs the object universe, hence done here
-    # rather than at parse time.
+    # rather than at parse time.  Only goals would read the completion of a
+    # static predicate that no precondition negates, up to |objects|^arity
+    # tuples, and ground rejects those goals without reading it.
+    left_open = grounding.static_predicates(domain) - in_pre
     universe = objects_by_type(new_domain, problem.objects)
     init = dict(problem.init)
-    for name in sorted(negated):
+    for name in sorted(negated - left_open):
         instantiations = frozenset(grounding.ground_instantiations(preds[name].params, universe))
         init[COMPLEMENT_PREFIX + name] = instantiations - problem.init.get(name, frozenset())
 

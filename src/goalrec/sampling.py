@@ -14,12 +14,14 @@ round's, so the walk ends by s0; a subgoal in s0 demands nothing.  Only a
 tie between least-selected actions draws from the random stream,
 uniformly.  A walk that meets no demanded fact with two first achievers
 has no choice to make, whatever the counts, so it is walked once and its
-set repeated N times, with no draw.  The N per-subgoal sets are then
-combined into N per-goal sets, each taking one unconsumed set per subgoal
-uniformly at random; one draw per goal makes every pick.  Both give the
-stream that one Generator.integers call per pick would: a bound of 1
-consumes no state, and an array of bounds is drawn in order, as one call
-per bound.
+set repeated N times, with no draw.  The N per-subgoal sets of a goal
+with two or more subgoals are then combined into N per-goal sets, each
+taking one unconsumed set per subgoal uniformly at random; one draw per
+goal makes every pick.  Both give the stream that one Generator.integers
+call per pick would: a bound of 1 consumes no state, and an array of
+bounds is drawn in order, as one call per bound.  A goal with one subgoal
+takes its subgoal's N sets as they were walked: combining them would only
+permute them, which no count over the sets can see.
 
 sample_combined_sets is the one entry and checks N and the seed.  Subgoal
 k of the goal's sorted facts draws from the stream (seed, goal index, k),
@@ -140,7 +142,8 @@ def sample_combined_sets(
 ) -> list[SupporterSampleSet]:
     """Run the two sampling stages: n sets, none when the goal is relaxed-unreachable.
 
-    n and seed are checked first, whatever the goal.
+    n and seed are checked first, whatever the goal.  A goal with one
+    subgoal gets that subgoal's sets in walk order and no combination draw.
     """
     if n < 1:
         raise ParameterError(f"number of samples must be positive, got {n}")
@@ -153,6 +156,8 @@ def sample_combined_sets(
         sample_subgoal_supporters(problem, subgoal, n, np.random.default_rng([seed, goal_index, k]))
         for k, subgoal in enumerate(sorted(goal))
     ]
+    if len(pools) == 1:
+        return pools[0]
     return generate_goal_supporters(
         pools, n, np.random.default_rng([seed, goal_index, COMBINE_STREAM])
     )

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
-from statistics import mean
+from statistics import mean, pstdev
 from types import SimpleNamespace
 
 import numpy as np
@@ -375,6 +375,20 @@ class TestMetrics:
             spread([])
         with pytest.raises(GoalRecError):
             spread([])
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-(10**6), 10**6), st.floats(-1e150, 1e150)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_summaries_are_the_statistics_functions(self, values):
+        # A one-value list is answered without statistics, in value and type.
+        for summary, reference in ((bench._mean, mean), (bench._pstdev, pstdev)):
+            got, expected = summary(values), reference(values)
+            assert (type(got), repr(got)) == (type(expected), repr(expected))
 
     def test_prefix_length_floors(self):
         assert prefix_length(3, 0.1) == 0

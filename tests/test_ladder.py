@@ -15,6 +15,7 @@ STAGES = {
     "estimate_n10",
     "estimate_n100",
     "recognize_online",
+    "run_benchmark",
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from goalrec.errors import PddlSyntaxError, ValidationError
 from goalrec.gridgen import DOMAIN_TEXT
+from goalrec.grounding import ground
 from goalrec.negation import compile_negations
 from goalrec.pddl import (
     MAX_NESTING_DEPTH,
@@ -497,6 +498,29 @@ class TestCompileNegations:
         _, problem = self._compiled()
         assert problem.init["not-locked"] == frozenset({("d1",)})
         assert problem.init["locked"] == frozenset({("d2",)})
+
+    def test_static_predicate_negated_only_in_goals_is_left_open(self):
+        # near is static and negated only by the goal, which names no fact;
+        # jammed is static too, but a precondition reads its complement.
+        domain = parse_domain(
+            "(define (domain d) (:predicates (at ?a) (near ?a ?b) (jammed ?a))"
+            " (:action go :parameters (?a ?b)"
+            " :precondition (and (at ?a) (near ?a ?b) (not (jammed ?b)))"
+            " :effect (and (at ?b) (not (at ?a)))))"
+        )
+        problem = parse_problem(
+            "(define (problem q) (:domain d) (:objects x y)"
+            " (:init (at x) (near x y)) (:goal (not (near y x))))",
+            domain,
+        )
+        out_domain, out_problem = compile_negations(domain, problem)
+        assert {"not-near", "not-jammed"} <= {pred.name for pred in out_domain.predicates}
+        assert out_problem.goals == (frozenset({Literal("not-near", ("y", "x"))}),)
+        assert "not-near" not in out_problem.init
+        assert out_problem.init["not-jammed"] == frozenset({("x",), ("y",)})
+        message = r"^hypothesis literal not groundable: \(not \(near y x\)\)$"
+        with pytest.raises(ValidationError, match=message):
+            ground(domain, problem)
 
     def test_output_has_no_negations(self):
         domain, problem = self._compiled()

@@ -195,8 +195,11 @@ class TestGoalCombination:
 
 
 class TestCombinedSets:
-    def test_stream_per_subgoal_and_one_per_combination(self, logistics):
-        problem, _ = logistics
+    # The grid's goals have one subgoal each, whose walks split between two
+    # corridors, so the order of its sets shows; logistics has a goal of two.
+    @pytest.mark.parametrize("name", ["grid", "logistics"])
+    def test_stream_per_subgoal_and_one_per_combination(self, request, name):
+        problem, _ = request.getfixturevalue(name)
 
         def stream(*key):
             return np.random.default_rng(np.random.SeedSequence([7, *key]))
@@ -206,10 +209,13 @@ class TestCombinedSets:
                 sample_subgoal_supporters(problem, f, N, stream(goal_index, ordinal))
                 for ordinal, f in enumerate(sorted(goal))
             ]
-            combiner = stream(goal_index, COMBINE_STREAM)
-            assert sample_combined_sets(problem, goal_index, N, 7) == generate_goal_supporters(
-                pools, N, combiner
-            )
+            combined = sample_combined_sets(problem, goal_index, N, 7)
+            if len(pools) == 1:
+                # One subgoal: its pool, in walk order, with no combination.
+                assert combined == pools[0]
+            else:
+                combiner = stream(goal_index, COMBINE_STREAM)
+                assert combined == generate_goal_supporters(pools, N, combiner)
 
     def test_relaxed_unreachable_goal_gives_none(self, reachable_and_blocked):
         assert sample_combined_sets(reachable_and_blocked, 1, N, 0) == []
@@ -319,7 +325,12 @@ class TestDrawStream:
 
         tie_bounds = [b for bounds in draws["sample_subgoal_supporters"] for b in bounds]
         assert all(bound > 1 for bound in tie_bounds)
-        assert [len(bounds) for bounds in draws["generate_goal_supporters"]] == [1] * len(goals)
+        # One draw per goal of two or more subgoals; a one-subgoal goal
+        # takes its pool as walked and is never combined.
+        combined_goals = [g for g in goals if len(problem.goals[g]) > 1]
+        assert [len(bounds) for bounds in draws["generate_goal_supporters"]] == [1] * len(
+            combined_goals
+        )
 
     def test_choice_free_subgoal_walks_once_and_draws_nothing(self):
         # Every fact below (f2) has one first achiever, so all walks agree.

@@ -12,7 +12,10 @@ seed 7, 10 goals, no blocked cells) and time, once each:
 - estimate for every goal at n = 10 and then at n = 100, after one
   untimed warm-up call;
 - recognize_online over the instance's observations, with the n = 100
-  tables.
+  tables;
+- run_benchmark at n = 10 on a dataset that holds only this instance, as
+  `goalrec bench` runs it: load, prepare, estimate and recognize again,
+  plus the report's bookkeeping.
 
 Each stage reports its best time over the processes and every run.
 numpy defers importing numpy.random to its first use, which the first
@@ -52,13 +55,14 @@ STAGES = (
     "compute_fixpoint",
     *(f"estimate_n{n}" for n in SAMPLE_SIZES),
     "recognize_online",
+    "run_benchmark",
 )
 
 
 def measure(side: int) -> dict:
     """One fresh process's timings on the side x side grid."""
     # Imported here: only a measuring process has --src on its path.
-    from goalrec import estimate, load_instance, prepare_instance, recognize_online
+    from goalrec import estimate, load_instance, prepare_instance, recognize_online, run_benchmark
     from goalrec.gridgen import random_grid, write_instance
     from goalrec.relaxed import compute_fixpoint
 
@@ -79,20 +83,22 @@ def measure(side: int) -> dict:
         np.random.default_rng(GRID_SEED), width=side, height=side, n_goals=GOALS, block_prob=0.0
     )
     with tempfile.TemporaryDirectory() as tmp:
-        instance = timed("load_instance", load_instance, write_instance(Path(tmp) / "grid", spec))
-    problem, events = timed("prepare_instance", prepare_instance, instance)
-    gc.disable()
-    try:
-        timed("compute_fixpoint", compute_fixpoint, problem)
-    finally:
-        gc.enable()
-    estimate(problem, 0, SAMPLE_SIZES[0], ESTIMATE_SEED)  # warm-up
-    for n in SAMPLE_SIZES:
-        tables = timed(
-            f"estimate_n{n}",
-            lambda: [estimate(problem, i, n, ESTIMATE_SEED) for i in range(len(problem.goals))],
-        )
-    timed("recognize_online", recognize_online, problem, tables, events)
+        dataset = Path(tmp)
+        instance = timed("load_instance", load_instance, write_instance(dataset / "grid", spec))
+        problem, events = timed("prepare_instance", prepare_instance, instance)
+        gc.disable()
+        try:
+            timed("compute_fixpoint", compute_fixpoint, problem)
+        finally:
+            gc.enable()
+        estimate(problem, 0, SAMPLE_SIZES[0], ESTIMATE_SEED)  # warm-up
+        for n in SAMPLE_SIZES:
+            tables = timed(
+                f"estimate_n{n}",
+                lambda: [estimate(problem, i, n, ESTIMATE_SEED) for i in range(len(problem.goals))],
+            )
+        timed("recognize_online", recognize_online, problem, tables, events)
+        timed("run_benchmark", run_benchmark, dataset, None, SAMPLE_SIZES[0], ESTIMATE_SEED)
     return {
         "numpy_random_import_s": numpy_random_import_s,
         "facts": problem.fact_count,
