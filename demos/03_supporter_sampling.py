@@ -2,7 +2,10 @@
 
 For the grid goal (is-at c1) there are two optimal relaxed routes; the
 min-count selection rule rotates between them, so the sampled sets split
-roughly evenly between the two corridors.
+roughly evenly between the two corridors.  The goal has one subgoal, so
+its sets are printed in walk order, uncombined: a walk after one down the
+left corridor finds the middle one less selected, so sets 0-1, 2-3 and so
+on each take both corridors, and a draw decides only which comes first.
 """
 
 from pathlib import Path

@@ -195,27 +195,26 @@ class TestGoalCombination:
 
 
 class TestCombinedSets:
-    # The grid's goals have one subgoal each, whose walks split between two
-    # corridors, so the order of its sets shows; logistics has a goal of two.
-    @pytest.mark.parametrize("name", ["grid", "logistics"])
-    def test_stream_per_subgoal_and_one_per_combination(self, request, name):
-        problem, _ = request.getfixturevalue(name)
-
+    def test_stream_per_subgoal_and_one_per_combination(self, grid, logistics):
         def stream(*key):
             return np.random.default_rng(np.random.SeedSequence([7, *key]))
 
-        for goal_index, goal in enumerate(problem.goals):
-            pools = [
-                sample_subgoal_supporters(problem, f, N, stream(goal_index, ordinal))
-                for ordinal, f in enumerate(sorted(goal))
-            ]
-            combined = sample_combined_sets(problem, goal_index, N, 7)
-            if len(pools) == 1:
-                # One subgoal: its pool, in walk order, with no combination.
-                assert combined == pools[0]
-            else:
-                combiner = stream(goal_index, COMBINE_STREAM)
-                assert combined == generate_goal_supporters(pools, N, combiner)
+        # The grid's goals have one subgoal each, whose walks split between
+        # two corridors, so the order of its sets shows; logistics has a
+        # goal of two subgoals and one of one.
+        for problem, _ in (grid, logistics):
+            for goal_index, goal in enumerate(problem.goals):
+                pools = [
+                    sample_subgoal_supporters(problem, f, N, stream(goal_index, ordinal))
+                    for ordinal, f in enumerate(sorted(goal))
+                ]
+                combined = sample_combined_sets(problem, goal_index, N, 7)
+                if len(pools) == 1:
+                    # One subgoal: its pool, in walk order, with no combination.
+                    assert combined == pools[0]
+                else:
+                    combiner = stream(goal_index, COMBINE_STREAM)
+                    assert combined == generate_goal_supporters(pools, N, combiner)
 
     def test_relaxed_unreachable_goal_gives_none(self, reachable_and_blocked):
         assert sample_combined_sets(reachable_and_blocked, 1, N, 0) == []

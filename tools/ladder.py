@@ -98,7 +98,10 @@ def measure(side: int) -> dict:
                 lambda: [estimate(problem, i, n, ESTIMATE_SEED) for i in range(len(problem.goals))],
             )
         timed("recognize_online", recognize_online, problem, tables, events)
-        timed("run_benchmark", run_benchmark, dataset, None, SAMPLE_SIZES[0], ESTIMATE_SEED)
+        timed(
+            "run_benchmark",
+            lambda: run_benchmark(dataset, n_samples=SAMPLE_SIZES[0], seed=ESTIMATE_SEED),
+        )
     return {
         "numpy_random_import_s": numpy_random_import_s,
         "facts": problem.fact_count,
