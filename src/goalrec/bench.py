@@ -207,10 +207,11 @@ def estimate_tables(
 
 
 # statistics.mean and pstdev define the summaries.  Their exact Fraction
-# arithmetic costs 5-17 µs a call, and at --repeats 1 every per-λ summary
-# is over one value, as every summary of a one-instance run is; about 54
-# such calls cost more than the rest of a small run's bookkeeping.  For one
-# finite value x they return x + 0 (x's type; -0.0 becomes 0.0) and 0.0.
+# arithmetic costs 6-19 µs a call (Python 3.11), and at --repeats 1 every
+# per-λ summary is over one value, as every summary of a one-instance run
+# is; about 54 such calls cost more than the rest of a small run's
+# bookkeeping.  For one finite value x they return x + 0 (x's type; -0.0
+# becomes 0.0) and 0.0.
 
 
 def _mean(values: list) -> float:
