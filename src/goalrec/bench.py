@@ -25,7 +25,8 @@ from .errors import DatasetError, GoalRecError, ParameterError
 from .grounding import GroundProblem, ground
 from .pddl import Literal, parse_domain, parse_literal, parse_problem, read_forms
 from .pddl import validate_problem
-from .probability import DEFAULT_N_SAMPLES, EMPIRICAL_UNION, FactProbabilityTable, estimate
+from .probability import DEFAULT_N_SAMPLES, EMPIRICAL_UNION, NOISY_OR, FactProbabilityTable
+from .probability import estimate
 from .recognition import ObservationEvent, RecognitionTrace, recognize_online
 
 DEFAULT_LAMBDAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -387,6 +388,10 @@ def run_benchmark(
         raise ParameterError(f"repeats must be positive, got {repeats}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
+    if aggregation not in (EMPIRICAL_UNION, NOISY_OR):
+        raise ParameterError(f"unknown aggregation: {aggregation}")
+    if n_samples < 1:
+        raise ParameterError(f"number of samples must be positive, got {n_samples}")
     candidates = sorted(p for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
     if not candidates:
         raise DatasetError(f"no instance directories under {root}")

@@ -282,8 +282,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     for goal in goals_as_written:
         ids = set()
         for lit in sorted(goal, key=Literal.canonical):
-            atom = negation.complement_literal(lit)
-            name = atom_name(atom.predicate, atom.args)
+            name = negation.complement_literal(lit).canonical()
             if name not in fact_ids:
                 raise ValidationError(f"hypothesis literal not groundable: {lit.canonical()}")
             ids.add(fact_ids[name])

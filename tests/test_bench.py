@@ -218,7 +218,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # printed: on the grid fixture, bad init atoms, hypothesis atoms naming
 # undeclared objects and static hypothesis atoms, which ground cannot reach;
 # then a schema whose static precondition binds objects that do not fit a
-# fluent slot.
+# fluent slot; last, a domain that declares the complements of both
+# predicates it negates.
 _FIRST_FAULTS = """
 import sys
 from pathlib import Path
@@ -244,6 +245,14 @@ misfit_template = '''(define (problem p) (:domain d) (:objects x1 x2 x3 x4 - a z
   (:init (ok x1) (ok x2) (ok x3) (ok x4)) (:goal <HYPOTHESIS>))'''
 try:
     build_problem(misfit_domain, misfit_template, parse_hypotheses("(at z)"))
+except ValidationError as exc:
+    print(exc)
+collide_domain = '''(define (domain d) (:requirements :strips :negative-preconditions)
+  (:predicates (pa ?x) (pb ?x) (not-pa ?x) (not-pb ?x) (g ?x))
+  (:action go :parameters (?x) :precondition (and (not (pa ?x)) (not (pb ?x))) :effect (g ?x)))'''
+collide_template = "(define (problem p) (:domain d) (:objects o) (:init) (:goal <HYPOTHESIS>))"
+try:
+    build_problem(collide_domain, collide_template, parse_hypotheses("(g o)"))
 except ValidationError as exc:
     print(exc)
 """
@@ -316,6 +325,7 @@ class TestBuildProblem:
             "undeclared object c97 in goal",
             "hypothesis literal not groundable: (adj c1 c2)",
             "object x1 of type a does not fit c in (at ?x) of schema go",
+            "predicate not-pa collides with negation compilation",
         ]
 
     def test_ground_runs_with_the_collector_paused(self, monkeypatch):
@@ -560,6 +570,16 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "load_instance", lambda path: pytest.fail(f"loaded {path}"))
         with pytest.raises(ParameterError, match=r"^lambda listed twice: 0\.5$"):
             run_benchmark(FIXTURES, lambdas=[0.5, 1.0, 0.5])
+
+    def test_nonpositive_sample_count_rejected_before_loading(self, monkeypatch):
+        monkeypatch.setattr(bench, "load_instance", lambda path: pytest.fail(f"loaded {path}"))
+        with pytest.raises(ParameterError, match=r"^number of samples must be positive, got 0$"):
+            run_benchmark(FIXTURES, n_samples=0)
+
+    def test_unknown_aggregation_rejected_before_loading(self, monkeypatch):
+        monkeypatch.setattr(bench, "load_instance", lambda path: pytest.fail(f"loaded {path}"))
+        with pytest.raises(ParameterError, match=r"^unknown aggregation: union$"):
+            run_benchmark(FIXTURES, aggregation="union")
 
     def test_lambdas_ascend_whatever_order_they_are_given(self):
         given = run_benchmark(FIXTURES, lambdas=[0.3, 1.0], seed=0)

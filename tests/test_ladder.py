@@ -42,9 +42,17 @@ def test_ladder_writes_its_schema_at_the_smallest_side(tmp_path):
 
     (row,) = bench["sizes"]
     # A 12x12 open grid: one fact per cell, one move per directed edge.
-    assert {k: v for k, v in row.items() if k != "seconds"} == {
+    assert {k: v for k, v in row.items() if k not in ("precision", "seconds")} == {
         "side": 12, "facts": 144, "actions": 528, "goals": 10, "observations": 9,
     }
+    # What was recognized: the true goal alone, after the last observation
+    # with either table size and over the whole plan in run_benchmark.
+    recognized = row["precision"]
+    assert set(recognized) == {"true_goal", "recognized", "run_benchmark"}
+    assert recognized["true_goal"] == 1
+    assert recognized["recognized"] == {"n10": [1], "n100": [1]}
+    assert list(recognized["run_benchmark"]) == [str(lam / 10) for lam in range(1, 11)]
+    assert recognized["run_benchmark"]["1.0"] == 1.0
     assert set(row["seconds"]) == STAGES
     for stage in row["seconds"].values():
         assert len(stage["runs"]) == 1

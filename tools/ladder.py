@@ -17,7 +17,12 @@ seed 7, 10 goals, no blocked cells) and time, once each:
   `goalrec bench` runs it: load, prepare, estimate and recognize again,
   plus the report's bookkeeping.
 
-Each stage reports its best time over the processes and every run.
+Each stage reports its best time over the processes and every run.  Each
+size also records what was recognized, which must not differ between
+processes: the true goal's index, the goals recognized after the last
+observation with the n = 10 and the n = 100 tables (the n = 10 ones are
+recognized untimed, after every timed stage), and run_benchmark's mean
+precision per lambda.
 numpy defers importing numpy.random to its first use, which the first
 estimate in a process would pay.  That import is timed on its own, right
 after goalrec is imported, and reported once, as its best over all
@@ -57,6 +62,8 @@ STAGES = (
     "recognize_online",
     "run_benchmark",
 )
+# What each process must report alike.
+SHARED = ("facts", "actions", "goals", "observations", "precision")
 
 
 def measure(side: int) -> dict:
@@ -91,23 +98,31 @@ def measure(side: int) -> dict:
             timed("compute_fixpoint", compute_fixpoint, problem)
         finally:
             gc.enable()
-        estimate(problem, 0, SAMPLE_SIZES[0], ESTIMATE_SEED)  # warm-up
-        for n in SAMPLE_SIZES:
-            tables = timed(
+        small, large = SAMPLE_SIZES
+        estimate(problem, 0, small, ESTIMATE_SEED)  # warm-up
+        tables = {
+            n: timed(
                 f"estimate_n{n}",
                 lambda: [estimate(problem, i, n, ESTIMATE_SEED) for i in range(len(problem.goals))],
             )
-        timed("recognize_online", recognize_online, problem, tables, events)
-        timed(
-            "run_benchmark",
-            lambda: run_benchmark(dataset, n_samples=SAMPLE_SIZES[0], seed=ESTIMATE_SEED),
+            for n in SAMPLE_SIZES
+        }
+        trace = timed("recognize_online", recognize_online, problem, tables[large], events)
+        report = timed(
+            "run_benchmark", lambda: run_benchmark(dataset, n_samples=small, seed=ESTIMATE_SEED)
         )
+    traces = {small: recognize_online(problem, tables[small], events), large: trace}  # untimed
     return {
         "numpy_random_import_s": numpy_random_import_s,
         "facts": problem.fact_count,
         "actions": len(problem.actions),
         "goals": len(problem.goals),
         "observations": len(events),
+        "precision": {
+            "true_goal": instance.true_goal_index,
+            "recognized": {f"n{n}": traces[n].steps[-1].recognized for n in SAMPLE_SIZES},
+            "run_benchmark": report.precision_mean,
+        },
         "seconds": seconds,
     }
 
@@ -138,13 +153,13 @@ def run_ladder(src: Path, sides, processes: int) -> dict:
             runs.append(json.loads(out.stdout))
         first = runs[0]
         for run in runs[1:]:
-            for key in ("facts", "actions", "goals", "observations"):
+            for key in SHARED:
                 if run[key] != first[key]:
                     raise SystemExit(f"side {side}: {key} differs between processes")
         imports += [run["numpy_random_import_s"] for run in runs]
         rows.append({
             "side": side,
-            **{key: first[key] for key in ("facts", "actions", "goals", "observations")},
+            **{key: first[key] for key in SHARED},
             "seconds": {
                 stage: {
                     "best": min(run["seconds"][stage] for run in runs),
