@@ -149,7 +149,7 @@ def build_problem(
     caller sees the collector off while a build runs.  The pause defers one
     collection: the first young one after it scans every object the build
     made, at the caller's next allocation (prepare_instance's event list);
-    on an 80x80 open grid it took 21-52 ms after a build of 170-359 ms.
+    on an 80x80 open grid it took 21-31 ms after a build of 155-239 ms.
     """
     paused = gc.isenabled()
     if paused:

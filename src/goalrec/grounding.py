@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from . import negation
 from .errors import ParameterError, ValidationError
@@ -106,21 +107,25 @@ def ground_instantiations(
                 if all(args[j] == args[first] for j, first in repeats)
                 and all(args[j] in pool for j, pool in checks)
             ]
-        table = {(): rows}
-        if keyed:
-            atom_key = _key_getter(keyed)
-            table = defaultdict(list)
-            for args in rows:
-                table[atom_key(args)].append(args)
-        key = _key_getter([slots[j] for j in keyed])
-        grown = []
-        for binding in partial:
-            for args in table.get(key(binding), ()):
-                extended = list(binding)
-                for s, j in fresh.items():
-                    extended[s] = args[j]
-                grown.append(tuple(extended))
-        partial = grown
+        if not bound and slots == list(range(len(params))):
+            # Onto the all-None binding, a literal over the parameters in order binds its rows.
+            partial = list(rows)
+        else:
+            table = {(): rows}
+            if keyed:
+                atom_key = _key_getter(keyed)
+                table = defaultdict(list)
+                for args in rows:
+                    table[atom_key(args)].append(args)
+            key = _key_getter([slots[j] for j in keyed])
+            grown = []
+            for binding in partial:
+                for args in table.get(key(binding), ()):
+                    extended = list(binding)
+                    for s, j in fresh.items():
+                        extended[s] = args[j]
+                    grown.append(tuple(extended))
+            partial = grown
         bound.update(fresh)
         if not partial:
             return
@@ -131,8 +136,9 @@ def ground_instantiations(
         yield from product(*[(v,) if i in bound else pools[i] for i, v in enumerate(binding)])
 
 
-@dataclass(frozen=True)
-class GroundAction:
+class GroundAction(NamedTuple):
+    """A named action over fact ids, which compares and unpacks as a tuple."""
+
     name: str
     pre: frozenset[int]
     add: frozenset[int]
@@ -257,16 +263,14 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
 
         try:
             added = list(id_sets(schema.add))
-            actions.extend(
-                map(
-                    GroundAction,
-                    map(atom_name, repeat(schema.name), bindings),
-                    id_sets([lit for lit in schema.pre if lit.predicate not in statics]),
-                    added,
-                    map(frozenset.__sub__, id_sets(schema.delete), added),
-                    repeat(schema.cost),
-                )
+            columns = zip(
+                map(atom_name, repeat(schema.name), bindings),
+                id_sets([lit for lit in schema.pre if lit.predicate not in statics]),
+                added,
+                map(frozenset.__sub__, id_sets(schema.delete), added),
+                repeat(schema.cost),
             )
+            actions.extend(map(GroundAction._make, columns))
         except KeyError:
             raise _misfit(domain, problem, schema, bindings) from None
     actions.sort(key=attrgetter("name"))

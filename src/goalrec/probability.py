@@ -14,6 +14,7 @@ import heapq
 import io
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -66,18 +67,18 @@ def estimate(
     samples = sample_combined_sets(problem, goal_index, n, seed)
     actions = problem.actions
     p = np.zeros(problem.fact_count)
-    counts: Counter[int] = Counter()
     if aggregation == EMPIRICAL_UNION:
+        covered = []  # per sample, the facts its actions add
         for sample in samples:
-            covered: set[int] = set()
+            facts: set[int] = set()
             for aid in sample.actions:
-                covered |= actions[aid].add
-            counts.update(covered)
+                facts |= actions[aid].add
+            covered.append(facts)
+        counts = Counter(chain.from_iterable(covered))
         p[list(counts)] = list(counts.values())
         p /= n
     else:
-        for sample in samples:
-            counts.update(sample.actions)
+        counts = Counter(chain.from_iterable(s.actions for s in samples))
         # Each fact's miss product runs over its actions in ascending id.
         miss: dict[int, float] = {}
         for aid in sorted(counts):

@@ -7,21 +7,23 @@ the round's demanded facts in id order.  A demanded fact's candidates are
 its first achievers, the supporters one level below it, sorted by id; an
 action selected the fewest times so far in the call is picked, and its
 preconditions outside s0 and not yet found are needed, the next round's
-demand.  A fact is found once an action is picked for it, or once a picked
-action adds it while it is demanded or needed; a found fact is never
-demanded again in that walk.  Needed facts lie a level lower than the
-round's, so the walk ends by s0; a subgoal in s0 demands nothing.  Only a
-tie between least-selected actions draws from the random stream,
-uniformly.  A walk that meets no demanded fact with two first achievers
-has no choice to make, whatever the counts, so it is walked once and its
-set repeated N times, with no draw.  The N per-subgoal sets of a goal
-with two or more subgoals are then combined into N per-goal sets, each
-taking one unconsumed set per subgoal uniformly at random; one draw per
-goal makes every pick.  Both give the stream that one Generator.integers
-call per pick would: a bound of 1 consumes no state, and an array of
-bounds is drawn in order, as one call per bound.  A goal with one subgoal
-takes its subgoal's N sets as they were walked: combining them would only
-permute them, which no count over the sets can see.
+demand.  Selections are counted per call, in a list by action id, and each
+action is a GroundAction tuple read from problem.actions.  A fact is found
+once an action is picked for it, or once a picked action adds it while it is
+demanded or needed; a found fact is never demanded again in that walk.
+Needed facts lie a level lower than the round's, so the walk ends by s0; a
+subgoal in s0 demands nothing.  Only a tie between least-selected actions
+draws from the random stream, uniformly; of two first achievers, the two
+counts are compared and only equal counts draw.  A walk that meets no
+demanded fact with two first achievers has no choice to make, whatever the
+counts, so it is walked once and its set repeated N times, with no draw.
+The N per-subgoal sets of a goal with two or more subgoals are then combined
+into N per-goal sets, each taking one unconsumed set per subgoal uniformly
+at random; one draw per goal makes every pick.  Both give the stream that
+one Generator.integers call per pick would: a bound of 1 consumes no state,
+and an array of bounds is drawn in order, as one call per bound.  A goal
+with one subgoal takes its subgoal's N sets as they were walked: combining
+them would only permute them, which no count over the sets can see.
 
 sample_combined_sets is the one entry and checks N and the seed.  Subgoal
 k of the goal's sorted facts draws from the stream (seed, goal index, k),
@@ -66,8 +68,7 @@ def sample_subgoal_supporters(
         raise UnreachableGoalError(f"no supporter for demanded fact {problem.facts[subgoal]}")
 
     actions = problem.actions
-    counts: dict[int, int] = {}
-    count_of = counts.get
+    counts = [0] * len(actions)  # selections so far in this call, by action id
     draw = rng.integers
     samples: list[SupporterSampleSet] = []
 
@@ -88,15 +89,24 @@ def sample_subgoal_supporters(
                 if p in found:
                     continue
                 candidates = first_achievers[p]
-                if len(candidates) > 1:
+                if len(candidates) == 1:
+                    chosen = candidates[0]
+                elif len(candidates) == 2:
+                    # The less selected of two is chosen; only a tie draws.
                     choice = True
-                    min_count = min(count_of(a, 0) for a in candidates)
-                    candidates = [a for a in candidates if count_of(a, 0) == min_count]
-                # A draw over one candidate returns 0 and consumes no random state.
-                chosen = candidates[draw(len(candidates)) if len(candidates) > 1 else 0]
+                    a, b = candidates
+                    chosen = a if counts[a] < counts[b] else b
+                    if counts[a] == counts[b]:
+                        chosen = candidates[draw(2)]
+                else:
+                    choice = True
+                    min_count = min(counts[a] for a in candidates)
+                    candidates = [a for a in candidates if counts[a] == min_count]
+                    # A draw over one candidate returns 0 and consumes no random state.
+                    chosen = candidates[draw(len(candidates)) if len(candidates) > 1 else 0]
 
                 sups.add(chosen)
-                counts[chosen] = count_of(chosen, 0) + 1
+                counts[chosen] += 1
 
                 action = actions[chosen]
                 for need in action.pre:

@@ -1,16 +1,17 @@
 """Grounding: dense ids, static-predicate handling, determinism."""
 
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from goalrec import bench, grounding
 from goalrec.bench import build_problem, load_instance, prepare_instance
-from goalrec.errors import ParameterError, ValidationError
+from goalrec.errors import GoalRecError, ParameterError, ValidationError
 from goalrec.gridgen import DOMAIN_TEXT, random_grid, template_text
 from goalrec.grounding import (
     GroundAction,
@@ -19,7 +20,7 @@ from goalrec.grounding import (
     ground_instantiations,
     static_predicates,
 )
-from goalrec.negation import compile_negations
+from goalrec.negation import COMPLEMENT_PREFIX, compile_negations
 from goalrec.pddl import (
     ROOT_TYPE,
     ActionSchema,
@@ -333,6 +334,12 @@ def _subset(draw, pool):
     return draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
 
 
+def _rarely(draw):
+    """True about one draw in eight: three booleans, which Hypothesis draws
+    about evenly, unlike a small integer, which it draws as 0 far more often."""
+    return all(draw(st.booleans()) for _ in range(3))
+
+
 @st.composite
 def typed_tasks(draw):
     """Small random typed domains with static preconditions of every shape.
@@ -346,7 +353,10 @@ def typed_tasks(draw):
     reverse order, so that the join keys one of them on two or more bound
     positions; that predicate's init holds about half of its atoms, so
     they are seldom symmetric and seldom empty.  Static preconditions may
-    be negated; the task is returned as drawn, before compilation.
+    be negated, and so may goal literals over fluents; sometimes a goal
+    also negates one static atom, and sometimes the domain declares the
+    complement of a predicate.  The task is returned as drawn, before
+    compilation.
     """
     n_types = draw(st.integers(0, 3))
     types = tuple(
@@ -414,8 +424,42 @@ def typed_tasks(draw):
 
     init = {pred.name: frozenset(init_atoms(pred)) for pred in statics[:-1] + fluents}
     changing = [p for p in fluents if p.name not in static_predicates(domain)]
-    goal = _subset(draw, [Literal(pred.name, args) for pred in changing for args in atoms(pred)])
+    goal = [
+        Literal(pred.name, args, draw(st.booleans()))
+        for pred in changing
+        for args in _subset(draw, atoms(pred))
+    ]
+    # A static predicate negated only here is left open, so its literal
+    # names no fact; one such literal at most keeps the first one named
+    # the same in both grounders.
+    static_atoms = [(pred.name, args) for pred in statics for args in atoms(pred)]
+    if static_atoms and _rarely(draw):
+        goal.append(Literal(*draw(st.sampled_from(static_atoms)), negated=True))
+    if _rarely(draw):
+        # A declared complement, which collides if its predicate is negated.
+        pred = draw(st.sampled_from(statics + fluents))
+        complement = Predicate(COMPLEMENT_PREFIX + pred.name, pred.params)
+        domain = replace(domain, predicates=domain.predicates + (complement,))
     return domain, ProblemAst(objects, init, (frozenset(goal),))
+
+
+def _negation_paths(domain, problem):
+    """The compilation paths a task takes, checking each one's outcome: a
+    collision, or per predicate negated only in goals, its complement left
+    open (static) or closed (fluent)."""
+    try:
+        compiled = compile_negations(domain, problem)[1]
+    except ValidationError as error:
+        assert "collides with negation compilation" in str(error)
+        return ["collision"]
+    in_pre = {lit.predicate for s in domain.schemas for lit in s.pre if lit.negated}
+    in_goal = {lit.predicate for goal in problem.goals for lit in goal if lit.negated}
+    paths = []
+    for name in sorted(in_goal - in_pre):
+        closed = COMPLEMENT_PREFIX + name in compiled.init
+        assert closed == (name not in static_predicates(domain))
+        paths.append("goal-only fluent closed" if closed else "goal-only static left open")
+    return paths
 
 
 _EDGE_PROBLEM = """\
@@ -496,6 +540,67 @@ EDGE_CASES = {
   (:init (r o1 o2) (r o2 o1) (r o3 o3)) (:goal (at o1)))
 """,
     ),
+    # The grid's move: its one static literal, joined first, is over the
+    # parameters in order, so its init rows are taken as the bindings.
+    "first-literal-in-order": (
+        """\
+(define (domain edge) (:requirements :strips)
+  (:predicates (adj ?x ?y) (at ?x) (h))
+  (:action m :parameters (?x ?y) :precondition (and (at ?x) (adj ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))
+""",
+        _EDGE_PROBLEM,
+    ),
+    # The same literal reversed, over atoms that are not symmetric: its rows
+    # must be placed by slot, not taken as they are.
+    "first-literal-reversed": (
+        """\
+(define (domain edge) (:requirements :strips)
+  (:predicates (adj ?x ?y) (at ?x) (h))
+  (:action m :parameters (?x ?y) :precondition (and (at ?x) (adj ?y ?x))
+    :effect (and (at ?y) (not (at ?x)))))
+""",
+        _EDGE_PROBLEM,
+    ),
+    # A variable repeated in the first literal, and a parameter it leaves
+    # free, which ranges over its type.
+    "first-literal-repeated": (
+        """\
+(define (domain edge) (:requirements :strips)
+  (:predicates (adj ?x ?y) (at ?x) (h))
+  (:action m :parameters (?x ?y) :precondition (and (at ?x) (adj ?x ?x))
+    :effect (and (at ?y) (not (at ?x)))))
+""",
+        _EDGE_PROBLEM,
+    ),
+    # A first literal over the parameters in order whose declared types are
+    # wider than theirs: the type check drops the rows over o1 and o3 before
+    # they are taken as bindings.
+    "first-literal-typed": (
+        """\
+(define (domain edge) (:requirements :strips :typing) (:types a - object b - a)
+  (:predicates (adj ?x ?y - a) (at ?x))
+  (:action m :parameters (?x ?y - b) :precondition (and (adj ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))
+""",
+        """\
+(define (problem p) (:domain edge) (:objects o1 o3 - a o2 o4 - b)
+  (:init (adj o1 o2) (adj o2 o4) (adj o4 o2) (adj o4 o3) (adj o3 o1))
+  (:goal (at o2)))
+""",
+    ),
+    # A 0-ary static literal with no init atoms is joined first and leaves
+    # no binding: the literal over the parameters in order, joined next,
+    # must not bring its rows back.
+    "nullary-static-without-atoms": (
+        """\
+(define (domain edge) (:requirements :strips)
+  (:predicates (adj ?x ?y) (at ?x) (h) (open))
+  (:action m :parameters (?x ?y) :precondition (and (open) (at ?x) (adj ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))
+""",
+        _EDGE_PROBLEM,
+    ),
 }
 
 
@@ -514,18 +619,46 @@ class TestGroundInstantiations:
         assert list(ground_instantiations(params, universe)) == list(product(*pools))
 
 
+def _outcome(grounder, domain, problem):
+    """The grounded problem, or the type and message of the error raised."""
+    try:
+        return grounder(domain, problem)
+    except GoalRecError as error:
+        return type(error), str(error)
+
+
 class TestReferenceProperty:
     @given(task=typed_tasks())
     @settings(max_examples=300, deadline=None)
     def test_identical_to_reference(self, task):
-        domain, problem = task
-        assert ground(domain, problem) == ground_exhaustive(domain, problem)
+        for path in _negation_paths(*task):
+            event(path)
+        assert _outcome(ground, *task) == _outcome(ground_exhaustive, *task)
 
     @given(task=typed_tasks())
     @settings(max_examples=100, deadline=None)
     def test_compiling_negations_twice_is_compiling_once(self, task):
-        once = compile_negations(*task)
-        assert compile_negations(*once) == once
+        paths = _negation_paths(*task)
+        for path in paths:
+            event(path)
+        if paths != ["collision"]:
+            once = compile_negations(*task)
+            assert compile_negations(*once) == once
+
+    def test_tasks_reach_every_negation_path(self):
+        # The same derandomized draws each run: the strategy must reach a
+        # collision and both completions of a goal-only negation.
+        reached = Counter()
+
+        @given(task=typed_tasks())
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        def count(task):
+            reached.update(_negation_paths(*task))
+
+        count()
+        assert set(reached) == {
+            "collision", "goal-only fluent closed", "goal-only static left open"
+        }, reached
 
     @pytest.mark.parametrize("name", EDGE_CASES)
     def test_edge_case_identical_to_reference(self, name):
